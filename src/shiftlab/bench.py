@@ -1,60 +1,59 @@
 """CPU performance harness for the fused shift-composed operator.
 
-Four implementation variants compute the identical result:
+Two implementation variants compute the identical result:
 
-    naive     materialize every fan-out map, then shift-add a second pass
-    fused     accumulate each map into the destination as soon as it is
-              produced; no buffer proportional to g*C*H*W ever exists
-    tiled     fused, but output processed in cache-sized spatial blocks
-              (conv values recomputed per read, trading FLOPs for
-              locality)
-    parallel  fused over independent channel-chunk work items with
-              per-thread buffers merged in a fixed order
+    naive  materialize all g fan-out maps, then shift-add them in a
+           second pass
+    fused  shift-add each map into the destination as soon as it is
+           produced, one chunk of channels at a time; no buffer
+           proportional to g*C*H*W ever exists
 
-All variants share one accumulation order per output element, so f64
-checksums are bitwise identical in deterministic mode; the documented
-"relaxed" switch permits unordered accumulation at a 1e-5 (f32)
-tolerance.  Instrumentation counts destination-accumulation events per
-fan-out (conv output) pixel -- each conv-output pixel is moved at most
-once per edge by each shift branch plus once by the center branch, so the
-aggregate stays below 2E + 1 -- and the peak bytes of variant-owned
-staging buffers, which excludes the shared padded input and the final
-output.
+Both share one shift-add engine.  A fan-out map is written into the
+interior of a buffer with a zero margin around the working grid.  The
+margin on each side covers the reads the plan makes outside the grid,
+capped at H rows (W columns): a read wholly outside needs no more zeros
+than that.  Over a sliding (H, W)-window view of the buffer, every
+(map k, branch, edge) is then one numpy gather-add over the chunk's
+channels, indexed by the plan's displacement tables; out-of-grid reads
+add +0.0 instead of being clipped.  The fused chunk is sized from the
+layer's shape so that its buffer holds no more elements than one
+(C_sw, Hg, Wg) map, floored at one channel.  Masked filters are skipped:
+a chunk is drawn from the channels that keep map k.
+
+Both variants share one accumulation order per output element -- for
+each map k, the H edges, then the W edges, then the center -- so
+checksums are bitwise identical in deterministic mode (the destination
+is never -0.0, so adding +0.0 changes no bit); the documented "relaxed"
+switch reverses the map order, which permits a 1e-5 (f32) tolerance.
+Instrumentation counts destination-accumulation events per fan-out
+(conv output) pixel, from in-grid reads only -- each conv-output pixel is
+moved at most once per edge by each shift branch plus once by the center
+branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
+variant-owned staging buffers, which excludes the shared padded input and
+the final output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import CounterRng
-from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, ShiftPlan, SwConfig,
-                    SwWeights, build_shift_plan, random_weights, sw_forward,
+from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, SwConfig, SwWeights,
+                    build_shift_plan, random_weights, sw_forward,
                     _grid_geometry)
 from .tensor import ShapeError, Tensor
 
-VARIANTS = ("naive", "fused", "tiled", "parallel")
-
-THREADS_ENV = "SHIFTLAB_THREADS"
+VARIANTS = ("naive", "fused")
 
 DESK_CONFIG = dict(m=51, n=3, channels=64, edges=4, ghost=0.0,
                    order_policy="per_edge_shuffled")
 DESK_HW = (56, 56)
-
-
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None and explicit > 0:
-        return explicit
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 class _Alloc:
@@ -106,14 +105,6 @@ def _digest(cfg: SwConfig, h: int, w: int, dtype: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _shift_tables(cfg: SwConfig, plan: ShiftPlan):
-    """Displacements per (edge, channel, k) for both shift branches."""
-    d = np.asarray(plan.displacements, dtype=np.int64)
-    disp_h = d[plan.sigma_h]
-    disp_w = d[::-1][plan.sigma_w]
-    return disp_h, disp_w
-
-
 def _conv_slice(xpad: np.ndarray, taps: np.ndarray, gh: int, gw: int,
                 out: np.ndarray) -> None:
     """out[c] = sum_uv taps[c, u, v] * xpad[c] slice; fixed (u, v) order."""
@@ -124,27 +115,28 @@ def _conv_slice(xpad: np.ndarray, taps: np.ndarray, gh: int, gw: int,
             out += taps[:, u, v][:, None, None] * xpad[:, u:u + gh, v:v + gw]
 
 
-def _group_channels(disp_col: np.ndarray):
-    """Channel groups sharing one displacement, ascending displacement."""
-    groups: dict[int, list[int]] = {}
-    for c, d in enumerate(disp_col):
-        groups.setdefault(int(d), []).append(c)
-    return sorted(groups.items())
+def _channel_index(sel: np.ndarray):
+    """A slice when the channel ids are contiguous, else the ids themselves."""
+    if sel[-1] - sel[0] + 1 == sel.size:
+        return slice(int(sel[0]), int(sel[-1]) + 1)
+    return sel
 
 
-def _accum_shifted_group(out, src, chans, dy, dx, oy, ox, instr) -> None:
-    h, w = out.shape[1], out.shape[2]
-    mh, mw = src.shape[1], src.shape[2]
-    r0, r1 = oy + dy, oy + dy + h
-    c0, c1 = ox + dx, ox + dx + w
-    rr0, rr1 = max(r0, 0), min(r1, mh)
-    cc0, cc1 = max(c0, 0), min(c1, mw)
-    if rr0 >= rr1 or cc0 >= cc1:
-        return
-    dst = out[chans, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
-    dst += src[chans, rr0:rr1, cc0:cc1]
-    out[chans, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] = dst
-    instr.moves += len(chans) * (rr1 - rr0) * (cc1 - cc0)
+@dataclass
+class _Gather:
+    """Per-call window starts into the margin buffer and in-grid read counts.
+
+    rows[e, c, k] / cols[e, c, k] are the first buffer row (column) of the
+    H (W) branch's window, clipped into the buffer; (y0, x0) is the
+    unshifted window.  moved[c, k] counts the in-grid reads of map k into
+    channel c over all branches and edges.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    y0: int
+    x0: int
+    moved: np.ndarray
 
 
 class _Runner:
@@ -170,13 +162,30 @@ class _Runner:
             x = CounterRng(cfg.seed, "bench-x").uniform_array(
                 (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
         self.x = x.astype(self.np_dtype)
-        self.disp_h, self.disp_w = _shift_tables(cfg, self.plan)
         pads, self.origin = _grid_geometry(cfg, h, w)
         (pt, pb), (pl, pr) = pads
         self.pads = (pt, pb, pl, pr)
         self.gh = h + pt + pb - cfg.n + 1
         self.gw = w + pl + pr - cfg.n + 1
-        self.strict = cfg.pad_mode == "exact"
+        mt, mb, ml, mr = self._margins()
+        self.plane = (self.gh + mt + mb, self.gw + ml + mr)
+        # the working grid inside a margin-buffer plane
+        self.grid_rows = slice(mt, mt + self.gh)
+        self.grid_cols = slice(ml, ml + self.gw)
+
+    def _margins(self):
+        """Zero rows/columns (top, bottom, left, right) around the working grid.
+
+        Each side covers the reads past that grid edge, at most h (w).
+        """
+        cfg, d = self.cfg, self.plan.displacements
+        oy, ox = self.origin
+        dys = d if BRANCH_H in cfg.branch_types else (0,)
+        dxs = d if BRANCH_W in cfg.branch_types else (0,)
+        return (min(self.h, max(0, -(oy + min(dys)))),
+                min(self.h, max(0, oy + max(dys) + self.h - self.gh)),
+                min(self.w, max(0, -(ox + min(dxs)))),
+                min(self.w, max(0, ox + max(dxs) + self.w - self.gw)))
 
     def padded_input(self) -> np.ndarray:
         cg = self.cfg.ghost_channels
@@ -190,204 +199,100 @@ class _Runner:
     def fanout_pixels(self) -> int:
         return self.cfg.sw_channels * self.cfg.g * self.gh * self.gw
 
-    # ---- the four variants -------------------------------------------------
-
-    def _accumulate_k(self, out, src, k, instr, chan_base=0):
-        """All (branch, edge) reads of map k, canonical order.
-
-        out/src hold local channels [0, n_local); chan_base maps them to
-        global channel ids for the displacement tables.
-        """
+    def _gather(self) -> _Gather:
         cfg, plan = self.cfg, self.plan
+        h, w, gh, gw = self.h, self.w, self.gh, self.gw
+        mt, ml = self.grid_rows.start, self.grid_cols.start
+        ph, pw = self.plane
         oy, ox = self.origin
-        n_local = src.shape[0]
-        glob = np.arange(chan_base, chan_base + n_local)
+        ry = oy + plan.disp_h          # first map row each H read needs
+        cx = ox + plan.disp_w          # first map column each W read needs
+        moved = np.zeros((cfg.sw_channels, cfg.g), dtype=np.int64)
         if BRANCH_H in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_h[e, glob, k]
-                for dy, grp in _group_channels(col):
-                    _accum_shifted_group(out, src, grp, dy, 0, oy, ox, instr)
+            moved += ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w).sum(0)
         if BRANCH_W in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_w[e, glob, k]
-                for dx, grp in _group_channels(col):
-                    _accum_shifted_group(out, src, grp, 0, dx, oy, ox, instr)
-        if BRANCH_CENTER in cfg.branch_types and k == plan.center_block:
-            for _e in range(cfg.edges):
-                _accum_shifted_group(out, src, list(range(n_local)), 0, 0, oy, ox, instr)
+            moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
+        if BRANCH_CENTER in cfg.branch_types:
+            moved[:, plan.center_block] += cfg.edges * h * w
+        return _Gather(rows=np.clip(ry + mt, 0, ph - h), cols=np.clip(cx + ml, 0, pw - w),
+                       y0=oy + mt, x0=ox + ml, moved=moved)
 
-    def run(self, variant: str, instr: _Instr, tile: int = 32,
-            threads: int | None = None, relaxed: bool = False) -> np.ndarray:
+    def _add_map(self, out, sel, win, k, gat, instr) -> None:
+        """Every (branch, edge) read of map k into channels sel, canonical order.
+
+        win[i] is the (h, w)-window view of channel sel[i]'s margin buffer.
+        """
+        cfg = self.cfg
+        idx = _channel_index(sel)
+        dst = out[idx]
+        loc = np.arange(sel.size)
+        if BRANCH_H in cfg.branch_types:
+            for rows in gat.rows[:, sel, k]:
+                dst += win[loc, rows, gat.x0]
+        if BRANCH_W in cfg.branch_types:
+            for cols in gat.cols[:, sel, k]:
+                dst += win[loc, gat.y0, cols]
+        if BRANCH_CENTER in cfg.branch_types and k == self.plan.center_block:
+            center = win[:sel.size, gat.y0, gat.x0]
+            for _e in range(cfg.edges):
+                dst += center
+        if not isinstance(idx, slice):
+            out[idx] = dst
+        instr.moves += int(gat.moved[sel, k].sum())
+
+    # ---- the two variants --------------------------------------------------
+
+    def run(self, variant: str, instr: _Instr, relaxed: bool = False) -> np.ndarray:
         if variant not in VARIANTS:
             raise ShapeError(f"unknown variant {variant!r}")
-        cfg = self.cfg
-        cg = cfg.ghost_channels
-        out_full = np.empty_like(self.x)
+        cg = self.cfg.ghost_channels
+        out_full = np.zeros_like(self.x)
         out_full[:cg] = self.x[:cg]
         xpad = self.padded_input()
-        out = np.zeros((cfg.sw_channels, self.h, self.w), dtype=self.np_dtype)
-        ks = list(range(cfg.g))
+        ks = list(range(self.cfg.g))
         if relaxed:
             ks = ks[::-1]
-        if variant == "naive":
-            self._run_naive(out, xpad, ks, instr)
-        elif variant == "fused":
-            self._run_fused(out, xpad, ks, instr)
-        elif variant == "tiled":
-            self._run_tiled(out, xpad, ks, instr, tile)
-        else:
-            self._run_parallel(out, xpad, ks, instr, thread_count(threads))
-        out_full[cg:] = out
+        run = self._run_naive if variant == "naive" else self._run_fused
+        run(out_full[cg:], xpad, ks, self._gather(), instr)
         return out_full
 
-    def _run_naive(self, out, xpad, ks, instr):
+    def _run_naive(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
-        maps = instr.alloc.take(np.zeros((c_sw, cfg.g, self.gh, self.gw),
+        maps = instr.alloc.take(np.zeros((c_sw, cfg.g) + self.plane,
                                          dtype=self.np_dtype))
         for k in ks:
-            _conv_slice(xpad, self.bank[:, k], self.gh, self.gw, maps[:, k])
+            _conv_slice(xpad, self.bank[:, k], self.gh, self.gw,
+                        maps[:, k, self.grid_rows, self.grid_cols])
             instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
+        win = sliding_window_view(maps, (self.h, self.w), axis=(2, 3))
+        every = np.arange(c_sw)
         for k in ks:
-            self._accumulate_k(out, maps[:, k], k, instr)
+            self._add_map(out, every, win[:, k], k, gat, instr)
         instr.alloc.drop(maps)
 
-    def _run_fused(self, out, xpad, ks, instr):
+    def _run_fused(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
-        buf = instr.alloc.take(np.zeros((c_sw, self.gh, self.gw), dtype=self.np_dtype))
+        ph, pw = self.plane
+        chunk = max(1, min(c_sw, c_sw * self.gh * self.gw // (ph * pw)))
+        buf = instr.alloc.take(np.zeros((chunk, ph, pw), dtype=self.np_dtype))
+        grid = buf[:, self.grid_rows, self.grid_cols]
+        win = sliding_window_view(buf, (self.h, self.w), axis=(1, 2))
         for k in ks:
             kept = self.kept[k]
-            if kept.size == c_sw:
-                _conv_slice(xpad, self.bank[:, k], self.gh, self.gw, buf)
-                instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
-                self._accumulate_k(out, buf, k, instr)
-            elif kept.size:
-                sub = instr.alloc.take(np.zeros((kept.size, self.gh, self.gw),
-                                                dtype=self.np_dtype))
-                _conv_slice(xpad[kept], self.bank[kept, k], self.gh, self.gw, sub)
-                instr.macs += kept.size * cfg.n * cfg.n * self.gh * self.gw
-                self._accumulate_k_sub(out, sub, k, kept, instr)
-                instr.alloc.drop(sub)
+            for i in range(0, kept.size, chunk):
+                sel = kept[i:i + chunk]
+                idx = _channel_index(sel)
+                _conv_slice(xpad[idx], self.bank[idx, k], self.gh, self.gw,
+                            grid[:sel.size])
+                instr.macs += sel.size * cfg.n * cfg.n * self.gh * self.gw
+                self._add_map(out, sel, win, k, gat, instr)
         instr.alloc.drop(buf)
-
-    def _accumulate_k_sub(self, out, src, k, kept, instr):
-        """Masked fused path: src holds only the kept channels of map k."""
-        cfg, plan = self.cfg, self.plan
-        oy, ox = self.origin
-        local = np.arange(kept.size)
-        if BRANCH_H in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_h[e, kept, k]
-                for dy in sorted(set(int(d) for d in col)):
-                    sel = [int(c) for c, d in zip(kept, col) if d == dy]
-                    loc = [int(l) for l, d in zip(local, col) if d == dy]
-                    self._scatter(out, src, sel, loc, dy, 0, oy, ox, instr)
-        if BRANCH_W in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_w[e, kept, k]
-                for dx in sorted(set(int(d) for d in col)):
-                    sel = [int(c) for c, d in zip(kept, col) if d == dx]
-                    loc = [int(l) for l, d in zip(local, col) if d == dx]
-                    self._scatter(out, src, sel, loc, 0, dx, oy, ox, instr)
-        if BRANCH_CENTER in cfg.branch_types and k == plan.center_block:
-            for _e in range(cfg.edges):
-                self._scatter(out, src, [int(c) for c in kept],
-                              list(range(kept.size)), 0, 0, oy, ox, instr)
-
-    def _scatter(self, out, src, out_chans, src_chans, dy, dx, oy, ox, instr):
-        h, w = out.shape[1], out.shape[2]
-        mh, mw = src.shape[1], src.shape[2]
-        r0, r1 = oy + dy, oy + dy + h
-        c0, c1 = ox + dx, ox + dx + w
-        rr0, rr1 = max(r0, 0), min(r1, mh)
-        cc0, cc1 = max(c0, 0), min(c1, mw)
-        if rr0 >= rr1 or cc0 >= cc1 or not out_chans:
-            return
-        block = out[out_chans, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
-        block += src[src_chans, rr0:rr1, cc0:cc1]
-        out[out_chans, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] = block
-        instr.moves += len(out_chans) * (rr1 - rr0) * (cc1 - cc0)
-
-    def _run_tiled(self, out, xpad, ks, instr, tile):
-        for ti in range(0, self.h, tile):
-            for tj in range(0, self.w, tile):
-                th = min(tile, self.h - ti)
-                tw = min(tile, self.w - tj)
-                view = out[:, ti:ti + th, tj:tj + tw]
-                for k in ks:
-                    self._tile_accumulate(view, xpad, k, ti, tj, th, tw, instr)
-
-    def _tile_accumulate(self, view, xpad, k, ti, tj, th, tw, instr):
-        """Recompute the conv values each (branch, edge) read of one tile needs."""
-        cfg, plan = self.cfg, self.plan
-        oy, ox = self.origin
-        c_sw = cfg.sw_channels
-        chans = np.arange(c_sw)
-
-        def emit(dy, dx, grp):
-            # conv-output coords needed: rows oy+ti+dy .. +th, cols ox+tj+dx .. +tw
-            r0, c0 = oy + ti + dy, ox + tj + dx
-            rr0, rr1 = max(r0, 0), min(r0 + th, self.gh)
-            cc0, cc1 = max(c0, 0), min(c0 + tw, self.gw)
-            if rr0 >= rr1 or cc0 >= cc1:
-                if self.strict:
-                    raise ShapeError("tile read outside the working grid in exact mode")
-                return
-            buf = instr.alloc.take(np.zeros((len(grp), rr1 - rr0, cc1 - cc0),
-                                            dtype=self.np_dtype))
-            _conv_slice(xpad[grp, rr0:rr0 + (rr1 - rr0) + cfg.n - 1,
-                             cc0:cc0 + (cc1 - cc0) + cfg.n - 1],
-                        self.bank[grp, k], rr1 - rr0, cc1 - cc0, buf)
-            instr.macs += len(grp) * cfg.n * cfg.n * (rr1 - rr0) * (cc1 - cc0)
-            block = view[grp, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
-            block += buf
-            view[grp, rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] = block
-            instr.moves += len(grp) * (rr1 - rr0) * (cc1 - cc0)
-            instr.alloc.drop(buf)
-
-        if BRANCH_H in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_h[e, :, k]
-                for dy in sorted(set(int(d) for d in col)):
-                    emit(dy, 0, [c for c, d in zip(chans, col) if d == dy])
-        if BRANCH_W in cfg.branch_types:
-            for e in range(cfg.edges):
-                col = self.disp_w[e, :, k]
-                for dx in sorted(set(int(d) for d in col)):
-                    emit(0, dx, [c for c, d in zip(chans, col) if d == dx])
-        if BRANCH_CENTER in cfg.branch_types and k == plan.center_block:
-            for _e in range(cfg.edges):
-                emit(0, 0, list(chans))
-
-    def _run_parallel(self, out, xpad, ks, instr, threads):
-        cfg = self.cfg
-        c_sw = cfg.sw_channels
-        chunks = np.array_split(np.arange(c_sw), min(threads, c_sw))
-        instrs = [_Instr() for _ in chunks]
-
-        def work(idx):
-            chunk, ii = chunks[idx], instrs[idx]
-            buf = ii.alloc.take(np.zeros((chunk.size, self.gh, self.gw),
-                                         dtype=self.np_dtype))
-            local_out = out[chunk[0]:chunk[-1] + 1]
-            for k in ks:
-                _conv_slice(xpad[chunk], self.bank[chunk, k], self.gh, self.gw, buf)
-                ii.macs += chunk.size * cfg.n * cfg.n * self.gh * self.gw
-                self._accumulate_k(local_out, buf, k, ii, chan_base=chunk[0])
-            ii.alloc.drop(buf)
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(work, range(len(chunks))))
-        for ii in instrs:
-            instr.moves += ii.moves
-            instr.macs += ii.macs
-        instr.alloc.peak = max(instr.alloc.peak, sum(i.alloc.peak for i in instrs))
 
 
 def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
-                dtype: str = "f32", tile: int = 32, threads: int | None = None,
-                relaxed: bool = False, warmup: int = 3,
+                dtype: str = "f32", relaxed: bool = False, warmup: int = 3,
                 weights: SwWeights | None = None) -> BenchReport:
     """Time one variant; wall-clock samples exclude the warmup reps."""
     if reps < 1:
@@ -399,7 +304,7 @@ def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
     for i in range(warmup + reps):
         instr = _Instr()
         t0 = time.perf_counter_ns()
-        out = runner.run(variant, instr, tile=tile, threads=threads, relaxed=relaxed)
+        out = runner.run(variant, instr, relaxed=relaxed)
         t1 = time.perf_counter_ns()
         if i >= warmup:
             samples.append(t1 - t0)
@@ -419,8 +324,8 @@ def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
 
 
 def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused"),
-                      reps: int = 9, dtype: str = "f32", warmup: int = 3,
-                      tile: int = 32) -> dict[str, float]:
+                      reps: int = 9, dtype: str = "f32",
+                      warmup: int = 3) -> dict[str, float]:
     """Median wall-clock per variant with reps interleaved round-robin.
 
     Interleaving makes slow machine-load drift hit every variant equally,
@@ -431,7 +336,7 @@ def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused")
     for i in range(warmup + reps):
         for v in variants:
             t0 = time.perf_counter_ns()
-            runner.run(v, _Instr(), tile=tile)
+            runner.run(v, _Instr())
             t1 = time.perf_counter_ns()
             if i >= warmup:
                 samples[v].append(t1 - t0)
@@ -439,8 +344,7 @@ def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused")
 
 
 def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
-                    dtype: str = "f64", relaxed: bool = False,
-                    tile: int = 9) -> dict[str, float]:
+                    dtype: str = "f64", relaxed: bool = False) -> dict[str, float]:
     """Worst |variant - composed-reference| per variant over random trials."""
     if trials < 1:
         raise ShapeError("need at least one trial")
@@ -453,7 +357,7 @@ def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
         oracle = sw_forward(Tensor(runner.x.astype(np_dtype)), runner.weights,
                             tcfg, plan).data
         for v in VARIANTS:
-            got = runner.run(v, _Instr(), tile=tile, relaxed=relaxed)
+            got = runner.run(v, _Instr(), relaxed=relaxed)
             d = float(np.max(np.abs(got.astype(np.float64) - oracle.astype(np.float64))))
             worst[v] = max(worst[v], d)
     return worst

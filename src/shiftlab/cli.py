@@ -59,7 +59,12 @@ def _check_rows_verify(args):
     dt = np.float64 if args.dtype == "f64" else np.float32
 
     if args.spec:
-        cfg = read_operator_spec(args.spec)
+        try:
+            cfg = read_operator_spec(args.spec)
+        except (OSError, ValueError) as exc:  # named failing check for bad specs
+            yield ("load-spec", f"{type(exc).__name__}: {exc}", float("inf"), 0.0, False)
+            return
+        yield ("load-spec", args.spec, 0.0, 0.0, True)
         plan = build_shift_plan(cfg)
         try:
             w = (load_sw_weights(args.weights, cfg) if args.weights
@@ -401,8 +406,7 @@ def cmd_bench(args) -> int:
     reports = {}
     for v in variants:
         rep = bench.run_variant(v, cfg, args.h, args.w, reps=args.reps,
-                                dtype=args.dtype, tile=args.tile,
-                                threads=args.threads, relaxed=args.relaxed)
+                                dtype=args.dtype, relaxed=args.relaxed)
         reports[v] = rep
         lines.append(rep.csv_line())
         print(f"bench[{v}]: median {rep.median_ns / 1e6:.2f} ms, "
@@ -505,8 +509,6 @@ def _common(sp):
     sp.add_argument("--dtype", choices=("f32", "f64"), default="f64")
     sp.add_argument("--tol", type=float, default=None,
                     help="tolerance override for the enabled checks")
-    sp.add_argument("--threads", type=int, default=None,
-                    help=f"thread count (or set {bench.THREADS_ENV})")
     sp.add_argument("--force", action="store_true",
                     help="overwrite existing output files")
 
@@ -589,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=5)
     sp.add_argument("--h", type=int, default=56)
     sp.add_argument("--w", type=int, default=56)
-    sp.add_argument("--tile", type=int, default=32)
     sp.add_argument("--relaxed", action="store_true",
                     help="unordered accumulation (tolerance 1e-5 f32)")
     sp.add_argument("--check", action="store_true",

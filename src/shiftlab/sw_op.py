@@ -118,23 +118,26 @@ class ShiftPlan:
     sigma_h/sigma_w hold shift indices in [0, g); the H branch displaces
     block k vertically by d[sigma_h[e, c, k]], the W branch horizontally
     by d[g - 1 - sigma_w[e, c, k]] (reverse order, sharing one table
-    unless the policy shuffles only the H branch).
+    unless the policy shuffles only the H branch).  disp_h/disp_w are
+    those displacements, read-only int arrays of shape (E, C_sw, g).
     """
 
     displacements: tuple[int, ...]
     sigma_h: np.ndarray
     sigma_w: np.ndarray
     center_block: int
+    disp_h: np.ndarray
+    disp_w: np.ndarray
 
     @property
     def g(self) -> int:
         return len(self.displacements)
 
     def h_shift(self, e: int, c: int, k: int) -> int:
-        return self.displacements[self.sigma_h[e, c, k]]
+        return int(self.disp_h[e, c, k])
 
     def w_shift(self, e: int, c: int, k: int) -> int:
-        return self.displacements[self.g - 1 - self.sigma_w[e, c, k]]
+        return int(self.disp_w[e, c, k])
 
     def max_abs_shift(self) -> int:
         """Largest |displacement| any branch can apply (the densify frame)."""
@@ -172,7 +175,11 @@ def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
     if sig_w is not sig_h:
         sig_w = sig_w.copy()
         sig_w.setflags(write=False)
-    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2)
+    d = np.asarray(cfg.displacements(), dtype=np.int64)
+    disp_h, disp_w = d[sig_h], d[::-1][sig_w]
+    disp_h.setflags(write=False)
+    disp_w.setflags(write=False)
+    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2, disp_h, disp_w)
 
 
 @dataclass
@@ -352,7 +359,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
     masked banks.
 
     This reference path is single-threaded and run-to-run deterministic;
-    the bench module provides parallel and relaxed-accumulation
+    the bench module provides fused and relaxed-accumulation
     implementations of the same contract (relaxed tolerance 1e-5 in f32).
     """
     if mode not in ("train_shape", "inference"):
@@ -479,23 +486,34 @@ def read_operator_spec(path) -> SwConfig:
             key = key.strip()
             if key not in _SPEC_KEYS:
                 raise FormatError(f"{path}: unknown key {key!r}")
+            if key in kv:
+                raise FormatError(f"{path}: duplicate key {key!r}")
             kv[key] = val.strip()
-    try:
-        return SwConfig(
-            m=int(kv["M"]), n=int(kv["N"]), channels=int(kv["C"]),
-            ghost=float(kv.get("G", "0")),
-            edges=int(kv.get("E", "1")),
-            rep_branches=int(kv.get("b", "1")),
-            pad_mode=kv.get("pad_mode", "half"),
-            order_policy=kv.get("order_policy", "ordered"),
-            seed=int(kv.get("seed", str(DEFAULT_SEED))),
-            branch_types=tuple(kv["branches"].split(",")) if "branches" in kv
-            else ALL_BRANCHES,
-            center_independent=bool(int(kv.get("center_independent", "0"))),
-            layer_id=int(kv.get("layer_id", "0")),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
+
+    def num(key, default=None, kind=int):
+        if key not in kv:
+            if default is None:
+                raise FormatError(f"{path}: missing key {key!r}")
+            return default
+        try:
+            return kind(kv[key])
+        except ValueError:
+            raise FormatError(f"{path}: key {key!r} is not a number: "
+                              f"{kv[key]!r}") from None
+
+    return SwConfig(
+        m=num("M"), n=num("N"), channels=num("C"),
+        ghost=num("G", 0.0, float),
+        edges=num("E", 1),
+        rep_branches=num("b", 1),
+        pad_mode=kv.get("pad_mode", "half"),
+        order_policy=kv.get("order_policy", "ordered"),
+        seed=num("seed", DEFAULT_SEED),
+        branch_types=tuple(kv["branches"].split(",")) if "branches" in kv
+        else ALL_BRANCHES,
+        center_independent=bool(num("center_independent", 0)),
+        layer_id=num("layer_id", 0),
+    )
 
 
 def save_sw_weights(w: SwWeights, dirpath, force: bool = True) -> None:

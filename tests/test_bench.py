@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import shiftlab.bench as bn
-from shiftlab import ShapeError, SwConfig, random_weights
+from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
+                      random_weights, sw_forward)
+from shiftlab.sw_op import _grid_geometry
 
 
 SMALL = dict(m=15, n=3, channels=6, ghost=0.2, edges=2,
@@ -24,11 +26,11 @@ def test_variants_match_reference_f32_relaxed():
 
 def test_checksums_bitwise_equal_in_deterministic_mode():
     cfg = SwConfig(**SMALL)
-    reports = {v: bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f64", tile=7)
+    reports = {v: bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f64")
                for v in bn.VARIANTS}
     checks = {r.checksum for r in reports.values()}
     assert len(checks) == 1
-    f32 = {bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f32", tile=7).checksum
+    f32 = {bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f32").checksum
            for v in bn.VARIANTS}
     assert len(f32) == 1
 
@@ -87,7 +89,7 @@ def test_masked_fused_path_matches_reference(rng):
     oracle = sl.sw_forward(sl.Tensor(runner.x), w, cfg,
                            sl.build_shift_plan(cfg)).data
     for v in bn.VARIANTS:
-        got = runner.run(v, bn._Instr(), tile=6)
+        got = runner.run(v, bn._Instr())
         assert np.max(np.abs(got - oracle)) <= 1e-10, v
 
 
@@ -109,12 +111,81 @@ def test_empty_mask_yields_ghost_only_and_zero_diff():
 
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
 @pytest.mark.parametrize("n", (3, 5))
-def test_variants_agree_across_pad_modes(pad_mode, n):
-    cfg = SwConfig(m=15, n=n, channels=4, pad_mode=pad_mode, edges=2,
-                   order_policy="per_edge_shuffled", seed=9)
-    diffs = bn.verify_variants(cfg, trials=1, h=17, w=19, tile=6)
-    for v, d in diffs.items():
-        assert d <= 1e-10, (pad_mode, n, v, d)
+def test_variants_agree_across_pad_modes(pad_mode, n, rng):
+    """fused == naive bitwise, and both within 1e-10 of sw_forward in f64,
+    over masks, g = 1, 1x1 and other grids smaller than the shift margin,
+    and both dtypes."""
+    # (m, h, w): shift_margin() is 6 for m = 15 and 24 for m = 51
+    for m, h, w in ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4)):
+        cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                       edges=2, order_policy="per_edge_shuffled", seed=9)
+        for dtype, np_dtype in (("f32", np.float32), ("f64", np.float64)):
+            for masking in ("none", "random", "empty"):
+                wts = random_weights(cfg, dtype=np_dtype)
+                if masking == "random":
+                    wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+                elif masking == "empty":
+                    wts.masks[0][:] = False
+                runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+                fused = runner.run("fused", bn._Instr())
+                naive = runner.run("naive", bn._Instr())
+                case = (m, h, w, dtype, masking)
+                assert fused.tobytes() == naive.tobytes(), case
+                if dtype == "f64":
+                    oracle = sw_forward(Tensor(runner.x), wts, cfg,
+                                        build_shift_plan(cfg)).data
+                    assert np.max(np.abs(fused - oracle)) <= 1e-10, case
+
+
+def test_moves_per_pixel_counts_in_grid_reads(rng):
+    # on a 4x3 grid some shifted reads overlap it partly and some miss it
+    for n, pad_mode, masked in ((3, "half", False), (5, "full", True)):
+        cfg = SwConfig(m=15, n=n, channels=5, edges=2, pad_mode=pad_mode,
+                       order_policy="per_edge_shuffled", seed=4)
+        wts = random_weights(cfg)
+        if masked:
+            wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+        h, w = 4, 3
+        rep = bn.run_variant("fused", cfg, h, w, reps=1, warmup=0,
+                             dtype="f64", weights=wts)
+        ((pt, pb), (pl, pr)), (oy, ox) = _grid_geometry(cfg, h, w)
+        gh, gw = h + pt + pb - cfg.n + 1, w + pl + pr - cfg.n + 1
+        plan = build_shift_plan(cfg)
+        d = plan.displacements
+        moves = 0
+        for c in range(cfg.sw_channels):
+            for k in range(cfg.g):
+                if not wts.masks[0][c, k]:
+                    continue
+                for e in range(cfg.edges):
+                    shifts = [(d[plan.sigma_h[e, c, k]], 0),
+                              (0, d[cfg.g - 1 - plan.sigma_w[e, c, k]])]
+                    if k == plan.center_block:
+                        shifts.append((0, 0))
+                    for dy, dx in shifts:
+                        rows = sum(0 <= oy + i + dy < gh for i in range(h))
+                        cols = sum(0 <= ox + j + dx < gw for j in range(w))
+                        moves += rows * cols
+        assert rep.moves_per_pixel == moves / (cfg.sw_channels * cfg.g * gh * gw)
+
+
+def test_fused_output_checksums_pinned():
+    """Frozen sha256 of two fused outputs: a change of accumulation order fails."""
+    dense = SwConfig(m=15, n=3, channels=6, ghost=0.2, edges=2,
+                     order_policy="per_edge_shuffled", seed=7)
+    rep = bn.run_variant("fused", dense, 18, 20, reps=1, warmup=0, dtype="f32")
+    assert rep.checksum == ("fee430cbee6ede5ce7ecb0b16f70cc98"
+                            "598f840b1ffb699b7a2f0690ff8d1f49")
+    masked = SwConfig(m=13, n=5, channels=5, edges=2, rep_branches=2,
+                      pad_mode="full", order_policy="per_edge_shuffled", seed=19)
+    wts = random_weights(masked, dtype=np.float64)
+    # kept channels per map: {1, 2, 4}, {0, 2, 3}, {0, 1, 3, 4}
+    wts.masks[0] = np.add.outer(np.arange(5), 2 * np.arange(3)) % 3 != 0
+    wts.masks[1][:] = False
+    rep = bn.run_variant("fused", masked, 11, 9, reps=1, warmup=0, dtype="f64",
+                         weights=wts)
+    assert rep.checksum == ("a711fba9b9582a5440e06b0eb1cf3cbd"
+                            "1f61a8b353c17ef57f938ee7e83ac1da")
 
 
 def test_unknown_variant_rejected():
@@ -123,24 +194,9 @@ def test_unknown_variant_rejected():
         bn.run_variant("warp", cfg, 8, 8, reps=1)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv(bn.THREADS_ENV, "3")
-    assert bn.thread_count() == 3
-    assert bn.thread_count(2) == 2
-    monkeypatch.delenv(bn.THREADS_ENV)
-    assert bn.thread_count() >= 1
-
-
 def test_compare_wallclock_returns_medians():
     cfg = SwConfig(**SMALL)
     medians = bn.compare_wallclock(cfg, 12, 12, ("naive", "fused"),
                                    reps=3, warmup=1)
     assert set(medians) == {"naive", "fused"}
     assert all(m > 0 for m in medians.values())
-
-
-def test_parallel_respects_threads():
-    cfg = SwConfig(**SMALL)
-    a = bn.run_variant("parallel", cfg, 18, 20, reps=1, dtype="f64", threads=1)
-    b = bn.run_variant("parallel", cfg, 18, 20, reps=1, dtype="f64", threads=3)
-    assert a.checksum == b.checksum

@@ -52,6 +52,18 @@ def test_verify_corrupted_weights_fails_with_named_check(tmp_path, capsys):
     assert "load-weights" in out and "FAIL" in out
 
 
+def test_verify_malformed_spec_fails_with_named_check(tmp_path, capsys):
+    spec = tmp_path / "op.spec"
+    spec.write_text("M=9\nN=3\nC=4\nM=51\n")
+    rc = main(["verify", "--out", str(tmp_path / "o"), "--spec", str(spec)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] load-spec" in out and "duplicate key 'M'" in out
+    rows = _read_csv(tmp_path / "o" / "verify.csv")
+    assert [r[0] for r in rows[1:]] == ["load-spec"]
+    assert rows[1][4] == "FAIL"
+
+
 def test_params_outputs_and_band(tmp_path, capsys):
     rc = main(["params", "--out", str(tmp_path)])
     assert rc == 0

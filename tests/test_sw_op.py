@@ -385,6 +385,20 @@ def test_operator_spec_rejects_unknown_key(tmp_path):
         sl.read_operator_spec(p)
 
 
+def test_operator_spec_rejects_duplicate_key(tmp_path):
+    p = tmp_path / "dup.spec"
+    p.write_text("M=9\nN=3\nC=2\nM=51\n")
+    with pytest.raises(sl.FormatError, match=r"dup\.spec.*duplicate key 'M'"):
+        sl.read_operator_spec(p)
+
+
+def test_operator_spec_rejects_non_numeric_value(tmp_path):
+    p = tmp_path / "nan.spec"
+    p.write_text("M=9\nN=3\nC=two\n")
+    with pytest.raises(sl.FormatError, match=r"nan\.spec.*key 'C' is not a number"):
+        sl.read_operator_spec(p)
+
+
 def test_weights_round_trip(tmp_path, rng):
     cfg = sl.SwConfig(m=15, n=3, channels=6, ghost=0.2, rep_branches=2, seed=1)
     wts = sl.random_weights(cfg)
