@@ -15,10 +15,17 @@ capped at H rows (W columns): a read wholly outside needs no more zeros
 than that.  Over a sliding (H, W)-window view of the buffer, every
 (map k, branch, edge) is then one numpy gather-add over the chunk's
 channels, indexed by the plan's displacement tables; out-of-grid reads
-add +0.0 instead of being clipped.  The fused chunk is sized from the
-layer's shape so that its buffer holds no more elements than one
-(C_sw, Hg, Wg) map, floored at one channel.  Masked filters are skipped:
-a chunk is drawn from the channels that keep map k.
+add +0.0 instead of being clipped.
+
+The fan-out conv computes rows wide: the padded input (one spare zero row
+at the bottom) is viewed flat per channel, and each of the N*N taps is one
+contiguous multiply-add of Hg whole padded rows (Wp = Wg + N - 1 columns
+each) into a flat accumulator; copying the accumulator into the margin
+buffer's grid drops the N - 1 wrap-around columns of each row.  The fused
+chunk is sized from the layer's shape so that its margin buffer and its
+accumulator together hold no more elements than one (C_sw, Hg, Wg) map,
+floored at one channel.  Masked filters are skipped: a chunk is drawn
+from the channels that keep map k.
 
 Both variants share one accumulation order per output element -- for
 each map k, the H edges, then the W edges, then the center -- so
@@ -29,8 +36,8 @@ Instrumentation counts destination-accumulation events per fan-out
 (conv output) pixel, from in-grid reads only -- each conv-output pixel is
 moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
-variant-owned staging buffers, which excludes the shared padded input and
-the final output.
+variant-owned staging buffers (margin buffers and conv accumulator),
+which excludes the shared padded input and the final output.
 """
 
 from __future__ import annotations
@@ -105,14 +112,25 @@ def _digest(cfg: SwConfig, h: int, w: int, dtype: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _conv_slice(xpad: np.ndarray, taps: np.ndarray, gh: int, gw: int,
+def _conv_slice(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
                 out: np.ndarray) -> None:
-    """out[c] = sum_uv taps[c, u, v] * xpad[c] slice; fixed (u, v) order."""
+    """out[c] = sum_uv taps[c, u, v] * xpad[c] window; fixed (u, v) order.
+
+    Rows are computed wide: acc holds Hg whole padded rows of Wp columns
+    each, flat, so every tap is one contiguous multiply-add.  The last
+    N - 1 columns of each wide row wrap into the next row and are dropped
+    on the copy into out; xpad's spare zero row keeps the last tap in bounds.
+    """
+    c, _, wp = xpad.shape
     n = taps.shape[1]
-    out[:] = 0.0
+    gh, gw = out.shape[1:]
+    flat = xpad.reshape(c, -1)
+    acc[:] = 0.0
     for u in range(n):
         for v in range(n):
-            out += taps[:, u, v][:, None, None] * xpad[:, u:u + gh, v:v + gw]
+            s = u * wp + v
+            acc += taps[:, u, v][:, None] * flat[:, s:s + gh * wp]
+    out[:] = acc.reshape(c, gh, wp)[:, :, :gw]
 
 
 def _channel_index(sel: np.ndarray):
@@ -155,6 +173,9 @@ class _Runner:
         for norm in weights.norms.values():
             if norm is not None and not norm.is_identity():
                 raise ShapeError("bench variants run with identity normalization")
+        if cfg.center_independent and BRANCH_CENTER in cfg.branch_types:
+            raise ShapeError("bench variants add the shared center block k0; "
+                             "center_independent is not supported")
         self.bank = weights.merged_bank().astype(self.np_dtype)
         self.kept = [np.flatnonzero(np.logical_or.reduce([m[:, k] for m in weights.masks]))
                      for k in range(cfg.g)]
@@ -191,7 +212,8 @@ class _Runner:
         cg = self.cfg.ghost_channels
         xs = self.x[cg:]
         pt, pb, pl, pr = self.pads
-        xpad = np.zeros((xs.shape[0], self.h + pt + pb, self.w + pl + pr),
+        # one spare zero row below the padded plane for _conv_slice's last tap
+        xpad = np.zeros((xs.shape[0], self.h + pt + pb + 1, self.w + pl + pr),
                         dtype=self.np_dtype)
         xpad[:, pt:pt + self.h, pl:pl + self.w] = xs
         return xpad
@@ -261,10 +283,13 @@ class _Runner:
         c_sw = cfg.sw_channels
         maps = instr.alloc.take(np.zeros((c_sw, cfg.g) + self.plane,
                                          dtype=self.np_dtype))
+        acc = instr.alloc.take(np.empty((c_sw, self.gh * xpad.shape[2]),
+                                        dtype=self.np_dtype))
         for k in ks:
-            _conv_slice(xpad, self.bank[:, k], self.gh, self.gw,
+            _conv_slice(xpad, self.bank[:, k], acc,
                         maps[:, k, self.grid_rows, self.grid_cols])
             instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
+        instr.alloc.drop(acc)
         win = sliding_window_view(maps, (self.h, self.w), axis=(2, 3))
         every = np.arange(c_sw)
         for k in ks:
@@ -275,8 +300,10 @@ class _Runner:
         cfg = self.cfg
         c_sw = cfg.sw_channels
         ph, pw = self.plane
-        chunk = max(1, min(c_sw, c_sw * self.gh * self.gw // (ph * pw)))
+        wide = self.gh * xpad.shape[2]
+        chunk = max(1, min(c_sw, c_sw * self.gh * self.gw // (ph * pw + wide)))
         buf = instr.alloc.take(np.zeros((chunk, ph, pw), dtype=self.np_dtype))
+        acc = instr.alloc.take(np.empty((chunk, wide), dtype=self.np_dtype))
         grid = buf[:, self.grid_rows, self.grid_cols]
         win = sliding_window_view(buf, (self.h, self.w), axis=(1, 2))
         for k in ks:
@@ -284,10 +311,11 @@ class _Runner:
             for i in range(0, kept.size, chunk):
                 sel = kept[i:i + chunk]
                 idx = _channel_index(sel)
-                _conv_slice(xpad[idx], self.bank[idx, k], self.gh, self.gw,
+                _conv_slice(xpad[idx], self.bank[idx, k], acc[:sel.size],
                             grid[:sel.size])
                 instr.macs += sel.size * cfg.n * cfg.n * self.gh * self.gw
                 self._add_map(out, sel, win, k, gat, instr)
+        instr.alloc.drop(acc)
         instr.alloc.drop(buf)
 
 

@@ -10,6 +10,7 @@ leading '#' comment lines.  Tensors use the SWT1 container.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -174,11 +175,14 @@ def _check_rows_verify(args):
 def cmd_verify(args) -> int:
     out = _outdir(args)
     rows = list(_check_rows_verify(args))
-    lines = ["check,detail,max_diff,tol,status"]
-    for check, detail, diff, tol, ok in rows:
-        lines.append(f"{check},{detail},{_F(diff)},{_F(tol)},"
-                     f"{'pass' if ok else 'FAIL'}")
-    _write_lines(os.path.join(out, "verify.csv"), lines, args.force)
+    path = os.path.join(out, "verify.csv")
+    ensure_fresh(path, args.force)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a detail with commas
+        writer.writerow(["check", "detail", "max_diff", "tol", "status"])
+        for check, detail, diff, tol, ok in rows:
+            writer.writerow([check, detail, _F(diff), _F(tol),
+                             "pass" if ok else "FAIL"])
     failed = [r for r in rows if not r[4]]
     for check, detail, diff, tol, ok in rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {check} ({detail}): "

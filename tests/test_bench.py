@@ -4,6 +4,8 @@ import pytest
 import shiftlab.bench as bn
 from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
                       random_weights, sw_forward)
+from shiftlab.analysis import ArchSpec
+from shiftlab.conv_ref import fanout_conv
 from shiftlab.sw_op import _grid_geometry
 
 
@@ -135,6 +137,67 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
                     oracle = sw_forward(Tensor(runner.x), wts, cfg,
                                         build_shift_plan(cfg)).data
                     assert np.max(np.abs(fused - oracle)) <= 1e-10, case
+
+
+@pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
+@pytest.mark.parametrize("n", (3, 5))
+def test_conv_slice_matches_fanout_conv_bitwise(pad_mode, n):
+    """The wide-row conv equals the tap-by-tap oracle bit for bit on every
+    map, including grids where the wrap-around columns and the spare row
+    of the padded input matter."""
+    cfg = SwConfig(m=4 * n, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                   edges=2, seed=13)
+    for h, w in ((1, 1), (1, 7), (2, 3), (5, 4), (9, 13)):
+        for dtype in ("f32", "f64"):
+            runner = bn._Runner(cfg, h, w, dtype)
+            pads, _ = _grid_geometry(cfg, h, w)
+            ref = fanout_conv(Tensor(runner.x[cfg.ghost_channels:]),
+                              runner.bank, pads).data
+            xpad = runner.padded_input()
+            c_sw, gh, gw = cfg.sw_channels, runner.gh, runner.gw
+            for k in range(cfg.g):
+                acc = np.full((c_sw, gh * xpad.shape[2]), np.nan, runner.np_dtype)
+                out = np.full((c_sw, gh, gw), np.nan, runner.np_dtype)
+                bn._conv_slice(xpad, runner.bank[:, k], acc, out)
+                assert out.tobytes() == ref[k::cfg.g].tobytes(), (h, w, dtype, k)
+
+
+def _assert_fused_staging_within_bound(cfg, h, w, dtype):
+    """Fused peak staging <= one (C_sw, Hg, Wg) map, or the one-channel
+    floor of a margin-buffer plane plus a wide-row accumulator."""
+    runner = bn._Runner(cfg, h, w, dtype)
+    instr = bn._Instr()
+    runner.run("fused", instr)
+    ph, pw = runner.plane
+    wp = runner.padded_input().shape[2]
+    bound = max(cfg.sw_channels * runner.gh * runner.gw, ph * pw + runner.gh * wp)
+    assert instr.alloc.peak <= np.dtype(runner.np_dtype).itemsize * bound, (cfg, h, w)
+
+
+def test_fused_staging_within_one_map_bound():
+    arch = ArchSpec.sw_tiny()
+    for st, hw in enumerate((56, 28, 14, 7)):
+        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
+                       ghost=arch.ghost, edges=arch.edges,
+                       rep_branches=arch.rep_branches,
+                       order_policy="per_edge_shuffled", seed=1)
+        _assert_fused_staging_within_bound(cfg, hw, hw, "f32")
+    for pad_mode in ("half", "full", "exact"):
+        for n in (3, 5):
+            for m, h, w in ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3),
+                            (51, 5, 4)):
+                cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                               edges=2, order_policy="per_edge_shuffled", seed=9)
+                for dtype in ("f32", "f64"):
+                    _assert_fused_staging_within_bound(cfg, h, w, dtype)
+
+
+def test_center_independent_rejected():
+    cfg = SwConfig(m=9, n=3, channels=4, edges=2, center_independent=True, seed=3)
+    with pytest.raises(ShapeError, match="center_independent"):
+        bn.run_variant("fused", cfg, 10, 10, reps=1)
+    with pytest.raises(ShapeError, match="center_independent"):
+        bn.verify_variants(cfg, trials=1, h=10, w=10)
 
 
 def test_moves_per_pixel_counts_in_grid_reads(rng):

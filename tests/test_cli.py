@@ -64,6 +64,23 @@ def test_verify_malformed_spec_fails_with_named_check(tmp_path, capsys):
     assert rows[1][4] == "FAIL"
 
 
+def test_verify_csv_quotes_a_detail_with_commas(tmp_path):
+    cfg = sl.SwConfig(m=9, n=3, channels=4, pad_mode="exact", seed=3)
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, spec)
+    wdir = tmp_path / "weights"  # fan-out 5 where the spec wants 3
+    save_sw_weights(sl.random_weights(sl.SwConfig(m=15, n=3, channels=4)), wdir)
+    rc = main(["verify", "--out", str(tmp_path / "o"), "--spec", str(spec),
+               "--weights", str(wdir)])
+    assert rc == 1
+    with open(tmp_path / "o" / "verify.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(list(r) == ["check", "detail", "max_diff", "tol", "status"]
+               and None not in r.values() for r in rows)
+    assert rows[-1]["check"] == "load-weights" and rows[-1]["status"] == "FAIL"
+    assert "(4, 5, 3, 3) != (4, 3, 3, 3)" in rows[-1]["detail"]
+
+
 def test_params_outputs_and_band(tmp_path, capsys):
     rc = main(["params", "--out", str(tmp_path)])
     assert rc == 0
@@ -139,6 +156,18 @@ def test_bench_csv(tmp_path):
     assert rows[0][0] == "variant"
     assert {r[0] for r in rows[1:]} == {"naive", "fused"}
     assert rows[1][5] == rows[2][5]  # identical checksums
+
+
+def test_bench_rejects_center_independent_spec(tmp_path, capsys):
+    cfg = sl.SwConfig(m=9, n=3, channels=4, edges=2, center_independent=True,
+                      seed=3)
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, spec)
+    assert "center_independent=1" in spec.read_text()
+    rc = main(["bench", "--out", str(tmp_path / "o"), "--spec", str(spec),
+               "--reps", "1", "--h", "10", "--w", "10"])
+    assert rc != 0
+    assert "center_independent" in capsys.readouterr().err
 
 
 def test_gen_golden_reproducible(tmp_path):
