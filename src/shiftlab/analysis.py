@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conv_ref import strip_conv_ref
 from .reparam import FoldRequiredError
 from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, SwConfig, SwWeights,
-                    ShiftPlan, build_shift_plan, sw_forward, _grid_geometry)
+                    ShiftPlan, build_shift_plan, sw_forward)
 from .tensor import ShapeError, Tensor
 
 
@@ -60,17 +61,9 @@ def coverage_ratio(m: int, n: int, h: int, w: int, edges: int, policy: str,
     for seed in seeds:
         cfg = SwConfig(m=m, n=n, channels=channels, edges=edges,
                        order_policy=policy, seed=int(seed))
-        plan = build_shift_plan(cfg)
-        utils = []
-        for c in range(channels):
-            for k in range(cfg.g):
-                grid = np.zeros((h, w), dtype=bool)
-                for e in range(edges):
-                    dy = plan.h_shift(e, c, k)
-                    r0, r1 = max(0, -dy), min(h, h - dy)
-                    if r0 < r1:
-                        grid[r0:r1, :] = True
-                utils.append(grid.sum() / grid.size)
+        dest = np.arange(h) + build_shift_plan(cfg).disp_h[..., None]
+        covered = ((dest >= 0) & (dest < h)).any(axis=0)   # (C, g, H) rows
+        utils = (covered.sum(axis=-1) * w / (h * w)).ravel()
         rows.append((int(seed), float(np.mean(utils)), float(np.min(utils)),
                      float(np.max(utils))))
     return CoverageResult(
@@ -120,75 +113,50 @@ class SwLayer:
         return self.cfg.channels
 
 
-def _corr_pads(plane: np.ndarray, filt: np.ndarray, pads) -> np.ndarray:
-    """Correlation with zero extension; negative pads crop the grid.
-
-    out[i, j] = sum_uv filt[u, v] * plane_zeroext[i + u - pt, j + v - pl].
-    """
-    (pt, pb), (pl, pr) = pads
-    n_h, n_w = filt.shape
-    h, w = plane.shape
-    out_h, out_w = h + pt + pb - n_h + 1, w + pl + pr - n_w + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("correlation output collapsed to nothing")
-    acc = np.zeros((out_h, out_w), dtype=plane.dtype)
-    for u in range(n_h):
-        for v in range(n_w):
-            dy, dx = u - pt, v - pl
-            r0, r1 = max(0, -dy), min(out_h, h - dy)
-            c0, c1 = max(0, -dx), min(out_w, w - dx)
-            if r0 < r1 and c0 < c1:
-                acc[r0:r1, c0:c1] += filt[u, v] * plane[r0 + dy:r1 + dy,
-                                                        c0 + dx:c1 + dx]
-    return acc
-
-
 def _adjoint_conv(z: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Adjoint of the depthwise "same" correlation on a finite grid."""
-    out = np.empty_like(z)
-    for c in range(z.shape[0]):
-        flipped = kernel[c, ::-1, ::-1]
-        kh, kw = flipped.shape
-        out[c] = _corr_pads(z[c], flipped, ((kh // 2, kh // 2), (kw // 2, kw // 2)))
-    return out
+    """Adjoint of the depthwise "same" correlation: the flipped kernel."""
+    return strip_conv_ref(Tensor(z), kernel[:, ::-1, ::-1]).data
 
 
 def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
-    """Adjoint of the exact-mode operator: reversed shifts, flipped taps."""
+    """Adjoint of the exact-mode operator: reversed shifts, flipped taps.
+
+    z is zero-padded once by P = S + N//2 (S the shift margin).  The
+    cotangent of fan-out map (c, k) on the (H + N - 1, W + N - 1) grid its
+    flipped taps read is the sum over (branch, edge) of the window of the
+    padded z at offset (S - dy, S - dx); one gather per (branch, edge)
+    covers every (c, k).  Each of the N^2 flipped taps then multiplies and
+    sums over k in one pass.
+    """
     cfg, plan, w = layer.cfg, layer.plan, layer.weights
     if cfg.pad_mode != "exact":
         raise ShapeError("ERF adjoint is defined for exact pad mode")
-    cg = cfg.ghost_channels
-    out = np.zeros_like(z)
-    out[:cg] = z[:cg]
+    cg, n, s = cfg.ghost_channels, cfg.n, cfg.shift_margin()
     zs = z[cg:]
     h, wd = zs.shape[1], zs.shape[2]
-    pads, (oy, ox) = _grid_geometry(cfg, h, wd)
-    (pt, pb), (pl, pr) = pads
-    gh, gw = h + pt + pb - cfg.n + 1, wd + pl + pr - cfg.n + 1
-    c_cnt, g = cfg.sw_channels, cfg.g
+    p = s + n // 2
+    zpad = np.pad(zs, ((0, 0), (p, p), (p, p)))
+    win = sliding_window_view(zpad, (h + n - 1, wd + n - 1), axis=(1, 2))
+    ci = np.arange(cfg.sw_channels)[:, None]
 
-    mbar = np.zeros((c_cnt, g, gh, gw), dtype=z.dtype)
+    cot = np.zeros((cfg.sw_channels, cfg.g, h + n - 1, wd + n - 1), dtype=z.dtype)
     for branch in cfg.branch_types:
         for e in range(cfg.edges):
-            if branch == BRANCH_CENTER:
-                if cfg.center_independent:
-                    continue  # handled below on the raw input
-                mbar[:, plan.center_block, oy:oy + h, ox:ox + wd] += zs
-                continue
-            for c in range(c_cnt):
-                for k in range(g):
-                    if branch == BRANCH_H:
-                        dy, dx = plan.h_shift(e, c, k), 0
-                    elif branch == BRANCH_W:
-                        dy, dx = 0, plan.w_shift(e, c, k)
-                    mbar[c, k, oy + dy:oy + dy + h, ox + dx:ox + dx + wd] += zs[c]
+            if branch == BRANCH_H:
+                cot += win[ci, s - plan.disp_h[e], s]
+            elif branch == BRANCH_W:
+                cot += win[ci, s, s - plan.disp_w[e]]
+            elif not cfg.center_independent:  # independent center: below
+                cot[:, plan.center_block] += win[:, s, s]
 
-    bank = w.merged_bank()
-    adj_pads = ((cfg.n - 1 - pt, cfg.n - 1 - pb), (cfg.n - 1 - pl, cfg.n - 1 - pr))
-    for c in range(c_cnt):
-        for k in range(g):
-            out[cg + c] += _corr_pads(mbar[c, k], bank[c, k, ::-1, ::-1], adj_pads)
+    flipped = w.merged_bank()[:, :, ::-1, ::-1]
+    out = np.zeros_like(z)
+    out[:cg] = z[:cg]
+    for u in range(n):
+        for v in range(n):
+            # einsum sums over k without a (C_sw, g, H, W) product temporary
+            out[cg:] += np.einsum("ck,ckij->cij", flipped[:, :, u, v],
+                                  cot[:, :, u:u + h, v:v + wd])
     if cfg.center_independent and BRANCH_CENTER in cfg.branch_types:
         center_adj = _adjoint_conv(zs, w.center)
         for _e in range(cfg.edges):
@@ -357,7 +325,8 @@ def _conv_counts(c_in, c_out, k, out_hw, bias=True, groups=1):
     return params, macs
 
 
-def _walk(arch: ArchSpec, input_size: int, masks=None) -> CountReport:
+def count_macs(arch: ArchSpec, input_size: int = 224, masks=None) -> CountReport:
+    """Instrumented parameter and MAC walk (inference view: Rep branches merged)."""
     rep = CountReport()
     d0 = arch.stage_dim(0)
     s = input_size // 2
@@ -403,16 +372,6 @@ def _walk(arch: ArchSpec, input_size: int, masks=None) -> CountReport:
     rep.add("head", "linear", 2 * dim + dim * arch.num_classes + arch.num_classes,
             dim * arch.num_classes)
     return rep
-
-
-def count_params(arch: ArchSpec, masks=None, input_size: int = 224) -> CountReport:
-    """Instrumented parameter walk (inference view: Rep branches merged)."""
-    return _walk(arch, input_size, masks)
-
-
-def count_macs(arch: ArchSpec, input_size: int = 224, masks=None) -> CountReport:
-    """Instrumented multiply-accumulate walk at the given input size."""
-    return _walk(arch, input_size, masks)
 
 
 # ---------------------------------------------------------------------------

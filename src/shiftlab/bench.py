@@ -60,7 +60,6 @@ VARIANTS = ("naive", "fused")
 
 DESK_CONFIG = dict(m=51, n=3, channels=64, edges=4, ghost=0.0,
                    order_policy="per_edge_shuffled")
-DESK_HW = (56, 56)
 
 
 class _Alloc:

@@ -43,8 +43,8 @@ def _outdir(args) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-def _sweep_configs(trials: int, seed: int):
-    rng = CounterRng(seed, "verify-sweep")
+def _sweep_configs(trials: int, rng: CounterRng):
+    """(i, M, N, C, H, W) strip-equivalence configs drawn from rng."""
     for i in range(trials):
         n = (3, 5)[rng.randint(2)]
         m = n + 2 * rng.randint((51 - n) // 2 + 1)
@@ -75,8 +75,8 @@ def _check_rows_verify(args):
             yield ("load-weights", f"{type(exc).__name__}: {exc}", float("inf"),
                    0.0, False)
             return
-        bad = sum(sorted(plan.sigma_h[e, c]) != list(range(cfg.g))
-                  for e in range(cfg.edges) for c in range(cfg.sw_channels))
+        bad = int(np.any(np.sort(plan.sigma_h, axis=-1) != np.arange(cfg.g),
+                         axis=-1).sum())
         yield ("plan-bijective", f"{cfg.edges}x{cfg.sw_channels} assignments",
                float(bad), 0.0, bad == 0)
         if bad:
@@ -99,7 +99,8 @@ def _check_rows_verify(args):
 
     # built-in sweep
     worst = 0.0
-    for i, m, n, c, h, w in _sweep_configs(args.trials, args.seed):
+    sweep = _sweep_configs(args.trials, CounterRng(args.seed, "verify-sweep"))
+    for i, m, n, c, h, w in sweep:
         rng = CounterRng(args.seed, "verify-data", i)
         k = rng.uniform_array((c, m, n), -0.5, 0.5, dt)
         x = Tensor(rng.uniform_array((c, h, w), -0.5, 0.5, dt))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError
 
@@ -145,28 +146,22 @@ def densify(w, plan, cfg) -> np.ndarray:
                 f"branch {branch!r} carries a non-identity normalization; "
                 "fold it before densifying")
 
-    n, g = cfg.n, cfg.g
-    max_d = plan.max_abs_shift()
-    s_v = max_d if "H" in cfg.branch_types else 0
-    s_h = max_d if "W" in cfg.branch_types else 0
-    kh, kw = 2 * s_v + n, 2 * s_h + n
+    n, s = cfg.n, cfg.shift_margin()
+    s_v = s if "H" in cfg.branch_types else 0
+    s_h = s if "W" in cfg.branch_types else 0
     bank = w.merged_bank()
     c_cnt = bank.shape[0]
-    out = np.zeros((c_cnt, kh, kw), dtype=bank.dtype)
+    out = np.zeros((c_cnt, 2 * s_v + n, 2 * s_h + n), dtype=bank.dtype)
+    # blocks[c, i, j] is the (N, N) block of channel c at offset (i, j)
+    blocks = sliding_window_view(out, (n, n), axis=(1, 2), writeable=True)
+    ci = np.arange(c_cnt)[:, None]
     for branch in cfg.branch_types:
         for e in range(cfg.edges):
-            for c in range(c_cnt):
-                if branch == "center":
-                    if cfg.center_independent:
-                        filt = w.center[c]
-                    else:
-                        filt = bank[c, plan.center_block]
-                    out[c, s_v:s_v + n, s_h:s_h + n] += filt
-                    continue
-                for k in range(g):
-                    if branch == "H":
-                        dy, dx = plan.h_shift(e, c, k), 0
-                    else:
-                        dy, dx = 0, plan.w_shift(e, c, k)
-                    out[c, s_v + dy:s_v + dy + n, s_h + dx:s_h + dx + n] += bank[c, k]
+            if branch == "H":
+                np.add.at(blocks, (ci, s_v + plan.disp_h[e], s_h), bank)
+            elif branch == "W":
+                np.add.at(blocks, (ci, s_v, s_h + plan.disp_w[e]), bank)
+            else:
+                blocks[:, s_v, s_h] += (w.center if cfg.center_independent
+                                        else bank[:, plan.center_block])
     return out

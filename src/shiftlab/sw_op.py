@@ -133,15 +133,6 @@ class ShiftPlan:
     def g(self) -> int:
         return len(self.displacements)
 
-    def h_shift(self, e: int, c: int, k: int) -> int:
-        return int(self.disp_h[e, c, k])
-
-    def w_shift(self, e: int, c: int, k: int) -> int:
-        return int(self.disp_w[e, c, k])
-
-    def max_abs_shift(self) -> int:
-        """Largest |displacement| any branch can apply (the densify frame)."""
-        return max(abs(d) for d in self.displacements)
 
 
 def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
@@ -421,9 +412,9 @@ def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w) -> 
     for c in range(acc.shape[0]):
         for k in range(cfg.g):
             if branch == BRANCH_H:
-                dy, dx = plan.h_shift(e, c, k), 0
+                dy, dx = int(plan.disp_h[e, c, k]), 0
             else:
-                dy, dx = 0, plan.w_shift(e, c, k)
+                dy, dx = 0, int(plan.disp_w[e, c, k])
             moved += _accumulate_shifted(acc[c], maps[c, k], dy, dx, oy, ox, strict)
     return moved
 

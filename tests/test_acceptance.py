@@ -14,7 +14,7 @@ from scipy import stats
 import shiftlab as sl
 import shiftlab.analysis as an
 import shiftlab.bench as bn
-from shiftlab.cli import gen_golden, run_prune_sim
+from shiftlab.cli import _sweep_configs, gen_golden, run_prune_sim
 from shiftlab.rng import CounterRng
 
 
@@ -22,23 +22,12 @@ def _report(name, detail):
     print(f"[PASS] {name}: {detail}")
 
 
-def _a1_configs(trials, seed=51):
-    rng = CounterRng(seed, "acceptance-a1")
-    for i in range(trials):
-        n = (3, 5)[rng.randint(2)]
-        m = n + 2 * rng.randint((51 - n) // 2 + 1)
-        c = 1 + rng.randint(8)
-        h = 8 + rng.randint(33)
-        w = 8 + rng.randint(33)
-        yield i, m, n, c, h, w
-
-
 def test_a1_a2_exact_equivalence_and_interior_band():
     t0 = time.monotonic()
     worst = {"f64": 0.0, "f32": 0.0}
     band_worst = 0.0
     bands_checked = 0
-    for i, m, n, c, h, w in _a1_configs(200):
+    for i, m, n, c, h, w in _sweep_configs(200, CounterRng(51, "acceptance-a1")):
         rng = CounterRng(51, "acceptance-a1-data", i)
         for dtype, np_dtype in (("f64", np.float64), ("f32", np.float32)):
             k = rng.uniform_array((c, m, n), -0.5, 0.5, np_dtype)
@@ -223,7 +212,7 @@ def test_a8_bench():
     assert all(d <= 1e-5 for d in diffs32.values()), diffs32
 
     desk = sl.SwConfig(**bn.DESK_CONFIG)
-    h, w = bn.DESK_HW
+    h, w = 56, 56
     rn = bn.run_variant("naive", desk, h, w, reps=5, dtype="f32")
     rf = bn.run_variant("fused", desk, h, w, reps=5, dtype="f32")
     assert rf.checksum == rn.checksum
@@ -256,6 +245,10 @@ def test_a9_golden_regression(tmp_path):
         ta = sl.read_container(a / name)
         tb = sl.read_container(b / name)
         assert sl.tensors_equal_bits(ta, tb)
+    # drift guard across changes: the manifest committed next to this file
+    committed = os.path.join(os.path.dirname(__file__), "golden_manifest.csv")
+    with open(committed) as fh:
+        assert (a / "manifest.csv").read_text() == fh.read(), "golden artifacts drifted"
     _report("A9 golden regression",
-            f"{len(os.listdir(a))} artifacts byte-identical across runs "
-            f"(payload bit-exact on this platform class)")
+            f"{len(os.listdir(a))} artifacts byte-identical across runs and to "
+            f"the committed manifest (payload bit-exact on this platform class)")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,36 @@ def test_erf_adjoint_independent_center(rng):
     layer = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
     d = np.max(np.abs(an.erf_map([layer], 15) - an.erf_map_impulse([layer], 15)))
     assert d <= 1e-10
+
+
+_BRANCH_SUBSETS = (("H",), ("W",), ("center",), ("H", "W"), ("H", "center"),
+                   ("W", "center"), ("H", "W", "center"))
+
+
+def test_adjoint_sw_dot_product(rng):
+    """<A x, z> = <x, A^T z> for the exact-mode operator across its config space."""
+    worst, cases = 0.0, 0
+    for (ghost, b), edges, branches, center_indep, (n, m), (h, w) in itertools.product(
+            ((0.0, 1), (0.3, 2)), (1, 3), _BRANCH_SUBSETS, (False, True),
+            ((3, 3), (3, 51), (5, 5), (5, 23)), ((1, 1), (2, 7), (15, 11))):
+        if center_indep and "center" not in branches:
+            continue
+        cfg = sl.SwConfig(m=m, n=n, channels=4, ghost=ghost, edges=edges,
+                          rep_branches=b, pad_mode="exact",
+                          order_policy="per_edge_shuffled", branch_types=branches,
+                          center_independent=center_indep, seed=cases)
+        wts = sl.random_weights(cfg)
+        if b == 2:
+            wts.masks[1][0, :] = False
+        layer = an.SwLayer(cfg, wts, sl.build_shift_plan(cfg))
+        x = rng.uniform(-1, 1, (4, h, w))
+        z = rng.uniform(-1, 1, (4, h, w))
+        lhs = float(np.sum(sl.sw_forward(sl.Tensor(x), wts, cfg, layer.plan).data * z))
+        rhs = float(np.sum(x * an._adjoint_sw(z, layer)))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        cases += 1
+    assert cases == 528
+    assert worst <= 1e-12, worst
 
 
 def test_erf_stack_adjoint_matches_impulse(rng):

@@ -144,6 +144,46 @@ def test_densify_matches_forward_across_fanouts(rng):
         assert np.max(np.abs(y - y_eq)) <= 1e-10
 
 
+def _densify_loop(w, plan, cfg):
+    """Reference densify: one block placement per (branch, edge, channel, k)."""
+    n, s = cfg.n, cfg.shift_margin()
+    s_v = s if "H" in cfg.branch_types else 0
+    s_h = s if "W" in cfg.branch_types else 0
+    bank = w.merged_bank()
+    out = np.zeros((bank.shape[0], 2 * s_v + n, 2 * s_h + n))
+    for branch in cfg.branch_types:
+        for e in range(cfg.edges):
+            for c in range(bank.shape[0]):
+                if branch == "center":
+                    out[c, s_v:s_v + n, s_h:s_h + n] += (
+                        w.center[c] if cfg.center_independent
+                        else bank[c, plan.center_block])
+                    continue
+                for k in range(cfg.g):
+                    dy = plan.disp_h[e, c, k] if branch == "H" else 0
+                    dx = plan.disp_w[e, c, k] if branch == "W" else 0
+                    out[c, s_v + dy:s_v + dy + n, s_h + dx:s_h + dx + n] += bank[c, k]
+    return out
+
+
+def test_densify_equals_block_placement_loop():
+    subsets = [("H",), ("W",), ("center",), ("H", "W"), ("H", "center"),
+               ("W", "center"), ("H", "W", "center")]
+    for policy in ("ordered", "disordered", "per_edge_shuffled"):
+        for branches in subsets:
+            for center_indep in {False, "center" in branches}:
+                for edges, (n, m) in [(1, (3, 3)), (3, (3, 51)), (3, (5, 23))]:
+                    cfg = sl.SwConfig(m=m, n=n, channels=3, ghost=0.3, edges=edges,
+                                      rep_branches=2, pad_mode="exact",
+                                      order_policy=policy, branch_types=branches,
+                                      center_independent=center_indep, seed=m)
+                    wts = sl.random_weights(cfg)
+                    wts.masks[1][0, :] = False
+                    plan = sl.build_shift_plan(cfg)
+                    assert np.array_equal(sl.densify(wts, plan, cfg),
+                                          _densify_loop(wts, plan, cfg))
+
+
 def test_densify_requires_identity_norm(rng):
     cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
     plan = sl.build_shift_plan(cfg)
