@@ -121,12 +121,13 @@ def _adjoint_conv(z: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     """Adjoint of the exact-mode operator: reversed shifts, flipped taps.
 
-    z is zero-padded once by P = S + N//2 (S the shift margin).  The
-    cotangent of fan-out map (c, k) on the (H + N - 1, W + N - 1) grid its
-    flipped taps read is the sum over (branch, edge) of the window of the
-    padded z at offset (S - dy, S - dx); one gather per (branch, edge)
-    covers every (c, k).  Each of the N^2 flipped taps then multiplies and
-    sums over k in one pass.
+    z is zero-padded once by P = S + N//2 (S the shift margin).  Per
+    channel c, the cotangent of fan-out map (c, k) on the (H + N - 1,
+    W + N - 1) grid its flipped taps read is the sum over (branch, edge)
+    of the window of the padded z at offset (S - dy, S - dx); one gather
+    per (branch, edge) covers every k, into one (g, H + N - 1, W + N - 1)
+    buffer reused across channels.  Each of the N^2 flipped taps then
+    multiplies and sums over k in one pass.
     """
     cfg, plan, w = layer.cfg, layer.plan, layer.weights
     if cfg.pad_mode != "exact":
@@ -137,26 +138,26 @@ def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     p = s + n // 2
     zpad = np.pad(zs, ((0, 0), (p, p), (p, p)))
     win = sliding_window_view(zpad, (h + n - 1, wd + n - 1), axis=(1, 2))
-    ci = np.arange(cfg.sw_channels)[:, None]
-
-    cot = np.zeros((cfg.sw_channels, cfg.g, h + n - 1, wd + n - 1), dtype=z.dtype)
-    for branch in cfg.branch_types:
-        for e in range(cfg.edges):
-            if branch == BRANCH_H:
-                cot += win[ci, s - plan.disp_h[e], s]
-            elif branch == BRANCH_W:
-                cot += win[ci, s, s - plan.disp_w[e]]
-            elif not cfg.center_independent:  # independent center: below
-                cot[:, plan.center_block] += win[:, s, s]
 
     flipped = w.merged_bank()[:, :, ::-1, ::-1]
     out = np.zeros_like(z)
     out[:cg] = z[:cg]
-    for u in range(n):
-        for v in range(n):
-            # einsum sums over k without a (C_sw, g, H, W) product temporary
-            out[cg:] += np.einsum("ck,ckij->cij", flipped[:, :, u, v],
-                                  cot[:, :, u:u + h, v:v + wd])
+    cot = np.empty((cfg.g, h + n - 1, wd + n - 1), dtype=z.dtype)
+    for c in range(cfg.sw_channels):
+        cot.fill(0)
+        for branch in cfg.branch_types:
+            for e in range(cfg.edges):
+                if branch == BRANCH_H:
+                    cot += win[c, s - plan.disp_h[e, c], s]
+                elif branch == BRANCH_W:
+                    cot += win[c, s, s - plan.disp_w[e, c]]
+                elif not cfg.center_independent:  # independent center: below
+                    cot[plan.center_block] += win[c, s, s]
+        for u in range(n):
+            for v in range(n):
+                # einsum sums over k without a (g, H, W) product temporary
+                out[cg + c] += np.einsum("k,kij->ij", flipped[c, :, u, v],
+                                         cot[:, u:u + h, v:v + wd])
     if cfg.center_independent and BRANCH_CENTER in cfg.branch_types:
         center_adj = _adjoint_conv(zs, w.center)
         for _e in range(cfg.edges):

@@ -380,9 +380,8 @@ def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
     for t in range(trials):
         tcfg = SwConfig(**{**cfg.__dict__, "seed": cfg.seed + t})
         runner = _Runner(tcfg, h, w, dtype)
-        plan = build_shift_plan(tcfg)
         oracle = sw_forward(Tensor(runner.x.astype(np_dtype)), runner.weights,
-                            tcfg, plan).data
+                            tcfg, runner.plan).data
         for v in VARIANTS:
             got = runner.run(v, _Instr(), relaxed=relaxed)
             d = float(np.max(np.abs(got.astype(np.float64) - oracle.astype(np.float64))))

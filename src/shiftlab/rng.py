@@ -7,6 +7,11 @@ machines.  The generator is a keyed SplitMix64: the i-th output is a pure
 function of (key, i), so independent streams are cheap -- derive a new key
 from (seed, stream labels) and never share mutable state.
 
+Because an output depends on nothing but (key, counter), many streams can
+also be computed at once as uint64 arrays: :func:`permutations` derives a
+key per broadcast label and takes every Fisher-Yates draw in one array
+op.  Each batched row is bitwise equal to the scalar stream it stands for.
+
 We deliberately do not use numpy's Generator API here: its method-level
 streams are allowed to change between numpy versions, which would break
 golden-file regression.
@@ -30,10 +35,82 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, wrapping like _mix."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Outputs start .. start + count - 1 of each key's stream, on a new last axis."""
+    ctrs = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix_array(np.asarray(keys, dtype=np.uint64)[..., None] + ctrs)
+
+
 def _key_part(part) -> int:
     if isinstance(part, str):
         return int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "little")
     return int(part) & _MASK
+
+
+def _label_words(part) -> np.ndarray:
+    """A stream label as uint64: strings hashed, ints taken mod 2**64."""
+    if isinstance(part, (str, int)):
+        return np.uint64(_key_part(part))
+    a = np.asarray(part)
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"stream label array of dtype {a.dtype} is not integer")
+    return a.astype(np.uint64)      # C cast: negative values wrap mod 2**64
+
+
+def _stream_keys(seed: int, stream) -> np.ndarray:
+    """CounterRng(seed, *labels)'s key for every index of the broadcast labels."""
+    key = np.uint64(_mix(int(seed) & _MASK))
+    with np.errstate(over="ignore"):      # 0-d operands: numpy scalars warn on wrap
+        for i, part in enumerate(stream):
+            term = _mix_array(_label_words(part) + np.uint64(((i + 1) * _GOLDEN) & _MASK))
+            key = _mix_array(key ^ term)
+    return np.asarray(key)
+
+
+def _draw_bounds(n: int) -> np.ndarray:
+    """Bounds n, n - 1, ..., 2 of the Fisher-Yates draws over range(n)."""
+    if not 0 <= n < 1 << 32:
+        raise ValueError(f"permutation size {n} outside [0, 2**32)")
+    return np.arange(n, 1, -1, dtype=np.uint64)
+
+
+def _mul_hi(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(u * m) >> 64 over uint64 arrays, exact for m < 2**32.
+
+    With u split into 32-bit halves this is (hi * m + ((lo * m) >> 32)) >> 32,
+    whose terms cannot wrap while m < 2**32.
+    """
+    hi, lo = u >> np.uint64(32), u & np.uint64(0xFFFFFFFF)
+    return (hi * m + ((lo * m) >> np.uint64(32))) >> np.uint64(32)
+
+
+def permutations(seed: int, *stream, n: int) -> np.ndarray:
+    """Fisher-Yates permutations of range(n), one per index of the labels.
+
+    Any integer label may be an int array; the labels broadcast together.
+    The result has shape (broadcast shape) + (n,), and the row at each
+    index is bitwise equal to
+    ``CounterRng(seed, *labels at that index).permutation(n)``.
+    """
+    bounds = _draw_bounds(n)
+    keys = _stream_keys(seed, stream)
+    draws = _mul_hi(_words(keys, 0, bounds.size), bounds)
+    draws = draws.reshape(keys.size, bounds.size).astype(np.intp)
+    perm = np.tile(np.arange(n, dtype=np.int64), (draws.shape[0], 1))
+    rows = np.arange(draws.shape[0])
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = draws[:, t]
+        held = perm[:, i].copy()
+        perm[:, i] = perm[rows, j]
+        perm[rows, j] = held
+    return perm.reshape(keys.shape + (n,))
 
 
 class CounterRng:
@@ -69,10 +146,13 @@ class CounterRng:
         return (self.next_u64() * n) >> 64
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n).  The draws j = randint(i + 1)
+        for i = n - 1 .. 1 are taken in one array op, as in permutations()."""
+        bounds = _draw_bounds(n)
+        draws = _mul_hi(_words(self._key, self._ctr, bounds.size), bounds).tolist()
+        self._ctr += bounds.size
         perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
@@ -90,12 +170,7 @@ class CounterRng:
         element count so scalar and array draws interleave consistently.
         """
         n = int(np.prod(shape)) if shape else 1
-        ctrs = (np.uint64(self._key) + (np.arange(self._ctr, self._ctr + n, dtype=np.uint64))
-                * np.uint64(_GOLDEN))
+        z = _words(self._key, self._ctr, n)
         self._ctr += n
-        z = ctrs
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
         u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         return (lo + (hi - lo) * u).reshape(shape).astype(dtype)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import CounterRng
+from .rng import CounterRng, permutations
 from .reparam import AffineNorm
 from .tensor import (FormatError, ShapeError, Tensor, ensure_fresh,
                      from_array, read_container, write_container)
@@ -145,32 +145,28 @@ def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
                        the H and W branches.
     """
     g, e_cnt, c_cnt = cfg.g, cfg.edges, cfg.sw_channels
-    ident = np.tile(np.arange(g, dtype=np.int64), (e_cnt, c_cnt, 1))
+    shape = (e_cnt, c_cnt, g)
+    ident = np.broadcast_to(np.arange(g, dtype=np.int64), shape)
+    channels = np.arange(c_cnt)
     if cfg.order_policy == "ordered":
         sig_h = sig_w = ident
     elif cfg.order_policy == "disordered":
-        sig_h = ident.copy()
-        for c in range(c_cnt):
-            perm = CounterRng(cfg.seed, "plan", cfg.layer_id, "disordered", c).permutation(g)
-            sig_h[:, c, :] = perm
+        sig_h = permutations(cfg.seed, "plan", cfg.layer_id, "disordered", channels, n=g)
         sig_w = ident
     else:  # per_edge_shuffled
-        sig_h = ident.copy()
-        for e in range(e_cnt):
-            for c in range(c_cnt):
-                perm = CounterRng(cfg.seed, "plan", cfg.layer_id, e, c).permutation(g)
-                sig_h[e, c, :] = perm
-        sig_w = sig_h
-    sig_h = sig_h.copy()
-    sig_h.setflags(write=False)
-    if sig_w is not sig_h:
-        sig_w = sig_w.copy()
-        sig_w.setflags(write=False)
+        sig_h = sig_w = permutations(cfg.seed, "plan", cfg.layer_id,
+                                     np.arange(e_cnt)[:, None], channels, n=g)
     d = np.asarray(cfg.displacements(), dtype=np.int64)
-    disp_h, disp_w = d[sig_h], d[::-1][sig_w]
-    disp_h.setflags(write=False)
-    disp_w.setflags(write=False)
+    sig_h, sig_w, disp_h, disp_w = (
+        _read_only(np.broadcast_to(a, shape))
+        for a in (sig_h, sig_w, d[sig_h], d[::-1][sig_w]))
     return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2, disp_h, disp_w)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass
