@@ -56,7 +56,7 @@ def _sweep_configs(trials: int, rng: CounterRng):
 
 def _check_rows_verify(args):
     """Yield (check, detail, diff, tol, ok) rows for the requested suite."""
-    tol_eq = args.tol if args.tol else (1e-10 if args.dtype == "f64" else 1e-4)
+    tol_eq = args.tol if args.tol is not None else (1e-10 if args.dtype == "f64" else 1e-4)
     dt = np.float64 if args.dtype == "f64" else np.float32
 
     if args.spec:
@@ -420,7 +420,7 @@ def cmd_bench(args) -> int:
     if args.check:
         diffs = bench.verify_variants(cfg, trials=2, h=min(args.h, 24),
                                       w=min(args.w, 24), dtype="f64")
-        tol = args.tol or 1e-10
+        tol = args.tol if args.tol is not None else 1e-10
         bad = {v: d for v, d in diffs.items() if d > tol}
         print(f"bench check vs reference: {diffs}")
         if bad:
@@ -508,12 +508,15 @@ def cmd_gen_golden(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _common(sp):
+def _common(sp, seed=True, checks=False):
+    """Register the shared flags; --seed and --dtype/--tol only where read."""
     sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--dtype", choices=("f32", "f64"), default="f64")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="tolerance override for the enabled checks")
+    if seed:
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    if checks:
+        sp.add_argument("--dtype", choices=("f32", "f64"), default="f64")
+        sp.add_argument("--tol", type=float, default=None,
+                        help="tolerance override for the enabled checks")
     sp.add_argument("--force", action="store_true",
                     help="overwrite existing output files")
 
@@ -525,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="equivalence and reparam oracle suites")
-    _common(sp)
+    _common(sp, checks=True)
     sp.add_argument("--spec", default=None, help="operator spec file")
     sp.add_argument("--weights", default=None, help="weights directory")
     sp.add_argument("--trials", type=int, default=200)
@@ -558,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_erf)
 
     sp = sub.add_parser("params", help="parameter and MAC budgets")
-    _common(sp)
+    _common(sp, seed=False)
     sp.add_argument("--arch", choices=("tiny", "small"), default="tiny")
     sp.add_argument("--input-size", type=int, default=224)
     sp.add_argument("--ghost", type=float, default=None)
@@ -590,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_prune_sim)
 
     sp = sub.add_parser("bench", help="operator implementation variants")
-    _common(sp)
+    _common(sp, checks=True)
     sp.add_argument("--spec", default=None)
     sp.add_argument("--variants", default=",".join(bench.VARIANTS))
     sp.add_argument("--reps", type=int, default=5)
@@ -604,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-golden", help="freeze f64 regression artifacts")
     _common(sp)
-    sp.add_argument("--spec", default=None, help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_gen_golden)
     return ap
 

@@ -1,9 +1,12 @@
 """Slow, obviously-correct reference convolutions.
 
 Everything else in the package is checked against this module, so it is
-written for auditability, not speed: one scaled slice-accumulate per
-kernel tap, in a fixed order (u, then v, then input channel ascending).
-The fixed order makes f32 results reproducible bit-for-bit run to run.
+written for auditability, not speed.  All three convolutions run one tap
+loop, :func:`_correlate`: one scaled slice-accumulate per (u, v, input
+channel), in that fixed order (u, then v, then input channel ascending),
+each broadcast over output channels and images at once.  Every output
+element therefore accumulates its taps in the same order whatever the
+shapes, so f32 results are reproducible bit-for-bit run to run.
 
 Stride support is limited to 1 and 2 (stems and downsampling); dilation
 is excluded.  All reads outside the input are zero, matching
@@ -51,39 +54,34 @@ def _pad4(pad) -> tuple[int, int, int, int]:
     return int(pt), int(pb), int(pl), int(pr)
 
 
-def _zero_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int) -> np.ndarray:
-    c, h, w = x.shape
-    out = np.zeros((c, h + pt + pb, w + pl + pr), dtype=x.dtype)
-    out[:, pt:pt + h, pl:pl + w] = x
-    return out
-
-
-def _corr_plane(xpad: np.ndarray, filt: np.ndarray, out_h: int, out_w: int,
-                stride: int = 1) -> np.ndarray:
-    """Correlate one padded plane with one filter; accumulate tap by tap."""
-    kh, kw = filt.shape
-    acc = np.zeros((out_h, out_w), dtype=xpad.dtype)
+def _correlate(xpad: np.ndarray, filt: np.ndarray, out_h: int, out_w: int,
+               stride: int = 1) -> np.ndarray:
+    """Correlate padded planes xpad (..., cpg, Hp, Wp) with filters
+    filt (..., cpg, kh, kw); the leading axes broadcast and the cpg input
+    channels are summed.  One scaled slice-accumulate per (u, v, channel)."""
+    cpg, kh, kw = filt.shape[-3:]
+    lead = np.broadcast_shapes(xpad.shape[:-3], filt.shape[:-3])
+    acc = np.zeros(lead + (out_h, out_w), dtype=xpad.dtype)
     for u in range(kh):
         for v in range(kw):
-            acc += filt[u, v] * xpad[u:u + stride * out_h:stride,
-                                     v:v + stride * out_w:stride]
+            for cl in range(cpg):
+                acc += filt[..., cl, u, v, None, None] * xpad[
+                    ..., cl, u:u + stride * out_h:stride, v:v + stride * out_w:stride]
     return acc
 
 
 def conv2d_ref(x: Tensor, w, p: ConvParams) -> Tensor:
     """Grouped 2-D correlation with zero padding.
 
-    w has shape (out_channels, in_channels_per_group, kh, kw); accumulation
-    runs in the array dtype (f64 stays f64 throughout).
+    x is (C, H, W) or a batch (B, C, H, W); w has shape (out_channels,
+    in_channels_per_group, kh, kw); accumulation runs in the array dtype
+    (f64 stays f64 throughout).
     """
     xa = _as_nd(x)
     wa = _as_nd(w).astype(xa.dtype, copy=False)
-    if xa.ndim == 4:
-        outs = [conv2d_ref(Tensor(plane), wa, p).data for plane in xa]
-        return Tensor(np.stack(outs))
-    if xa.ndim != 3:
-        raise ShapeError(f"expected (C, H, W) input, got {xa.shape}")
-    c_in, h, wdt = xa.shape
+    if xa.ndim not in (3, 4):
+        raise ShapeError(f"expected (C, H, W) or (B, C, H, W) input, got {xa.shape}")
+    c_in, h, wdt = xa.shape[-3:]
     if wa.ndim != 4:
         raise ShapeError(f"expected 4-D filter bank, got {wa.shape}")
     o_out, cpg, kh, kw = wa.shape
@@ -98,19 +96,12 @@ def conv2d_ref(x: Tensor, w, p: ConvParams) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError("kernel larger than padded input")
 
-    xpad = _zero_pad(xa, p.pad_h, p.pad_h, p.pad_w, p.pad_w)
-    out = np.zeros((o_out, out_h, out_w), dtype=xa.dtype)
-    opg = o_out // p.groups
-    for o in range(o_out):
-        g = o // opg
-        acc = out[o]
-        for u in range(kh):
-            for v in range(kw):
-                for cl in range(cpg):
-                    ci = g * cpg + cl
-                    acc += wa[o, cl, u, v] * xpad[ci, u:u + p.stride * out_h:p.stride,
-                                                  v:v + p.stride * out_w:p.stride]
-    return Tensor(out)
+    xpad = np.pad(xa, ((0, 0),) * (xa.ndim - 2) + ((p.pad_h,) * 2, (p.pad_w,) * 2))
+    lead = xa.shape[:-3]
+    out = _correlate(xpad.reshape(lead + (p.groups, 1, cpg) + xpad.shape[-2:]),
+                     wa.reshape(p.groups, o_out // p.groups, cpg, kh, kw),
+                     out_h, out_w, p.stride)
+    return Tensor(out.reshape(lead + (o_out, out_h, out_w)))
 
 
 def strip_conv_ref(x: Tensor, k, pad_h: int | None = None,
@@ -137,11 +128,8 @@ def strip_conv_ref(x: Tensor, k, pad_h: int | None = None,
     out_w = w + 2 * pad_w - kw + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError("kernel larger than padded input")
-    xpad = _zero_pad(xa, pad_h, pad_h, pad_w, pad_w)
-    out = np.zeros((c, out_h, out_w), dtype=xa.dtype)
-    for ci in range(c):
-        out[ci] = _corr_plane(xpad[ci], ka[ci], out_h, out_w)
-    return Tensor(out)
+    xpad = np.pad(xa, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    return Tensor(_correlate(xpad[:, None], ka[:, None], out_h, out_w))
 
 
 def fanout_conv(x: Tensor, w, pad) -> Tensor:
@@ -167,9 +155,6 @@ def fanout_conv(x: Tensor, w, pad) -> Tensor:
     out_w = wdt + pl + pr - kw + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError("kernel larger than padded input")
-    xpad = _zero_pad(xa, pt, pb, pl, pr)
-    out = np.zeros((c * g, out_h, out_w), dtype=xa.dtype)
-    for ci in range(c):
-        for k in range(g):
-            out[ci * g + k] = _corr_plane(xpad[ci], wa[ci, k], out_h, out_w)
-    return Tensor(out)
+    xpad = np.pad(xa, ((0, 0), (pt, pb), (pl, pr)))
+    out = _correlate(xpad[:, None, None], wa[:, :, None], out_h, out_w)
+    return Tensor(out.reshape(c * g, out_h, out_w))

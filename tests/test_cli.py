@@ -1,6 +1,8 @@
 import csv
 import os
 
+import pytest
+
 import shiftlab as sl
 from shiftlab.cli import gen_golden, main
 from shiftlab.sw_op import save_sw_weights
@@ -27,6 +29,17 @@ def test_verify_f32_sweep(tmp_path):
     rc = main(["verify", "--out", str(tmp_path), "--trials", "10",
                "--fold-trials", "3", "--dtype", "f32"])
     assert rc == 0
+
+
+def test_verify_tol_zero_is_honoured(tmp_path, capsys):
+    # the f64 sweep differs from the oracle by about 1e-15, so tol 0 fails
+    rc = main(["verify", "--out", str(tmp_path), "--trials", "3",
+               "--fold-trials", "1", "--tol", "0"])
+    assert rc == 1
+    rows = _read_csv(tmp_path / "verify.csv")
+    assert rows[1][0] == "exact-equivalence" and rows[1][4] == "FAIL"
+    assert float(rows[1][2]) > 0 and float(rows[1][3]) == 0
+    assert "[FAIL] exact-equivalence" in capsys.readouterr().out
 
 
 def test_verify_degenerate_spec(tmp_path):
@@ -93,6 +106,13 @@ def test_params_outputs_and_band(tmp_path, capsys):
     for row in exps[1:]:
         assert float(row[1]) == float(row[2])
     assert "[17, 17, 16, 5]" in capsys.readouterr().out
+
+
+def test_flags_registered_only_where_read(tmp_path):
+    for argv in (["params", "--dtype", "f32"], ["gen-golden", "--spec", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2, argv
 
 
 def test_coverage_ordered_invariant_columns(tmp_path):

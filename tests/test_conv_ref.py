@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (ConvParams, ShapeError, Tensor, conv2d_ref, fanout_conv,
                       from_array, max_abs_diff, strip_conv_ref)
+from shiftlab.rng import CounterRng
 from conftest import naive_conv2d, naive_depthwise
 
 
@@ -135,9 +138,61 @@ def test_shape_errors(rng):
 
 
 def test_batch_input(rng):
-    x = rng.uniform(-1, 1, (2, 3, 6, 6))
-    w = rng.uniform(-1, 1, (3, 3, 3, 3))
-    y = conv2d_ref(Tensor(x), w, ConvParams(3, 3, 1, 1)).data
-    single = conv2d_ref(Tensor(x[1]), w, ConvParams(3, 3, 1, 1)).data
-    assert y.shape == (2, 3, 6, 6)
-    assert np.array_equal(y[1], single)
+    for groups, stride in [(1, 1), (3, 1), (1, 2), (3, 2)]:
+        x = rng.uniform(-1, 1, (2, 3, 6, 6))
+        w = rng.uniform(-1, 1, (3, 3 // groups, 3, 3))
+        p = ConvParams(3, 3, 1, 1, stride, groups)
+        y = conv2d_ref(Tensor(x), w, p).data
+        assert y.shape == (2, 3, 6 // stride, 6 // stride)
+        for i in range(2):
+            assert np.array_equal(y[i], conv2d_ref(Tensor(x[i]), w, p).data)
+
+
+def _f32(label, shape):
+    return CounterRng(7, "conv-ref-pin", label).uniform_array(shape, -1, 1, np.float32)
+
+
+_PIN_CASES = {
+    "conv2d_s1_g1": lambda: conv2d_ref(
+        Tensor(_f32("x", (4, 9, 8))), _f32("w", (6, 4, 3, 3)), ConvParams(3, 3, 1, 1)),
+    "conv2d_s2_g2": lambda: conv2d_ref(
+        Tensor(_f32("x", (4, 9, 8))), _f32("w", (6, 2, 3, 3)),
+        ConvParams(3, 3, 1, 1, 2, 2)),
+    "conv2d_s1_gC": lambda: conv2d_ref(
+        Tensor(_f32("x", (4, 9, 8))), _f32("w", (8, 1, 5, 3)),
+        ConvParams(5, 3, 2, 1, 1, 4)),
+    "conv2d_batch_s2_g2": lambda: conv2d_ref(
+        Tensor(_f32("xb", (2, 4, 9, 8))), _f32("w", (6, 2, 3, 3)),
+        ConvParams(3, 3, 1, 0, 2, 2)),
+    "strip_51x3": lambda: strip_conv_ref(
+        Tensor(_f32("x", (2, 20, 7))), _f32("k", (2, 51, 3))),
+    "strip_1x1": lambda: strip_conv_ref(
+        Tensor(_f32("x", (2, 20, 7))), _f32("k", (2, 1, 1))),
+    "fanout_g1": lambda: fanout_conv(
+        Tensor(_f32("x", (3, 10, 7))), _f32("w", (3, 1, 3, 3)), 1),
+    "fanout_g17": lambda: fanout_conv(
+        Tensor(_f32("x", (3, 10, 7))), _f32("w", (3, 17, 3, 3)), ((3, 0), (1, 2))),
+}
+
+
+_PINS = {
+    "conv2d_s1_g1": "8f1713e2990fb6dab69acd5447b07594126ddf3096c1a6a61f29157c91f4be7d",
+    "conv2d_s2_g2": "fd30fa3d93fb279de37fff2b6d3193cbcd21926fba9ae1b2d579fe569a1ffe0b",
+    "conv2d_s1_gC": "e69cc56ef0fc4bc79c87002aa64b7eb0b09f615284612e44b128851d134f22fd",
+    "conv2d_batch_s2_g2": "7cb7ddce69f1a2f7f59c290984e25a3778588655cc92436be53e09ff76aa32b2",
+    "strip_51x3": "95487d172bba4d70074233e6717a22767e18f9f4244a1137d93398ffc4b9de21",
+    "strip_1x1": "2b4dfdb2bbe84a858228968bb72aae852d210e9d430eadc76fa73f0c9a214f0d",
+    "fanout_g1": "0b6e659f38ba9e43a7398864b0bc6d973e16a051e61b58704c56e0712528ed57",
+    "fanout_g17": "f5304e61f41e45fa90ad0a8bbec61fca8b3716ea12113ece9805e7541c44377a",
+}
+
+
+def test_f32_outputs_pinned():
+    """Frozen sha256 of f32 oracle outputs: a change of the (u, v, channel)
+    accumulation order changes the bits and fails."""
+    got = {}
+    for name, case in _PIN_CASES.items():
+        y = case().data
+        assert y.dtype == np.float32
+        got[name] = hashlib.sha256(repr(y.shape).encode() + y.tobytes()).hexdigest()
+    assert got == _PINS
