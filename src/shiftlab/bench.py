@@ -8,24 +8,24 @@ Two implementation variants compute the identical result:
            produced, one chunk of channels at a time; no buffer
            proportional to g*C*H*W ever exists
 
-Both share one shift-add engine.  A fan-out map is written into the
-interior of a buffer with a zero margin around the working grid.  The
-margin on each side covers the reads the plan makes outside the grid,
-capped at H rows (W columns): a read wholly outside needs no more zeros
-than that.  Over a sliding (H, W)-window view of the buffer, every
-(map k, branch, edge) is then one numpy gather-add over the chunk's
-channels, indexed by the plan's displacement tables; out-of-grid reads
-add +0.0 instead of being clipped.
+Both share one shift-add engine.  Fan-out maps are written into one flat
+staging buffer whose zero gaps are shared margins: each grid row is
+followed by max(left, right) zero columns, also the left margin of the
+next row, and each map by max(top, bottom) zero rows, also the top margin
+of the next map.  A margin covers the reads the plan makes past that grid
+edge, capped at H rows (W columns).  Over an (H, W)-window view of the
+buffer every read is one flat offset, so each (map k, branch, edge) is one
+numpy gather-add over the chunk's channels; out-of-grid reads add +0.0.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and each of the N*N taps is one
 contiguous multiply-add of Hg whole padded rows (Wp = Wg + N - 1 columns
-each) into a flat accumulator; copying the accumulator into the margin
-buffer's grid drops the N - 1 wrap-around columns of each row.  The fused
-chunk is sized from the layer's shape so that its margin buffer and its
-accumulator together hold no more elements than one (C_sw, Hg, Wg) map,
-floored at one channel.  Masked filters are skipped: a chunk is drawn
-from the channels that keep map k.
+each) into a flat accumulator; copying the accumulator into the staging
+buffer's grid drops the N - 1 wrap-around columns of each row.  Masked
+filters are skipped: a fused chunk is drawn from the channels that keep
+map k.  Its staging buffer, accumulator and, when kept channels are not
+contiguous, copy of their padded input planes hold no more elements than
+one (C_sw, Hg, Wg) map, floored at one channel.
 
 Both variants share one accumulation order per output element -- for
 each map k, the H edges, then the W edges, then the center -- so
@@ -36,8 +36,8 @@ Instrumentation counts destination-accumulation events per fan-out
 (conv output) pixel, from in-grid reads only -- each conv-output pixel is
 moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
-variant-owned staging buffers (margin buffers and conv accumulator),
-which excludes the shared padded input and the final output.
+variant-owned staging buffers (zero-gap buffer, conv accumulator, input
+copy), which excludes the shared padded input and the final output.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .rng import CounterRng
 from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, SwConfig, SwWeights,
@@ -141,19 +141,10 @@ def _channel_index(sel: np.ndarray):
 
 @dataclass
 class _Gather:
-    """Per-call window starts into the margin buffer and in-grid read counts.
-
-    rows[e, c, k] / cols[e, c, k] are the first buffer row (column) of the
-    H (W) branch's window, clipped into the buffer; (y0, x0) is the
-    unshifted window.  moved[c, k] counts the in-grid reads of map k into
-    channel c over all branches and edges.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    y0: int
-    x0: int
-    moved: np.ndarray
+    """Window offsets for a map in staging slot 0, and in-grid read counts."""
+    reads: np.ndarray   # [r, c, k]: the H edges, then the W edges, clipped
+    center: int         # the unshifted window
+    moved: np.ndarray   # [c, k]: in-grid reads over all branches and edges
 
 
 class _Runner:
@@ -164,7 +155,6 @@ class _Runner:
         self.cfg = cfg
         self.h, self.w = h, w
         self.np_dtype = np.float32 if dtype == "f32" else np.float64
-        self.dtype = dtype
         self.plan = build_shift_plan(cfg)
         if weights is None:
             weights = random_weights(cfg, dtype=self.np_dtype)
@@ -178,6 +168,8 @@ class _Runner:
         self.bank = weights.merged_bank().astype(self.np_dtype)
         self.kept = [np.flatnonzero(np.logical_or.reduce([m[:, k] for m in weights.masks]))
                      for k in range(cfg.g)]
+        # some chunk of kept channels needs a copy of its input planes
+        self.gappy = any(s.size and s[-1] - s[0] + 1 != s.size for s in self.kept)
         if x is None:
             x = CounterRng(cfg.seed, "bench-x").uniform_array(
                 (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
@@ -188,10 +180,10 @@ class _Runner:
         self.gh = h + pt + pb - cfg.n + 1
         self.gw = w + pl + pr - cfg.n + 1
         mt, mb, ml, mr = self._margins()
-        self.plane = (self.gh + mt + mb, self.gw + ml + mr)
-        # the working grid inside a margin-buffer plane
-        self.grid_rows = slice(mt, mt + self.gh)
-        self.grid_cols = slice(ml, ml + self.gw)
+        # staging layout: row pitch, elements per map and zeros before map 0
+        self.pitch = self.gw + max(ml, mr)
+        self.slot = (self.gh + max(mt, mb)) * self.pitch
+        self.lead = mt * self.pitch + ml
 
     def _margins(self):
         """Zero rows/columns (top, bottom, left, right) around the working grid.
@@ -220,41 +212,49 @@ class _Runner:
     def fanout_pixels(self) -> int:
         return self.cfg.sw_channels * self.cfg.g * self.gh * self.gw
 
+    def _staging(self, slots: int, alloc: _Alloc):
+        """A zeroed staging buffer of `slots` maps, its (slots, Hg, Wg) grid
+        view and its window view: win[o] is the (h, w) window at element o."""
+        buf = alloc.take(np.zeros(self.lead + slots * self.slot, dtype=self.np_dtype))
+        p, item = self.pitch, buf.itemsize
+        grid = buf[self.lead:].reshape(slots, self.slot // p, p)[:, :self.gh, :self.gw]
+        win = as_strided(buf, (buf.size - (self.h - 1) * p - self.w + 1, self.h, self.w),
+                         (item, p * item, item), writeable=False)
+        return buf, grid, win
+
     def _gather(self) -> _Gather:
         cfg, plan = self.cfg, self.plan
-        h, w, gh, gw = self.h, self.w, self.gh, self.gw
-        mt, ml = self.grid_rows.start, self.grid_cols.start
-        ph, pw = self.plane
+        h, w, gh, gw, p = self.h, self.w, self.gh, self.gw, self.pitch
+        mt, mb, ml, mr = self._margins()
         oy, ox = self.origin
         ry = oy + plan.disp_h          # first map row each H read needs
         cx = ox + plan.disp_w          # first map column each W read needs
         moved = np.zeros((cfg.sw_channels, cfg.g), dtype=np.int64)
+        reads = [ry[:0]]               # no edges when neither shift branch is on
         if BRANCH_H in cfg.branch_types:
             moved += ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w).sum(0)
+            reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
         if BRANCH_W in cfg.branch_types:
             moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
+            reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
         if BRANCH_CENTER in cfg.branch_types:
             moved[:, plan.center_block] += cfg.edges * h * w
-        return _Gather(rows=np.clip(ry + mt, 0, ph - h), cols=np.clip(cx + ml, 0, pw - w),
-                       y0=oy + mt, x0=ox + ml, moved=moved)
+        return _Gather(np.concatenate(reads), self.lead + oy * p + ox, moved)
 
-    def _add_map(self, out, sel, win, k, gat, instr) -> None:
+    def _add_map(self, out, sel, win, first, k, gat, instr) -> None:
         """Every (branch, edge) read of map k into channels sel, canonical order.
 
-        win[i] is the (h, w)-window view of channel sel[i]'s margin buffer.
+        Channel sel[i]'s map sits in slot first + i of the staging buffer
+        whose window view is win.
         """
         cfg = self.cfg
         idx = _channel_index(sel)
         dst = out[idx]
-        loc = np.arange(sel.size)
-        if BRANCH_H in cfg.branch_types:
-            for rows in gat.rows[:, sel, k]:
-                dst += win[loc, rows, gat.x0]
-        if BRANCH_W in cfg.branch_types:
-            for cols in gat.cols[:, sel, k]:
-                dst += win[loc, gat.y0, cols]
+        at = (first + np.arange(sel.size)) * self.slot
+        for offs in gat.reads[:, sel, k] + at:
+            dst += win[offs]
         if BRANCH_CENTER in cfg.branch_types and k == self.plan.center_block:
-            center = win[:sel.size, gat.y0, gat.x0]
+            center = win[gat.center + at[0]::self.slot][:sel.size]
             for _e in range(cfg.edges):
                 dst += center
         if not isinstance(idx, slice):
@@ -280,40 +280,40 @@ class _Runner:
     def _run_naive(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
-        maps = instr.alloc.take(np.zeros((c_sw, cfg.g) + self.plane,
-                                         dtype=self.np_dtype))
+        # map k of channel c sits in slot k * c_sw + c
+        maps, grid, win = self._staging(cfg.g * c_sw, instr.alloc)
         acc = instr.alloc.take(np.empty((c_sw, self.gh * xpad.shape[2]),
                                         dtype=self.np_dtype))
         for k in ks:
-            _conv_slice(xpad, self.bank[:, k], acc,
-                        maps[:, k, self.grid_rows, self.grid_cols])
+            _conv_slice(xpad, self.bank[:, k], acc, grid[k * c_sw:(k + 1) * c_sw])
             instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
         instr.alloc.drop(acc)
-        win = sliding_window_view(maps, (self.h, self.w), axis=(2, 3))
         every = np.arange(c_sw)
         for k in ks:
-            self._add_map(out, every, win[:, k], k, gat, instr)
+            self._add_map(out, every, win, k * c_sw, k, gat, instr)
         instr.alloc.drop(maps)
 
     def _run_fused(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
-        c_sw = cfg.sw_channels
-        ph, pw = self.plane
         wide = self.gh * xpad.shape[2]
-        chunk = max(1, min(c_sw, c_sw * self.gh * self.gw // (ph * pw + wide)))
-        buf = instr.alloc.take(np.zeros((chunk, ph, pw), dtype=self.np_dtype))
+        copy = xpad[0].size if self.gappy else 0
+        chunk = max(1, (cfg.sw_channels * self.gh * self.gw - self.lead)
+                    // (self.slot + wide + copy))
+        buf, grid, win = self._staging(chunk, instr.alloc)
         acc = instr.alloc.take(np.empty((chunk, wide), dtype=self.np_dtype))
-        grid = buf[:, self.grid_rows, self.grid_cols]
-        win = sliding_window_view(buf, (self.h, self.w), axis=(1, 2))
+        xin = instr.alloc.take(np.empty((chunk if copy else 0,) + xpad.shape[1:],
+                                        dtype=self.np_dtype))
         for k in ks:
             kept = self.kept[k]
             for i in range(0, kept.size, chunk):
                 sel = kept[i:i + chunk]
                 idx = _channel_index(sel)
-                _conv_slice(xpad[idx], self.bank[idx, k], acc[:sel.size],
-                            grid[:sel.size])
+                src = (xpad[idx] if isinstance(idx, slice) else
+                       np.take(xpad, sel, axis=0, out=xin[:sel.size], mode="clip"))
+                _conv_slice(src, self.bank[idx, k], acc[:sel.size], grid[:sel.size])
                 instr.macs += sel.size * cfg.n * cfg.n * self.gh * self.gw
-                self._add_map(out, sel, win, k, gat, instr)
+                self._add_map(out, sel, win, 0, k, gat, instr)
+        instr.alloc.drop(xin)
         instr.alloc.drop(acc)
         instr.alloc.drop(buf)
 

@@ -57,6 +57,8 @@ def _sweep_configs(trials: int, rng: CounterRng):
 def _check_rows_verify(args):
     """Yield (check, detail, diff, tol, ok) rows for the requested suite."""
     tol_eq = args.tol if args.tol is not None else (1e-10 if args.dtype == "f64" else 1e-4)
+    tol_band = args.tol if args.tol is not None else 1e-12
+    tol_rep = args.tol if args.tol is not None else 1e-10   # the fixed f64 suites
     dt = np.float64 if args.dtype == "f64" else np.float32
 
     if args.spec:
@@ -120,11 +122,11 @@ def _check_rows_verify(args):
             bd = float(np.max(np.abs(
                 y_half[:, r0:r1 + 1, c0:c1 + 1].astype(np.float64)
                 - y_sw[:, r0:r1 + 1, c0:c1 + 1].astype(np.float64))))
-            if bd > 1e-12:
-                yield ("interior-band", f"cfg{i}", bd, 1e-12, False)
+            if bd > tol_band:
+                yield ("interior-band", f"cfg{i}", bd, tol_band, False)
                 return
     yield ("exact-equivalence", f"{args.trials} configs", worst, tol_eq, True)
-    yield ("interior-band", "all non-empty bands", 0.0, 1e-12, True)
+    yield ("interior-band", "all non-empty bands", 0.0, tol_band, True)
 
     rng = CounterRng(args.seed, "verify-densify")
     worst_d = 0.0
@@ -138,7 +140,7 @@ def _check_rows_verify(args):
         y = sw_forward(x, wts, cfg, plan).data
         y_eq = strip_conv_ref(x, densify(wts, plan, cfg)).data
         worst_d = max(worst_d, float(np.max(np.abs(y - y_eq))))
-    yield ("densify-consistency", "fan-outs 1/5/17", worst_d, 1e-10, worst_d <= 1e-10)
+    yield ("densify-consistency", "fan-outs 1/5/17", worst_d, tol_rep, worst_d <= tol_rep)
 
     worst_f = 0.0
     for i in range(args.fold_trials):
@@ -154,8 +156,8 @@ def _check_rows_verify(args):
         wf, bf = fold_norm(wb, None, norm)
         y2 = conv2d_ref(x, wf, p).data + bf[:, None, None]
         worst_f = max(worst_f, float(np.max(np.abs(y1 - y2))))
-    yield ("fold-norm", f"{args.fold_trials} instances", worst_f, 1e-10,
-           worst_f <= 1e-10)
+    yield ("fold-norm", f"{args.fold_trials} instances", worst_f, tol_rep,
+           worst_f <= tol_rep)
 
     worst_m = 0.0
     for i in range(args.fold_trials):
@@ -169,8 +171,8 @@ def _check_rows_verify(args):
             y_sum += conv2d_ref(x, b, p).data
         y_merged = conv2d_ref(x, merge_rep(banks), p).data
         worst_m = max(worst_m, float(np.max(np.abs(y_sum - y_merged))))
-    yield ("merge-rep", f"{args.fold_trials} instances", worst_m, 1e-10,
-           worst_m <= 1e-10)
+    yield ("merge-rep", f"{args.fold_trials} instances", worst_m, tol_rep,
+           worst_m <= tol_rep)
 
 
 def cmd_verify(args) -> int:

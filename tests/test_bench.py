@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
                       random_weights, sw_forward)
 from shiftlab.analysis import ArchSpec
 from shiftlab.conv_ref import fanout_conv
-from shiftlab.sw_op import _grid_geometry
+from shiftlab.sparsity import init_sparsity
+from shiftlab.sw_op import ALL_BRANCHES, _grid_geometry
 
 
 SMALL = dict(m=15, n=3, channels=6, ghost=0.2, edges=2,
@@ -111,16 +114,25 @@ def test_empty_mask_yields_ghost_only_and_zero_diff():
     assert not got[cfg.ghost_channels:].any()
 
 
+def _small_grids(n):
+    """(m, h, w): shift_margin() is 6 for m = 15 and 24 for m = 51."""
+    return ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4))
+
+
+# H or W alone leaves one axis without margins; ("H", "W") drops the center
+BRANCH_SETS = (("H",), ("W",), ("H", "W"), ALL_BRANCHES)
+
+
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
 @pytest.mark.parametrize("n", (3, 5))
 def test_variants_agree_across_pad_modes(pad_mode, n, rng):
     """fused == naive bitwise, and both within 1e-10 of sw_forward in f64,
     over masks, g = 1, 1x1 and other grids smaller than the shift margin,
-    and both dtypes."""
-    # (m, h, w): shift_margin() is 6 for m = 15 and 24 for m = 51
-    for m, h, w in ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4)):
+    branch subsets and both dtypes."""
+    for (m, h, w), branches in itertools.product(_small_grids(n), BRANCH_SETS):
         cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                       edges=2, order_policy="per_edge_shuffled", seed=9)
+                       edges=2, order_policy="per_edge_shuffled", seed=9,
+                       branch_types=branches)
         for dtype, np_dtype in (("f32", np.float32), ("f64", np.float64)):
             for masking in ("none", "random", "empty"):
                 wts = random_weights(cfg, dtype=np_dtype)
@@ -131,12 +143,42 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
                 runner = bn._Runner(cfg, h, w, dtype, weights=wts)
                 fused = runner.run("fused", bn._Instr())
                 naive = runner.run("naive", bn._Instr())
-                case = (m, h, w, dtype, masking)
+                case = (m, h, w, branches, dtype, masking)
                 assert fused.tobytes() == naive.tobytes(), case
                 if dtype == "f64":
                     oracle = sw_forward(Tensor(runner.x), wts, cfg,
                                         build_shift_plan(cfg)).data
                     assert np.max(np.abs(fused - oracle)) <= 1e-10, case
+
+
+def _tiny_stage_cfgs():
+    arch = ArchSpec.sw_tiny()
+    for st, hw in enumerate((56, 28, 14, 7)):
+        yield hw, SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
+                           ghost=arch.ghost, edges=arch.edges,
+                           rep_branches=arch.rep_branches,
+                           order_policy="per_edge_shuffled", seed=1)
+
+
+def test_staging_reads_stay_in_their_own_map():
+    """Every window the read tables address holds only zeros and its own
+    map's values: no read wraps into a neighbouring row or map."""
+    cases = [(cfg, hw, hw) for hw, cfg in _tiny_stage_cfgs()]
+    for pad_mode, n, branches in itertools.product(("half", "full", "exact"), (3, 5),
+                                                   BRANCH_SETS):
+        cases += [(SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                            edges=2, order_policy="per_edge_shuffled", seed=9,
+                            branch_types=branches), h, w)
+                  for m, h, w in _small_grids(n)]
+    for cfg, h, w in cases:
+        runner = bn._Runner(cfg, h, w, "f32")
+        _, grid, win = runner._staging(3, bn._Alloc())
+        grid[:] = np.arange(1, 4)[:, None, None]
+        gat = runner._gather()
+        offsets = np.unique(np.append(gat.reads, gat.center))
+        for j in range(3):
+            got = win[offsets + j * runner.slot]
+            assert np.all((got == 0) | (got == j + 1)), (cfg, h, w, j)
 
 
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
@@ -162,34 +204,54 @@ def test_conv_slice_matches_fanout_conv_bitwise(pad_mode, n):
                 assert out.tobytes() == ref[k::cfg.g].tobytes(), (h, w, dtype, k)
 
 
-def _assert_fused_staging_within_bound(cfg, h, w, dtype):
+def _assert_fused_staging_within_bound(cfg, h, w, dtype, weights=None):
     """Fused peak staging <= one (C_sw, Hg, Wg) map, or the one-channel
-    floor of a margin-buffer plane plus a wide-row accumulator."""
-    runner = bn._Runner(cfg, h, w, dtype)
+    floor of a plane with all four margins plus a wide-row accumulator."""
+    runner = bn._Runner(cfg, h, w, dtype, weights=weights)
     instr = bn._Instr()
     runner.run("fused", instr)
-    ph, pw = runner.plane
+    mt, mb, ml, mr = runner._margins()
     wp = runner.padded_input().shape[2]
-    bound = max(cfg.sw_channels * runner.gh * runner.gw, ph * pw + runner.gh * wp)
+    floor = (runner.gh + mt + mb) * (runner.gw + ml + mr) + runner.gh * wp
+    bound = max(cfg.sw_channels * runner.gh * runner.gw, floor)
     assert instr.alloc.peak <= np.dtype(runner.np_dtype).itemsize * bound, (cfg, h, w)
 
 
 def test_fused_staging_within_one_map_bound():
-    arch = ArchSpec.sw_tiny()
-    for st, hw in enumerate((56, 28, 14, 7)):
-        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
-                       ghost=arch.ghost, edges=arch.edges,
-                       rep_branches=arch.rep_branches,
-                       order_policy="per_edge_shuffled", seed=1)
+    for hw, cfg in _tiny_stage_cfgs():
         _assert_fused_staging_within_bound(cfg, hw, hw, "f32")
+        # 60 % kept: subset masks leave kept channels that are not contiguous
+        wts = random_weights(cfg)
+        wts.masks = init_sparsity("subset", {"op": wts.rep}, 0.4, seed=1)["op"]
+        _assert_fused_staging_within_bound(cfg, hw, hw, "f32", wts)
     for pad_mode in ("half", "full", "exact"):
         for n in (3, 5):
-            for m, h, w in ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3),
-                            (51, 5, 4)):
+            for m, h, w in _small_grids(n):
                 cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
                                edges=2, order_policy="per_edge_shuffled", seed=9)
                 for dtype in ("f32", "f64"):
                     _assert_fused_staging_within_bound(cfg, h, w, dtype)
+
+
+def test_masked_chunk_input_copy_is_counted(monkeypatch):
+    """When a chunk's kept channels are not contiguous, its input planes are
+    copied into a counted staging buffer, and the reported peak covers it."""
+    taken, sources, shared = [], [], []
+    take, conv, pad = bn._Alloc.take, bn._conv_slice, bn._Runner.padded_input
+    monkeypatch.setattr(bn._Alloc, "take", lambda s, a: taken.append(a) or take(s, a))
+    monkeypatch.setattr(bn, "_conv_slice", lambda x, *a: sources.append(x) or conv(x, *a))
+    monkeypatch.setattr(bn._Runner, "padded_input",
+                        lambda s: shared.append(pad(s)) or shared[-1])
+    cfg = SwConfig(m=15, n=3, channels=10, edges=2, seed=3)
+    wts = random_weights(cfg)
+    for mask in wts.masks:
+        mask[::2] = False                    # kept: the odd channels
+    instr = bn._Instr()
+    bn._Runner(cfg, 16, 16, "f32", weights=wts).run("fused", instr)
+    copies = [x for x in sources if not np.shares_memory(x, shared[0])]
+    assert copies
+    assert all(any(np.shares_memory(x, t) for t in taken) for x in copies)
+    assert instr.alloc.peak == sum(t.nbytes for t in taken)
 
 
 def test_center_independent_rejected():

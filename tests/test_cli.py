@@ -42,6 +42,17 @@ def test_verify_tol_zero_is_honoured(tmp_path, capsys):
     assert "[FAIL] exact-equivalence" in capsys.readouterr().out
 
 
+def test_verify_tol_covers_every_sweep_row(tmp_path):
+    # the densify, fold and merge suites differ by 1e-15 to 4e-15 in f64
+    rc = main(["verify", "--out", str(tmp_path), "--trials", "3",
+               "--fold-trials", "1", "--tol", "1e-15"])
+    assert rc == 1
+    rows = {r[0]: r for r in _read_csv(tmp_path / "verify.csv")[1:]}
+    assert all(float(r[3]) == 1e-15 for r in rows.values())
+    for check in ("densify-consistency", "fold-norm", "merge-rep"):
+        assert rows[check][4] == "FAIL", rows[check]
+
+
 def test_verify_degenerate_spec(tmp_path):
     cfg = sl.SwConfig(m=3, n=3, channels=4, pad_mode="exact")
     spec = tmp_path / "op.spec"
