@@ -37,7 +37,12 @@ Instrumentation counts destination-accumulation events per fan-out
 moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
 variant-owned staging buffers (zero-gap buffer, conv accumulator, input
-copy), which excludes the shared padded input and the final output.
+copy), which excludes the shared padded input and the final output.  It
+also leaves out numpy temporaries: the gathered window of every read, the
+product of every conv tap and the per-run offset tables.  With tracemalloc
+around one f32 fused run of the sw_tiny stage-0 layer (seed 1), the traced
+peak less the output and padded input is 1069770 B against 741024 B
+reported.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -62,12 +67,13 @@ DESK_CONFIG = dict(m=51, n=3, channels=64, edges=4, ghost=0.0,
                    order_policy="per_edge_shuffled")
 
 
-class _Alloc:
-    """Byte accounting for variant-owned staging buffers."""
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
+@dataclass
+class _Instr:
+    """Counters of one run, and byte accounting for variant-owned staging."""
+    moves: int = 0          # destination-accumulation events (elements)
+    macs: int = 0           # multiply-accumulates in the conv stage
+    current: int = 0        # staging bytes held now
+    peak: int = 0           # most staging bytes held at once
 
     def take(self, arr: np.ndarray) -> np.ndarray:
         self.current += arr.nbytes
@@ -76,13 +82,6 @@ class _Alloc:
 
     def drop(self, arr: np.ndarray) -> None:
         self.current -= arr.nbytes
-
-
-@dataclass
-class _Instr:
-    moves: int = 0          # destination-accumulation events (elements)
-    macs: int = 0           # multiply-accumulates in the conv stage
-    alloc: _Alloc = field(default_factory=_Alloc)
 
 
 @dataclass
@@ -104,11 +103,6 @@ class BenchReport:
         return (f"{self.variant},{self.median_ns:.0f},{self.mad_ns:.0f},"
                 f"{format(self.moves_per_pixel, '.17g')},"
                 f"{self.peak_intermediate_bytes},{self.checksum}")
-
-
-def _digest(cfg: SwConfig, h: int, w: int, dtype: str) -> str:
-    text = f"{cfg}|{h}x{w}|{dtype}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _conv_slice(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
@@ -154,7 +148,10 @@ class _Runner:
                  weights: SwWeights | None = None, x: np.ndarray | None = None):
         self.cfg = cfg
         self.h, self.w = h, w
-        self.np_dtype = np.float32 if dtype == "f32" else np.float64
+        self.dtype = dtype
+        self.np_dtype = {"f32": np.float32, "f64": np.float64}.get(dtype)
+        if self.np_dtype is None:
+            raise ShapeError(f"unknown dtype {dtype!r}; bench runs f32 or f64")
         self.plan = build_shift_plan(cfg)
         if weights is None:
             weights = random_weights(cfg, dtype=self.np_dtype)
@@ -212,10 +209,10 @@ class _Runner:
     def fanout_pixels(self) -> int:
         return self.cfg.sw_channels * self.cfg.g * self.gh * self.gw
 
-    def _staging(self, slots: int, alloc: _Alloc):
+    def _staging(self, slots: int, instr: _Instr):
         """A zeroed staging buffer of `slots` maps, its (slots, Hg, Wg) grid
         view and its window view: win[o] is the (h, w) window at element o."""
-        buf = alloc.take(np.zeros(self.lead + slots * self.slot, dtype=self.np_dtype))
+        buf = instr.take(np.zeros(self.lead + slots * self.slot, dtype=self.np_dtype))
         p, item = self.pitch, buf.itemsize
         grid = buf[self.lead:].reshape(slots, self.slot // p, p)[:, :self.gh, :self.gw]
         win = as_strided(buf, (buf.size - (self.h - 1) * p - self.w + 1, self.h, self.w),
@@ -281,17 +278,17 @@ class _Runner:
         cfg = self.cfg
         c_sw = cfg.sw_channels
         # map k of channel c sits in slot k * c_sw + c
-        maps, grid, win = self._staging(cfg.g * c_sw, instr.alloc)
-        acc = instr.alloc.take(np.empty((c_sw, self.gh * xpad.shape[2]),
-                                        dtype=self.np_dtype))
+        maps, grid, win = self._staging(cfg.g * c_sw, instr)
+        acc = instr.take(np.empty((c_sw, self.gh * xpad.shape[2]),
+                                  dtype=self.np_dtype))
         for k in ks:
             _conv_slice(xpad, self.bank[:, k], acc, grid[k * c_sw:(k + 1) * c_sw])
             instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
-        instr.alloc.drop(acc)
+        instr.drop(acc)
         every = np.arange(c_sw)
         for k in ks:
             self._add_map(out, every, win, k * c_sw, k, gat, instr)
-        instr.alloc.drop(maps)
+        instr.drop(maps)
 
     def _run_fused(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
@@ -299,10 +296,10 @@ class _Runner:
         copy = xpad[0].size if self.gappy else 0
         chunk = max(1, (cfg.sw_channels * self.gh * self.gw - self.lead)
                     // (self.slot + wide + copy))
-        buf, grid, win = self._staging(chunk, instr.alloc)
-        acc = instr.alloc.take(np.empty((chunk, wide), dtype=self.np_dtype))
-        xin = instr.alloc.take(np.empty((chunk if copy else 0,) + xpad.shape[1:],
-                                        dtype=self.np_dtype))
+        buf, grid, win = self._staging(chunk, instr)
+        acc = instr.take(np.empty((chunk, wide), dtype=self.np_dtype))
+        xin = instr.take(np.empty((chunk if copy else 0,) + xpad.shape[1:],
+                                  dtype=self.np_dtype))
         for k in ks:
             kept = self.kept[k]
             for i in range(0, kept.size, chunk):
@@ -313,61 +310,60 @@ class _Runner:
                 _conv_slice(src, self.bank[idx, k], acc[:sel.size], grid[:sel.size])
                 instr.macs += sel.size * cfg.n * cfg.n * self.gh * self.gw
                 self._add_map(out, sel, win, 0, k, gat, instr)
-        instr.alloc.drop(xin)
-        instr.alloc.drop(acc)
-        instr.alloc.drop(buf)
+        instr.drop(xin)
+        instr.drop(acc)
+        instr.drop(buf)
+
+
+def _measure(runner: _Runner, variants, reps: int, warmup: int,
+             relaxed: bool = False) -> list[BenchReport]:
+    """Time the variants round-robin: warmup + reps rounds, each running every
+    variant once; samples exclude the warmup rounds.
+
+    Interleaving makes slow machine-load drift hit every variant equally,
+    which is what a ratio comparison needs; medians are still per variant.
+    Each report carries the checksum and counters of its variant's last run.
+    """
+    if reps < 1:
+        raise ShapeError("need at least one measured rep")
+    samples: dict[str, list[int]] = {v: [] for v in variants}
+    last = {}
+    for i in range(warmup + reps):
+        for v in variants:
+            instr = _Instr()
+            t0 = time.perf_counter_ns()
+            out = runner.run(v, instr, relaxed=relaxed)
+            t1 = time.perf_counter_ns()
+            if i >= warmup:
+                samples[v].append(t1 - t0)
+            last[v] = out, instr
+    text = f"{runner.cfg}|{runner.h}x{runner.w}|{runner.dtype}"
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    reports = []
+    for v, s in samples.items():
+        out, instr = last[v]
+        med = statistics.median(s)
+        mad = statistics.median([abs(t - med) for t in s])
+        reports.append(BenchReport(v, digest, s, float(med), float(mad),
+                                   instr.moves / runner.fanout_pixels(), instr.peak,
+                                   hashlib.sha256(out.tobytes()).hexdigest()))
+    return reports
 
 
 def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
                 dtype: str = "f32", relaxed: bool = False, warmup: int = 3,
                 weights: SwWeights | None = None) -> BenchReport:
     """Time one variant; wall-clock samples exclude the warmup reps."""
-    if reps < 1:
-        raise ShapeError("need at least one measured rep")
     runner = _Runner(cfg, h, w, dtype, weights=weights)
-    out = None
-    samples = []
-    instr = _Instr()
-    for i in range(warmup + reps):
-        instr = _Instr()
-        t0 = time.perf_counter_ns()
-        out = runner.run(variant, instr, relaxed=relaxed)
-        t1 = time.perf_counter_ns()
-        if i >= warmup:
-            samples.append(t1 - t0)
-    med = statistics.median(samples)
-    mad = statistics.median([abs(s - med) for s in samples])
-    checksum = hashlib.sha256(out.tobytes()).hexdigest()
-    return BenchReport(
-        variant=variant,
-        config_digest=_digest(cfg, h, w, dtype),
-        samples_ns=samples,
-        median_ns=float(med),
-        mad_ns=float(mad),
-        moves_per_pixel=instr.moves / runner.fanout_pixels(),
-        peak_intermediate_bytes=instr.alloc.peak,
-        checksum=checksum,
-    )
+    return _measure(runner, (variant,), reps, warmup, relaxed)[0]
 
 
 def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused"),
                       reps: int = 9, dtype: str = "f32",
                       warmup: int = 3) -> dict[str, float]:
-    """Median wall-clock per variant with reps interleaved round-robin.
-
-    Interleaving makes slow machine-load drift hit every variant equally,
-    which is what a ratio comparison needs; medians are still per variant.
-    """
-    runner = _Runner(cfg, h, w, dtype)
-    samples: dict[str, list[int]] = {v: [] for v in variants}
-    for i in range(warmup + reps):
-        for v in variants:
-            t0 = time.perf_counter_ns()
-            runner.run(v, _Instr())
-            t1 = time.perf_counter_ns()
-            if i >= warmup:
-                samples[v].append(t1 - t0)
-    return {v: float(statistics.median(s)) for v, s in samples.items()}
+    """Median wall-clock per variant with reps interleaved round-robin."""
+    reports = _measure(_Runner(cfg, h, w, dtype), variants, reps, warmup)
+    return {r.variant: r.median_ns for r in reports}
 
 
 def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
@@ -376,53 +372,12 @@ def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
     if trials < 1:
         raise ShapeError("need at least one trial")
     worst = {v: 0.0 for v in VARIANTS}
-    np_dtype = np.float32 if dtype == "f32" else np.float64
     for t in range(trials):
         tcfg = SwConfig(**{**cfg.__dict__, "seed": cfg.seed + t})
         runner = _Runner(tcfg, h, w, dtype)
-        oracle = sw_forward(Tensor(runner.x.astype(np_dtype)), runner.weights,
-                            tcfg, runner.plan).data
+        oracle = sw_forward(Tensor(runner.x), runner.weights, tcfg, runner.plan).data
         for v in VARIANTS:
             got = runner.run(v, _Instr(), relaxed=relaxed)
             d = float(np.max(np.abs(got.astype(np.float64) - oracle.astype(np.float64))))
             worst[v] = max(worst[v], d)
     return worst
-
-
-@dataclass
-class SpeedupRow:
-    density: float
-    counted_macs: int
-    mac_ratio: float
-    median_ns: float
-
-
-def sparsity_speedup(cfg: SwConfig, densities, h: int = 56, w: int = 56,
-                     reps: int = 5, dtype: str = "f32") -> list[SpeedupRow]:
-    """Fused-variant throughput as masked filters are skipped.
-
-    The kept set per density is the highest-magnitude filters; counted
-    MACs scale exactly with the kept-filter count.
-    """
-    from .sparsity import prune_to_target, score_filters
-    rows = []
-    for d in densities:
-        if not 0.0 < d <= 1.0:
-            raise ShapeError(f"density {d} outside (0, 1]")
-        weights = random_weights(cfg, dtype=np.float32 if dtype == "f32" else np.float64)
-        mask = prune_to_target(score_filters(weights.rep[0]), 1.0 - d)
-        weights.masks[0] = mask
-        runner = _Runner(cfg, h, w, dtype, weights=weights)
-        samples = []
-        instr = _Instr()
-        for i in range(3 + reps):
-            instr = _Instr()
-            t0 = time.perf_counter_ns()
-            runner.run("fused", instr)
-            t1 = time.perf_counter_ns()
-            if i >= 3:
-                samples.append(t1 - t0)
-        dense_macs = cfg.sw_channels * cfg.g * cfg.n * cfg.n * runner.gh * runner.gw
-        rows.append(SpeedupRow(d, instr.macs, instr.macs / dense_macs,
-                               float(statistics.median(samples))))
-    return rows

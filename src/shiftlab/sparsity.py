@@ -135,24 +135,9 @@ def init_sparsity(policy: str, branch_banks: dict[str, list[np.ndarray]],
     scores = {name: [score_filters(b) for b in branch_banks[name]] for name in layers}
 
     if policy == "subset":
-        out: dict[str, list[np.ndarray]] = {}
-        for name in layers:
-            joint = np.add.reduce(scores[name])
-            base = prune_to_target(joint, s)
-            branches = [base]
-            nb = len(scores[name])
-            kept_idx = np.flatnonzero(base.reshape(-1))
-            for r in range(1, nb):
-                s_r = min(0.95, s * (1.0 + r / (2.0 * max(1, nb - 1))))
-                keep_r = base.size - int(s_r * base.size)
-                rng = CounterRng(seed, "subset-init", name, r)
-                kept_idx = np.array(rng.sample(list(kept_idx), min(keep_r, kept_idx.size)),
-                                    dtype=np.int64)
-                m = np.zeros(base.size, dtype=bool)
-                m[kept_idx] = True
-                branches.append(m.reshape(base.shape))
-            out[name] = branches
-        return out
+        return {name: _nested_subsets(prune_to_target(np.add.reduce(scores[name]), s),
+                                      len(scores[name]), s, seed, "subset-init", name)
+                for name in layers}
 
     # joint pool across layers and branches
     pool = np.concatenate([scores[name][r].reshape(-1)
@@ -179,6 +164,28 @@ def init_sparsity(policy: str, branch_banks: dict[str, list[np.ndarray]],
         s_layer = min(s_layer, 1.0 - 1.0 / out[name][0].size)
         result[name] = [prune_to_target(sc, s_layer) for sc in scores[name]]
     return result
+
+
+def _nested_subsets(base: np.ndarray, nb: int, s: float, seed: int,
+                    *labels) -> list[np.ndarray]:
+    """base and nb - 1 further masks, each a random subset of the one before.
+
+    Branch r keeps size - floor(s_r * size) filters, s_r = min(0.95,
+    s (1 + r / (2 (nb - 1)))); its sample is drawn from the counter stream
+    (seed, *labels, r).
+    """
+    masks = [base]
+    kept_idx = np.flatnonzero(base.reshape(-1))
+    for r in range(1, nb):
+        s_r = min(0.95, s * (1.0 + r / (2.0 * max(1, nb - 1))))
+        keep_r = base.size - int(s_r * base.size)
+        rng = CounterRng(seed, *labels, r)
+        kept_idx = np.array(rng.sample(list(kept_idx), min(keep_r, kept_idx.size)),
+                            dtype=np.int64)
+        m = np.zeros(base.size, dtype=bool)
+        m[kept_idx] = True
+        masks.append(m.reshape(base.shape))
+    return masks
 
 
 def _unify_shared(masks: list[np.ndarray], banks: list[np.ndarray],
@@ -228,28 +235,12 @@ def sparsity_step(state: SparsityState, weight_banks: dict[str, list[np.ndarray]
                 masks[r][...] = grown
         if state.updates_done % state.share_gap == 0:
             state.events.append((state.updates_done, "sync"))
-            n = masks[0].size
-            pruned = int(state.target * n)
-            if state.policy in ("shared", "branch_mean_init"):
-                unified = _unify_shared(masks, banks, pruned)
-                for r in range(len(masks)):
-                    masks[r][...] = unified[r]
-            elif state.policy == "subset":
-                unified = _unify_shared(masks, banks, pruned)
-                base = unified[0].reshape(-1)
-                masks[0][...] = unified[0]
-                kept_idx = np.flatnonzero(base)
-                nb = len(masks)
-                for r in range(1, nb):
-                    s_r = min(0.95, state.target * (1.0 + r / (2.0 * max(1, nb - 1))))
-                    keep_r = n - int(s_r * n)
-                    rng = CounterRng(state.seed, "subset", name, state.updates_done, r)
-                    kept_idx = np.array(rng.sample(list(kept_idx),
-                                                   min(keep_r, kept_idx.size)),
-                                        dtype=np.int64)
-                    m = np.zeros(n, dtype=bool)
-                    m[kept_idx] = True
-                    masks[r][...] = m.reshape(masks[r].shape)
+            unified = _unify_shared(masks, banks, int(state.target * masks[0].size))
+            if state.policy == "subset":
+                unified = _nested_subsets(unified[0], len(masks), state.target, state.seed,
+                                          "subset", name, state.updates_done)
+            for r, m in enumerate(unified):
+                masks[r][...] = m
     return state
 
 

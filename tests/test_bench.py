@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
                       random_weights, sw_forward)
 from shiftlab.analysis import ArchSpec
 from shiftlab.conv_ref import fanout_conv
-from shiftlab.sparsity import init_sparsity
+from shiftlab.sparsity import init_sparsity, prune_to_target, score_filters
 from shiftlab.sw_op import ALL_BRANCHES, _grid_geometry
 
 
@@ -73,15 +74,24 @@ def test_fused_avoids_fanout_sized_buffer():
 
 def test_counted_macs_scale_exactly_with_density():
     cfg = SwConfig(m=51, n=3, channels=10, seed=3)  # 170 filters
-    rows = bn.sparsity_speedup(cfg, [1.0, 0.6, 0.5, 0.33], h=20, w=20, reps=1)
-    assert rows[0].mac_ratio == 1.0
-    assert rows[1].mac_ratio == 0.6
-    assert rows[2].mac_ratio == 0.5
-    assert rows[1].counted_macs == int(0.6 * rows[0].counted_macs)
+    counted, ratios = [], []
+    for d in (1.0, 0.6, 0.5, 0.33):
+        w = random_weights(cfg, dtype=np.float32)
+        w.masks[0] = prune_to_target(score_filters(w.rep[0]), 1.0 - d)
+        runner = bn._Runner(cfg, 20, 20, "f32", weights=w)
+        instr = bn._Instr()
+        runner.run("fused", instr)
+        dense = cfg.sw_channels * cfg.g * cfg.n * cfg.n * runner.gh * runner.gw
+        counted.append(instr.macs)
+        ratios.append(instr.macs / dense)
+    assert ratios[0] == 1.0
+    assert ratios[1] == 0.6
+    assert ratios[2] == 0.5
+    assert counted[1] == int(0.6 * counted[0])
     # non-integral kept counts round down by whole filters
     n = cfg.sw_channels * cfg.g
     kept = n - int((1 - 0.33) * n)
-    assert rows[3].mac_ratio == kept / n
+    assert ratios[3] == kept / n
 
 
 def test_masked_fused_path_matches_reference(rng):
@@ -172,7 +182,7 @@ def test_staging_reads_stay_in_their_own_map():
                   for m, h, w in _small_grids(n)]
     for cfg, h, w in cases:
         runner = bn._Runner(cfg, h, w, "f32")
-        _, grid, win = runner._staging(3, bn._Alloc())
+        _, grid, win = runner._staging(3, bn._Instr())
         grid[:] = np.arange(1, 4)[:, None, None]
         gat = runner._gather()
         offsets = np.unique(np.append(gat.reads, gat.center))
@@ -214,7 +224,7 @@ def _assert_fused_staging_within_bound(cfg, h, w, dtype, weights=None):
     wp = runner.padded_input().shape[2]
     floor = (runner.gh + mt + mb) * (runner.gw + ml + mr) + runner.gh * wp
     bound = max(cfg.sw_channels * runner.gh * runner.gw, floor)
-    assert instr.alloc.peak <= np.dtype(runner.np_dtype).itemsize * bound, (cfg, h, w)
+    assert instr.peak <= np.dtype(runner.np_dtype).itemsize * bound, (cfg, h, w)
 
 
 def test_fused_staging_within_one_map_bound():
@@ -237,8 +247,8 @@ def test_masked_chunk_input_copy_is_counted(monkeypatch):
     """When a chunk's kept channels are not contiguous, its input planes are
     copied into a counted staging buffer, and the reported peak covers it."""
     taken, sources, shared = [], [], []
-    take, conv, pad = bn._Alloc.take, bn._conv_slice, bn._Runner.padded_input
-    monkeypatch.setattr(bn._Alloc, "take", lambda s, a: taken.append(a) or take(s, a))
+    take, conv, pad = bn._Instr.take, bn._conv_slice, bn._Runner.padded_input
+    monkeypatch.setattr(bn._Instr, "take", lambda s, a: taken.append(a) or take(s, a))
     monkeypatch.setattr(bn, "_conv_slice", lambda x, *a: sources.append(x) or conv(x, *a))
     monkeypatch.setattr(bn._Runner, "padded_input",
                         lambda s: shared.append(pad(s)) or shared[-1])
@@ -251,7 +261,7 @@ def test_masked_chunk_input_copy_is_counted(monkeypatch):
     copies = [x for x in sources if not np.shares_memory(x, shared[0])]
     assert copies
     assert all(any(np.shares_memory(x, t) for t in taken) for x in copies)
-    assert instr.alloc.peak == sum(t.nbytes for t in taken)
+    assert instr.peak == sum(t.nbytes for t in taken)
 
 
 def test_center_independent_rejected():
@@ -319,9 +329,33 @@ def test_unknown_variant_rejected():
         bn.run_variant("warp", cfg, 8, 8, reps=1)
 
 
-def test_compare_wallclock_returns_medians():
+def test_bench_rejects_dtype_outside_f32_f64():
+    cfg = SwConfig(**SMALL)
+    with pytest.raises(ShapeError, match="dtype"):
+        bn.run_variant("fused", cfg, 8, 8, reps=1, dtype="f16")
+    with pytest.raises(ShapeError, match="dtype"):
+        bn.verify_variants(cfg, trials=1, h=8, w=8, dtype="f16")
+
+
+def test_one_measured_rep_reports_a_fresh_runs_checksum():
+    cfg = SwConfig(**SMALL)
+    rep = bn.run_variant("fused", cfg, 18, 20, reps=1, warmup=0, dtype="f32")
+    assert len(rep.samples_ns) == 1
+    fresh = bn._Runner(cfg, 18, 20, "f32").run("fused", bn._Instr())
+    assert rep.checksum == hashlib.sha256(fresh.tobytes()).hexdigest()
+    with pytest.raises(ShapeError):
+        bn.run_variant("fused", cfg, 8, 8, reps=0)
+    with pytest.raises(ShapeError):
+        bn.compare_wallclock(cfg, 8, 8, reps=0)
+
+
+def test_compare_wallclock_returns_medians(monkeypatch):
+    calls, run = [], bn._Runner.run
+    monkeypatch.setattr(bn._Runner, "run",
+                        lambda s, v, *a, **k: calls.append(v) or run(s, v, *a, **k))
     cfg = SwConfig(**SMALL)
     medians = bn.compare_wallclock(cfg, 12, 12, ("naive", "fused"),
                                    reps=3, warmup=1)
     assert set(medians) == {"naive", "fused"}
     assert all(m > 0 for m in medians.values())
+    assert calls == ["naive", "fused"] * 4      # warmup + reps rounds, round-robin

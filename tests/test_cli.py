@@ -217,3 +217,9 @@ def test_outputs_not_overwritten_without_force(tmp_path):
                  "--edges", "1"]) == 2
     assert main(["coverage", "--out", str(tmp_path), "--n-seeds", "1",
                  "--edges", "1", "--force"]) == 0
+
+
+def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
+    rc = main(["coverage", "--out", str(tmp_path / "o"), "--spec", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
