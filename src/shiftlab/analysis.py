@@ -311,14 +311,6 @@ class CountReport:
     def add(self, name, kind, params, macs, closed_form=0.0):
         self.rows.append(CountRow(name, kind, int(params), int(macs), closed_form))
 
-    def csv_lines(self) -> list[str]:
-        lines = ["layer,kind,params,macs,closed_form,delta"]
-        for r in self.rows:
-            lines.append(f"{r.name},{r.kind},{r.params},{r.macs},"
-                         f"{format(r.closed_form, '.17g')},{format(r.delta, '.17g')}")
-        lines.append(f"total,,{self.total_params},{self.total_macs},,")
-        return lines
-
 
 def _conv_counts(c_in, c_out, k, out_hw, bias=True, groups=1):
     params = c_out * (c_in // groups) * k * k + (c_out if bias else 0)

@@ -95,15 +95,6 @@ class BenchReport:
     peak_intermediate_bytes: int
     checksum: str
 
-    @staticmethod
-    def csv_header() -> str:
-        return "variant,median_ns,mad_ns,moves_per_pixel,peak_bytes,checksum"
-
-    def csv_line(self) -> str:
-        return (f"{self.variant},{self.median_ns:.0f},{self.mad_ns:.0f},"
-                f"{format(self.moves_per_pixel, '.17g')},"
-                f"{self.peak_intermediate_bytes},{self.checksum}")
-
 
 def _conv_slice(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
                 out: np.ndarray) -> None:
@@ -315,10 +306,11 @@ class _Runner:
         instr.drop(buf)
 
 
-def _measure(runner: _Runner, variants, reps: int, warmup: int,
-             relaxed: bool = False) -> list[BenchReport]:
-    """Time the variants round-robin: warmup + reps rounds, each running every
-    variant once; samples exclude the warmup rounds.
+def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
+            dtype: str = "f32", relaxed: bool = False, warmup: int = 3,
+            weights: SwWeights | None = None) -> list[BenchReport]:
+    """Time the variants round-robin on one problem instance: warmup + reps
+    rounds, each running every variant once; samples exclude the warmup rounds.
 
     Interleaving makes slow machine-load drift hit every variant equally,
     which is what a ratio comparison needs; medians are still per variant.
@@ -326,6 +318,7 @@ def _measure(runner: _Runner, variants, reps: int, warmup: int,
     """
     if reps < 1:
         raise ShapeError("need at least one measured rep")
+    runner = _Runner(cfg, h, w, dtype, weights=weights)
     samples: dict[str, list[int]] = {v: [] for v in variants}
     last = {}
     for i in range(warmup + reps):
@@ -337,7 +330,7 @@ def _measure(runner: _Runner, variants, reps: int, warmup: int,
             if i >= warmup:
                 samples[v].append(t1 - t0)
             last[v] = out, instr
-    text = f"{runner.cfg}|{runner.h}x{runner.w}|{runner.dtype}"
+    text = f"{cfg}|{h}x{w}|{dtype}"
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     reports = []
     for v, s in samples.items():
@@ -354,16 +347,15 @@ def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
                 dtype: str = "f32", relaxed: bool = False, warmup: int = 3,
                 weights: SwWeights | None = None) -> BenchReport:
     """Time one variant; wall-clock samples exclude the warmup reps."""
-    runner = _Runner(cfg, h, w, dtype, weights=weights)
-    return _measure(runner, (variant,), reps, warmup, relaxed)[0]
+    return measure(cfg, h, w, (variant,), reps, dtype, relaxed, warmup, weights)[0]
 
 
 def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused"),
                       reps: int = 9, dtype: str = "f32",
                       warmup: int = 3) -> dict[str, float]:
     """Median wall-clock per variant with reps interleaved round-robin."""
-    reports = _measure(_Runner(cfg, h, w, dtype), variants, reps, warmup)
-    return {r.variant: r.median_ns for r in reports}
+    return {r.variant: r.median_ns
+            for r in measure(cfg, h, w, variants, reps, dtype, warmup=warmup)}
 
 
 def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,

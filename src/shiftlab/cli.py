@@ -25,13 +25,22 @@ from .sw_op import (DEFAULT_SEED, SwConfig, build_shift_plan, from_strip,
 from .conv_ref import ConvParams, conv2d_ref, strip_conv_ref
 from .tensor import Tensor, ensure_fresh, from_array, write_container
 
-_F = "{:.17g}".format
+_COVERAGE_HEADER = ("E", "policy", "seed", "mean_util", "min_util", "max_util")
+_PARAMS_HEADER = ("layer", "kind", "params", "macs", "closed_form", "delta")
+_EXPERIMENTS_HEADER = ("experiment", "instrumented", "closed_form")
+_TRAJECTORY_HEADER = ("update", "layer", "branch", "sparsity", "synced")
 
 
-def _write_lines(path, lines, force):
+def _write_csv(path, header, rows, force, notes=()) -> None:
+    """Write '# note' lines, the header, then the rows: float cells as .17g,
+    other cells as str, and a cell that contains a comma quoted."""
     ensure_fresh(path, force)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {note}\n" for note in notes)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def _outdir(args) -> str:
@@ -100,7 +109,7 @@ def _check_rows_verify(args):
         return
 
     # built-in sweep
-    worst = 0.0
+    worst = worst_b = 0.0
     sweep = _sweep_configs(args.trials, CounterRng(args.seed, "verify-sweep"))
     for i, m, n, c, h, w in sweep:
         rng = CounterRng(args.seed, "verify-data", i)
@@ -122,11 +131,12 @@ def _check_rows_verify(args):
             bd = float(np.max(np.abs(
                 y_half[:, r0:r1 + 1, c0:c1 + 1].astype(np.float64)
                 - y_sw[:, r0:r1 + 1, c0:c1 + 1].astype(np.float64))))
+            worst_b = max(worst_b, bd)
             if bd > tol_band:
                 yield ("interior-band", f"cfg{i}", bd, tol_band, False)
                 return
     yield ("exact-equivalence", f"{args.trials} configs", worst, tol_eq, True)
-    yield ("interior-band", "all non-empty bands", 0.0, tol_band, True)
+    yield ("interior-band", "all non-empty bands", worst_b, tol_band, True)
 
     rng = CounterRng(args.seed, "verify-densify")
     worst_d = 0.0
@@ -178,14 +188,10 @@ def _check_rows_verify(args):
 def cmd_verify(args) -> int:
     out = _outdir(args)
     rows = list(_check_rows_verify(args))
-    path = os.path.join(out, "verify.csv")
-    ensure_fresh(path, args.force)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a detail with commas
-        writer.writerow(["check", "detail", "max_diff", "tol", "status"])
-        for check, detail, diff, tol, ok in rows:
-            writer.writerow([check, detail, _F(diff), _F(tol),
-                             "pass" if ok else "FAIL"])
+    _write_csv(os.path.join(out, "verify.csv"),
+               ("check", "detail", "max_diff", "tol", "status"),
+               [(check, detail, diff, tol, "pass" if ok else "FAIL")
+                for check, detail, diff, tol, ok in rows], args.force)
     failed = [r for r in rows if not r[4]]
     for check, detail, diff, tol, ok in rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {check} ({detail}): "
@@ -205,17 +211,15 @@ def cmd_coverage(args) -> int:
         args.m, args.n = cfg.m, cfg.n
     edges = [int(e) for e in args.edges.split(",")]
     seeds = [args.seed + i for i in range(args.n_seeds)]
-    lines = [
-        "# utilization = |union over edges of in-grid destination rows of the"
-        " vertical shift branch| / (H*W), painted on a boolean grid",
-        "E,policy,seed,mean_util,min_util,max_util",
-    ]
+    rows = []
     for e in edges:
         res = analysis.coverage_ratio(args.m, args.n, args.h, args.w, e,
                                       args.policy, seeds, channels=args.channels)
-        for seed, mean, lo, hi in res.rows:
-            lines.append(f"{e},{args.policy},{seed},{_F(mean)},{_F(lo)},{_F(hi)}")
-    _write_lines(os.path.join(out, "coverage.csv"), lines, args.force)
+        rows += [(e, args.policy) + row for row in res.rows]
+    _write_csv(os.path.join(out, "coverage.csv"), _COVERAGE_HEADER, rows, args.force,
+               notes=("utilization = |union over edges of in-grid destination rows"
+                      " of the vertical shift branch| / (H*W), painted on a"
+                      " boolean grid",))
     print(f"coverage: wrote {os.path.join(out, 'coverage.csv')}")
     return 0
 
@@ -253,12 +257,12 @@ def cmd_erf(args) -> int:
     write_container(from_array(a), path)
     if args.pgm:
         _write_pgm(os.path.join(out, f"erf_{label}.pgm"), a, args.force)
-    lines = ["# ERF = |d y_center / d x[p]| of the composed linear operator,"
-             " max-normalized",
-             "probe,center_value,support_cells",
-             f"{args.probe},{_F(float(a[args.probe // 2, args.probe // 2]))},"
-             f"{int((a > 0).sum())}"]
-    _write_lines(os.path.join(out, f"erf_{label}.csv"), lines, args.force)
+    _write_csv(os.path.join(out, f"erf_{label}.csv"),
+               ("probe", "center_value", "support_cells"),
+               [(args.probe, float(a[args.probe // 2, args.probe // 2]),
+                 int((a > 0).sum()))], args.force,
+               notes=("ERF = |d y_center / d x[p]| of the composed linear operator,"
+                      " max-normalized",))
     print(f"erf: wrote {path}")
     return 0
 
@@ -267,6 +271,19 @@ def cmd_erf(args) -> int:
 # params
 # ---------------------------------------------------------------------------
 
+def _count_rows(rep: analysis.CountReport) -> list[tuple]:
+    """params.csv rows: one per counted layer, then the totals."""
+    return [(r.name, r.kind, r.params, r.macs, r.closed_form, r.delta)
+            for r in rep.rows] + [("total", "", rep.total_params, rep.total_macs, "", "")]
+
+
+def _experiment_rows(c: int, ghost: float) -> list[tuple]:
+    """experiments.csv rows: (id, instrumented, closed form) at C = c."""
+    # the replacement experiments ran at N = 5; #7 substitutes N = 3 itself
+    return [(exp,) + analysis.experiment_counts(exp, 51, 5, c, 56, 56, ghost)
+            for exp in analysis.EXPERIMENT_IDS]
+
+
 def cmd_params(args) -> int:
     out = _outdir(args)
     arch = (analysis.ArchSpec.sw_small() if args.arch == "small"
@@ -274,14 +291,10 @@ def cmd_params(args) -> int:
     if args.ghost is not None:
         arch = analysis.ArchSpec(**{**arch.__dict__, "ghost": args.ghost})
     rep = analysis.count_macs(arch, input_size=args.input_size)
-    _write_lines(os.path.join(out, "params.csv"), rep.csv_lines(), args.force)
-    lines = ["experiment,instrumented,closed_form"]
-    for exp in analysis.EXPERIMENT_IDS:
-        # the replacement experiments ran at N = 5; #7 substitutes N = 3 itself
-        inst, closed = analysis.experiment_counts(
-            exp, 51, 5, arch.stage_dim(0), 56, 56, arch.ghost)
-        lines.append(f"{exp},{_F(inst)},{_F(closed)}")
-    _write_lines(os.path.join(out, "experiments.csv"), lines, args.force)
+    _write_csv(os.path.join(out, "params.csv"), _PARAMS_HEADER, _count_rows(rep),
+               args.force)
+    _write_csv(os.path.join(out, "experiments.csv"), _EXPERIMENTS_HEADER,
+               _experiment_rows(arch.stage_dim(0), arch.ghost), args.force)
     print(f"params: total {rep.total_params / 1e6:.2f} M params, "
           f"{rep.total_macs / 1e9:.3f} GMACs at {args.input_size}^2 "
           f"(fan-outs {arch.stage_fanouts()})")
@@ -367,27 +380,20 @@ def cmd_prune_sim(args) -> int:
                                 channels=args.channels, g=args.g,
                                 seed=args.seed, init=args.init,
                                 jitter=args.jitter, layer_specs=layer_specs)
-    lines = ["update,layer,branch,sparsity,synced"]
-    for update, nm, r, frac, synced in rows:
-        lines.append(f"{update},{nm},{r},{_F(frac)},{synced}")
-    _write_lines(os.path.join(out, "prune_trajectory.csv"), lines, args.force)
+    _write_csv(os.path.join(out, "prune_trajectory.csv"), _TRAJECTORY_HEADER, rows,
+               args.force)
     if arch is not None:
         stats = sparsity.mask_stats(state.masks, arch)
-        lines = ["layer,stage,sparsity"]
-        for name, stage, frac in stats.per_layer:
-            lines.append(f"{name},{stage},{_F(frac)}")
-        _write_lines(os.path.join(out, "sparsity_by_layer.csv"), lines, args.force)
-        lines = ["stage,k,pruned_fraction"]
-        for stage in sorted(stats.per_index):
-            for k, frac in enumerate(stats.per_index[stage]):
-                lines.append(f"{stage},{k},{_F(float(frac))}")
-        _write_lines(os.path.join(out, "pruned_fraction_by_index.csv"),
-                     lines, args.force)
-        lines = ["stage,pruned_count,group_fraction"]
-        for stage in sorted(stats.group_hist):
-            for cnt, frac in enumerate(stats.group_hist[stage]):
-                lines.append(f"{stage},{cnt},{_F(float(frac))}")
-        _write_lines(os.path.join(out, "group_histogram.csv"), lines, args.force)
+        _write_csv(os.path.join(out, "sparsity_by_layer.csv"),
+                   ("layer", "stage", "sparsity"), stats.per_layer, args.force)
+        _write_csv(os.path.join(out, "pruned_fraction_by_index.csv"),
+                   ("stage", "k", "pruned_fraction"),
+                   [(stage, k, float(frac)) for stage in sorted(stats.per_index)
+                    for k, frac in enumerate(stats.per_index[stage])], args.force)
+        _write_csv(os.path.join(out, "group_histogram.csv"),
+                   ("stage", "pruned_count", "group_fraction"),
+                   [(stage, cnt, float(frac)) for stage in sorted(stats.group_hist)
+                    for cnt, frac in enumerate(stats.group_hist[stage])], args.force)
     if args.save_masks:
         sparsity.save_masks(state.masks, os.path.join(out, "masks"),
                             force=args.force)
@@ -405,20 +411,19 @@ def cmd_bench(args) -> int:
         cfg = read_operator_spec(args.spec)
     else:
         cfg = SwConfig(**bench.DESK_CONFIG, seed=args.seed)
-    variants = args.variants.split(",")
-    lines = ["# moves_per_pixel counts destination-accumulation events per"
-             " fan-out (conv output) pixel; the shared-memory staging bound"
-             " is 2E+1",
-             bench.BenchReport.csv_header()]
-    reports = {}
-    for v in variants:
-        rep = bench.run_variant(v, cfg, args.h, args.w, reps=args.reps,
-                                dtype=args.dtype, relaxed=args.relaxed)
-        reports[v] = rep
-        lines.append(rep.csv_line())
-        print(f"bench[{v}]: median {rep.median_ns / 1e6:.2f} ms, "
+    reports = bench.measure(cfg, args.h, args.w, args.variants.split(","),
+                            reps=args.reps, dtype=args.dtype, relaxed=args.relaxed)
+    for rep in reports:
+        print(f"bench[{rep.variant}]: median {rep.median_ns / 1e6:.2f} ms, "
               f"moves/px {rep.moves_per_pixel:.2f}, peak {rep.peak_intermediate_bytes} B")
-    _write_lines(os.path.join(out, "bench.csv"), lines, args.force)
+    _write_csv(os.path.join(out, "bench.csv"),
+               ("variant", "median_ns", "mad_ns", "moves_per_pixel", "peak_bytes",
+                "checksum"),
+               [(r.variant, round(r.median_ns), round(r.mad_ns), r.moves_per_pixel,
+                 r.peak_intermediate_bytes, r.checksum) for r in reports], args.force,
+               notes=("moves_per_pixel counts destination-accumulation events per"
+                      " fan-out (conv output) pixel; the shared-memory staging bound"
+                      " is 2E+1",))
     if args.check:
         diffs = bench.verify_variants(cfg, trials=2, h=min(args.h, 24),
                                       w=min(args.w, 24), dtype="f64")
@@ -439,64 +444,43 @@ def gen_golden(out: str, seed: int, force: bool = False) -> list[str]:
     os.makedirs(out, exist_ok=True)
     paths = []
 
+    def table(name, header, rows):
+        paths.append(os.path.join(out, name))
+        _write_csv(paths[-1], header, rows, force)
+
+    def tensor(name, t):
+        paths.append(os.path.join(out, name))
+        ensure_fresh(paths[-1], force)
+        write_container(t, paths[-1])
+
     for i, (m, n, c, h, w) in enumerate([(21, 3, 2, 16, 18), (13, 5, 3, 14, 14),
                                          (51, 3, 1, 24, 24)]):
         rng = CounterRng(seed, "golden-equiv", i)
         k = rng.uniform_array((c, m, n), -0.5, 0.5)
         x = Tensor(rng.uniform_array((c, h, w), -0.5, 0.5))
         cfg, wts, plan = from_strip(k)
-        y = sw_forward(x, wts, cfg, plan)
-        p = os.path.join(out, f"strip_equiv_{i}.swt")
-        ensure_fresh(p, force)
-        write_container(y, p)
-        paths.append(p)
+        tensor(f"strip_equiv_{i}.swt", sw_forward(x, wts, cfg, plan))
 
     cov = analysis.coverage_ratio(51, 3, 56, 56, 4, "per_edge_shuffled",
                                   [seed + i for i in range(5)])
-    lines = ["E,policy,seed,mean_util,min_util,max_util"]
-    for srow in cov.rows:
-        lines.append(f"4,per_edge_shuffled,{srow[0]},{_F(srow[1])},"
-                     f"{_F(srow[2])},{_F(srow[3])}")
-    p = os.path.join(out, "coverage.csv")
-    _write_lines(p, lines, force)
-    paths.append(p)
-
-    rep = analysis.count_macs(analysis.ArchSpec.sw_tiny(), 224)
-    p = os.path.join(out, "params_tiny.csv")
-    _write_lines(p, rep.csv_lines(), force)
-    paths.append(p)
+    table("coverage.csv", _COVERAGE_HEADER,
+          [(4, "per_edge_shuffled") + row for row in cov.rows])
+    table("params_tiny.csv", _PARAMS_HEADER,
+          _count_rows(analysis.count_macs(analysis.ArchSpec.sw_tiny(), 224)))
 
     k = CounterRng(seed, "golden-erf").uniform_array((1, 21, 3), -0.5, 0.5)
-    a = analysis.erf_map([analysis.ConvLayer(k)], probe_size=31)
-    p = os.path.join(out, "erf_strip_21x3.swt")
-    ensure_fresh(p, force)
-    write_container(from_array(a), p)
-    paths.append(p)
-
-    lines = ["experiment,instrumented,closed_form"]
-    for exp in analysis.EXPERIMENT_IDS:
-        inst, closed = analysis.experiment_counts(exp, 51, 5, 80, 56, 56, 0.23)
-        lines.append(f"{exp},{_F(inst)},{_F(closed)}")
-    p = os.path.join(out, "experiments.csv")
-    _write_lines(p, lines, force)
-    paths.append(p)
-
+    tensor("erf_strip_21x3.swt",
+           from_array(analysis.erf_map([analysis.ConvLayer(k)], probe_size=31)))
+    table("experiments.csv", _EXPERIMENTS_HEADER, _experiment_rows(80, 0.23))
     _, rows = run_prune_sim(1000, 100, 3, 0.4, "shared", "uniform", seed=seed)
-    lines = ["update,layer,branch,sparsity,synced"]
-    for update, nm, r, frac, synced in rows:
-        lines.append(f"{update},{nm},{r},{_F(frac)},{synced}")
-    p = os.path.join(out, "prune_sim.csv")
-    _write_lines(p, lines, force)
-    paths.append(p)
+    table("prune_sim.csv", _TRAJECTORY_HEADER, rows)
 
     import hashlib
-    lines = ["file,sha256"]
+    digests = []
     for p in paths:
         with open(p, "rb") as fh:
-            lines.append(f"{os.path.basename(p)},{hashlib.sha256(fh.read()).hexdigest()}")
-    mp = os.path.join(out, "manifest.csv")
-    _write_lines(mp, lines, force)
-    paths.append(mp)
+            digests.append((os.path.basename(p), hashlib.sha256(fh.read()).hexdigest()))
+    table("manifest.csv", ("file", "sha256"), digests)
     return paths
 
 

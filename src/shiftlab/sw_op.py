@@ -23,7 +23,7 @@ leading slice of ghost channels bypasses the operator unchanged.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -280,8 +280,8 @@ def shift_add(maps, displacements, grid_mode: str = "cropped",
 
 
 def _accumulate_shifted(out: np.ndarray, plane: np.ndarray, dy: int, dx: int,
-                        oy: int, ox: int, strict: bool) -> int:
-    """out[i, j] += plane[oy + i + dy, ox + j + dx]; returns elements added."""
+                        oy: int, ox: int, strict: bool) -> None:
+    """out[i, j] += plane[oy + i + dy, ox + j + dx]; reads off the plane add 0."""
     h, w = out.shape
     mh, mw = plane.shape
     r0, r1 = oy + dy, oy + dy + h
@@ -290,10 +290,8 @@ def _accumulate_shifted(out: np.ndarray, plane: np.ndarray, dy: int, dx: int,
     cc0, cc1 = max(c0, 0), min(c1, mw)
     if strict and (rr0 != r0 or rr1 != r1 or cc0 != c0 or cc1 != c1):
         raise PlanError(f"displacement ({dy}, {dx}) exceeds the extended margin")
-    if rr0 >= rr1 or cc0 >= cc1:
-        return 0
-    out[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] += plane[rr0:rr1, cc0:cc1]
-    return (rr1 - rr0) * (cc1 - cc0)
+    if rr0 < rr1 and cc0 < cc1:
+        out[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] += plane[rr0:rr1, cc0:cc1]
 
 
 def from_strip(k, pad_mode: str = "exact", dtype=None):
@@ -340,10 +338,10 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
     Ghost channels (the leading floor(G*C)) are copied through bitwise.
     The rest go through the shared fan-out convolution, per-branch shift
     sums over edges, per-branch normalization, branch summation, and are
-    concatenated after the ghost slice.  Output spatial size equals the
-    input.  `mode` controls Rep handling: "train_shape" keeps branches
-    separate (sum of per-branch conv outputs), "inference" pre-merges the
-    masked banks.
+    concatenated after the ghost slice.  x is (C, H, W) or a batch
+    (B, C, H, W); the output has its shape.  `mode` controls Rep handling:
+    "train_shape" keeps branches separate (sum of per-branch conv
+    outputs), "inference" pre-merges the masked banks.
 
     This reference path is single-threaded and run-to-run deterministic;
     the bench module provides fused and relaxed-accumulation
@@ -352,67 +350,62 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
     if mode not in ("train_shape", "inference"):
         raise ShapeError(f"unknown mode {mode!r}")
     xa = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if xa.ndim == 4:
-        return Tensor(np.stack([
-            sw_forward(Tensor(plane), w, cfg, plan, mode).data for plane in xa]))
-    if xa.ndim != 3:
-        raise ShapeError(f"expected (C, H, W) input, got {xa.shape}")
-    if xa.shape[0] != cfg.channels:
-        raise ShapeError(f"input has {xa.shape[0]} channels, config wants {cfg.channels}")
+    if xa.ndim not in (3, 4):
+        raise ShapeError(f"expected (C, H, W) or (B, C, H, W) input, got {xa.shape}")
+    if xa.shape[-3] != cfg.channels:
+        raise ShapeError(f"input has {xa.shape[-3]} channels, config wants {cfg.channels}")
     w.validate(cfg)
     if plan.g != cfg.g or plan.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g):
         raise PlanError("plan does not match the configuration")
 
     cg = cfg.ghost_channels
-    ghost, xs = xa[:cg], xa[cg:]
-    h, wd = xs.shape[1], xs.shape[2]
-    pads, origin = _grid_geometry(cfg, h, wd)
-
-    if mode == "inference":
-        maps = _fanout_maps(xs, w.merged_bank(), pads)
-    else:
-        maps = _fanout_maps(xs, w.masked_bank(0), pads)
-        for r in range(1, cfg.rep_branches):
-            maps += _fanout_maps(xs, w.masked_bank(r), pads)
-
-    out = np.zeros_like(xs)
+    pads, origin = _grid_geometry(cfg, xa.shape[-2], xa.shape[-1])
+    banks = ([w.merged_bank()] if mode == "inference"
+             else [w.masked_bank(r) for r in range(cfg.rep_branches)])
     strict = cfg.pad_mode == "exact"
-    for branch in ALL_BRANCHES:
-        if branch not in cfg.branch_types:
-            continue
-        acc = np.zeros_like(xs)
-        for e in range(cfg.edges):
-            _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w)
-        norm = w.norms.get(branch)
-        if norm is not None:
-            acc = norm.apply(acc)
-        out += acc
-    return Tensor(np.concatenate([ghost, out], axis=0))
+    y = np.empty(xa.shape, dtype=xa.dtype)
+    image = (-1,) + xa.shape[-3:]
+    for img, dst in zip(xa.reshape(image), y.reshape(image)):
+        dst[:cg] = img[:cg]
+        xs, out = img[cg:], dst[cg:]
+        out[:] = 0
+        maps = _fanout_maps(xs, banks[0], pads)
+        for bank in banks[1:]:
+            maps += _fanout_maps(xs, bank, pads)
+        for branch in ALL_BRANCHES:
+            if branch not in cfg.branch_types:
+                continue
+            acc = np.zeros_like(xs)
+            for e in range(cfg.edges):
+                _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w)
+            norm = w.norms.get(branch)
+            if norm is not None:
+                acc = norm.apply(acc)
+            out += acc
+    return Tensor(y)
 
 
-def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w) -> int:
-    """Accumulate one (branch, edge) shift pass; returns elements added."""
+def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w) -> None:
+    """Accumulate one (branch, edge) shift pass."""
     oy, ox = origin
-    moved = 0
     if branch == BRANCH_CENTER:
         if cfg.center_independent:
             from .conv_ref import strip_conv_ref
             # independent center bank: plain N x N depthwise "same" conv of
             # the raw slice, bypassing the shared fan-out output
             acc += strip_conv_ref(Tensor(np.ascontiguousarray(xs)), w.center).data
-            return acc.size
+            return
         k0 = plan.center_block
         for c in range(acc.shape[0]):
-            moved += _accumulate_shifted(acc[c], maps[c, k0], 0, 0, oy, ox, strict)
-        return moved
+            _accumulate_shifted(acc[c], maps[c, k0], 0, 0, oy, ox, strict)
+        return
     for c in range(acc.shape[0]):
         for k in range(cfg.g):
             if branch == BRANCH_H:
                 dy, dx = int(plan.disp_h[e, c, k]), 0
             else:
                 dy, dx = 0, int(plan.disp_w[e, c, k])
-            moved += _accumulate_shifted(acc[c], maps[c, k], dy, dx, oy, ox, strict)
-    return moved
+            _accumulate_shifted(acc[c], maps[c, k], dy, dx, oy, ox, strict)
 
 
 def interior_band(cfg: SwConfig, h: int, w: int):
@@ -436,28 +429,29 @@ def interior_band(cfg: SwConfig, h: int, w: int):
 # serialization: flat key-value operator spec + tensor-container weights
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = ("M", "N", "C", "G", "E", "b", "pad_mode", "order_policy", "seed",
-              "branches", "center_independent", "layer_id")
+# key -> (SwConfig field, parse, format), in file order; absent keys take
+# SwConfig's defaults
+_SPEC = {
+    "M": ("m", int, str),
+    "N": ("n", int, str),
+    "C": ("channels", int, str),
+    "G": ("ghost", float, "{:.17g}".format),
+    "E": ("edges", int, str),
+    "b": ("rep_branches", int, str),
+    "pad_mode": ("pad_mode", str, str),
+    "order_policy": ("order_policy", str, str),
+    "seed": ("seed", int, str),
+    "branches": ("branch_types", lambda v: tuple(v.split(",")), ",".join),
+    "center_independent": ("center_independent", lambda v: bool(int(v)), "{:d}".format),
+    "layer_id": ("layer_id", int, str),
+}
 
 
 def write_operator_spec(cfg: SwConfig, path, force: bool = True) -> None:
     ensure_fresh(path, force)
-    lines = [
-        f"M={cfg.m}",
-        f"N={cfg.n}",
-        f"C={cfg.channels}",
-        f"G={format(cfg.ghost, '.17g')}",
-        f"E={cfg.edges}",
-        f"b={cfg.rep_branches}",
-        f"pad_mode={cfg.pad_mode}",
-        f"order_policy={cfg.order_policy}",
-        f"seed={cfg.seed}",
-        f"branches={','.join(cfg.branch_types)}",
-        f"center_independent={int(cfg.center_independent)}",
-        f"layer_id={cfg.layer_id}",
-    ]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key}={fmt(getattr(cfg, name))}\n"
+                      for key, (name, _, fmt) in _SPEC.items())
 
 
 def read_operator_spec(path) -> SwConfig:
@@ -471,36 +465,27 @@ def read_operator_spec(path) -> SwConfig:
                 raise FormatError(f"{path}: bad line {line!r}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _SPEC_KEYS:
+            if key not in _SPEC:
                 raise FormatError(f"{path}: unknown key {key!r}")
             if key in kv:
                 raise FormatError(f"{path}: duplicate key {key!r}")
             kv[key] = val.strip()
 
-    def num(key, default=None, kind=int):
-        if key not in kv:
-            if default is None:
-                raise FormatError(f"{path}: missing key {key!r}")
-            return default
-        try:
-            return kind(kv[key])
-        except ValueError:
-            raise FormatError(f"{path}: key {key!r} is not a number: "
-                              f"{kv[key]!r}") from None
-
-    return SwConfig(
-        m=num("M"), n=num("N"), channels=num("C"),
-        ghost=num("G", 0.0, float),
-        edges=num("E", 1),
-        rep_branches=num("b", 1),
-        pad_mode=kv.get("pad_mode", "half"),
-        order_policy=kv.get("order_policy", "ordered"),
-        seed=num("seed", DEFAULT_SEED),
-        branch_types=tuple(kv["branches"].split(",")) if "branches" in kv
-        else ALL_BRANCHES,
-        center_independent=bool(num("center_independent", 0)),
-        layer_id=num("layer_id", 0),
-    )
+    required = {f.name for f in fields(SwConfig) if f.default is MISSING}
+    values = {}
+    for key, (name, parse, _) in _SPEC.items():
+        if key in kv:
+            try:
+                values[name] = parse(kv[key])
+            except ValueError:
+                raise FormatError(f"{path}: key {key!r} is not a number: "
+                                  f"{kv[key]!r}") from None
+        elif name in required:
+            raise FormatError(f"{path}: missing key {key!r}")
+    try:
+        return SwConfig(**values)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_sw_weights(w: SwWeights, dirpath, force: bool = True) -> None:

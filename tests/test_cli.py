@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import os
 
 import pytest
 
 import shiftlab as sl
+from shiftlab import bench, cli
 from shiftlab.cli import gen_golden, main
 from shiftlab.sw_op import save_sw_weights
 
@@ -25,10 +27,66 @@ def test_verify_sweep_passes(tmp_path, capsys):
     assert all(r[4] == "pass" for r in rows[1:])
 
 
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# sha256 of every deterministic CSV the subcommands write, and of one spec
+_CSV_PINS = {
+    ("verify", "--trials", "15", "--fold-trials", "5"): {
+        "verify.csv": "b14c22a951f80f7d02dd9c9f9e0bc1caf24a316467ab65715e3d1a4f8733b880"},
+    ("coverage", "--edges", "1,4", "--n-seeds", "3"): {
+        "coverage.csv": "8ce2c65625224c60f512990415c3e0e0580888840f95233962b364913ee7405b"},
+    ("erf", "--strip", "21,3", "--probe", "31"): {
+        "erf_strip_21x3.csv": "8627228eac2a1ec17763f2ae3de60bb6fa7390417ba8f7f9574d3b589bdd1dfa"},
+    ("params",): {
+        "params.csv": "379ea89a9579895f09530b70f7a39ddd6e1e5b29cc89af895977139ff10f20e9",
+        "experiments.csv": "1614890c75f85ac8389d96fdbb04ad07f22c024831527da6c49247cb28ffeca5"},
+    ("prune-sim", "--arch", "tiny", "--steps", "300"): {
+        "prune_trajectory.csv": "c135e3a8321f090f1a4704b0748f8c5b158d28950805e94e7fe1a54931152538",
+        "sparsity_by_layer.csv": "84667e25a92aeac7e2ef7e02c6d0f469e89c53add4b7cf631e32e43304fd4c3e",
+        "pruned_fraction_by_index.csv":
+            "7401429114dd8c003e0e883a15db482dcafedb5e5bdab602b7b4bbd7e3c663cd",
+        "group_histogram.csv": "baacc5c7913853dde57d0a0e2a61f0c38406bdbf1f918feb4208df3c4a1805e8"},
+}
+
+
+def test_cli_csv_and_spec_bytes_pinned(tmp_path):
+    for i, (argv, pins) in enumerate(_CSV_PINS.items()):
+        out = tmp_path / str(i)
+        assert main(list(argv) + ["--out", str(out)]) == 0, argv
+        for name, digest in pins.items():
+            assert _sha256(out / name) == digest, (argv, name)
+    cfg = sl.SwConfig(m=13, n=5, channels=6, ghost=0.3, edges=2, rep_branches=2,
+                      pad_mode="full", order_policy="disordered", seed=7,
+                      branch_types=("W", "center"), center_independent=True,
+                      layer_id=4)
+    sl.write_operator_spec(cfg, tmp_path / "op.spec")
+    assert _sha256(tmp_path / "op.spec") == (
+        "209db86490a238769535a9726204e8633ed452d64f6b9ca54dc6ab32705fd6f0")
+
+
 def test_verify_f32_sweep(tmp_path):
     rc = main(["verify", "--out", str(tmp_path), "--trials", "10",
                "--fold-trials", "3", "--dtype", "f32"])
     assert rc == 0
+
+
+def test_verify_interior_band_reports_its_worst_diff(tmp_path, monkeypatch):
+    real = cli.sw_forward
+
+    def nudged(x, w, cfg, plan, mode="inference"):
+        y = real(x, w, cfg, plan, mode)
+        return sl.Tensor(y.data + 1e-13) if cfg.pad_mode == "half" else y
+
+    monkeypatch.setattr(cli, "sw_forward", nudged)
+    rc = main(["verify", "--out", str(tmp_path), "--trials", "5",
+               "--fold-trials", "1"])
+    assert rc == 0
+    band = [r for r in _read_csv(tmp_path / "verify.csv") if r[0] == "interior-band"]
+    assert len(band) == 1 and band[0][4] == "pass"
+    assert 0 < float(band[0][2]) <= 1e-12
 
 
 def test_verify_tol_zero_is_honoured(tmp_path, capsys):
@@ -187,6 +245,16 @@ def test_bench_csv(tmp_path):
     assert rows[0][0] == "variant"
     assert {r[0] for r in rows[1:]} == {"naive", "fused"}
     assert rows[1][5] == rows[2][5]  # identical checksums
+
+
+def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
+    calls, run = [], bench._Runner.run
+    monkeypatch.setattr(bench._Runner, "run",
+                        lambda s, v, *a, **k: calls.append(v) or run(s, v, *a, **k))
+    rc = main(["bench", "--out", str(tmp_path), "--reps", "2", "--h", "12",
+               "--w", "12", "--variants", "naive,fused"])
+    assert rc == 0
+    assert calls == ["naive", "fused"] * 5    # 3 warmup + 2 measured rounds
 
 
 def test_bench_rejects_center_independent_spec(tmp_path, capsys):

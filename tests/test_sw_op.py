@@ -399,6 +399,14 @@ def test_operator_spec_rejects_non_numeric_value(tmp_path):
         sl.read_operator_spec(p)
 
 
+def test_operator_spec_rejects_config_invalid_value(tmp_path):
+    for i, line in enumerate(("pad_mode=weird", "branches=Q", "branches=")):
+        p = tmp_path / f"val{i}.spec"
+        p.write_text(f"M=9\nN=3\nC=2\n{line}\n")
+        with pytest.raises(sl.FormatError, match=rf"val{i}\.spec: "):
+            sl.read_operator_spec(p)
+
+
 def test_weights_round_trip(tmp_path, rng):
     cfg = sl.SwConfig(m=15, n=3, channels=6, ghost=0.2, rep_branches=2, seed=1)
     wts = sl.random_weights(cfg)
