@@ -247,6 +247,8 @@ class ArchSpec:
             raise ShapeError("exactly four stages required")
         if any(self.dims[i + 1] != 2 * self.dims[i] for i in range(3)):
             raise ShapeError("stage dims must double")
+        if not 0.0 <= self.ghost < 1.0:
+            raise ShapeError(f"ghost ratio {self.ghost} outside [0, 1)")
 
     @classmethod
     def sw_tiny(cls, **kw) -> "ArchSpec":

@@ -43,6 +43,14 @@ def _write_csv(path, header, rows, force, notes=()) -> None:
                          for row in rows)
 
 
+def _require_positive(args, *flags) -> None:
+    """Reject a count or extent flag below 1 before any work is done."""
+    for flag in flags:
+        value = getattr(args, flag.removeprefix("--").replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -186,6 +194,7 @@ def _check_rows_verify(args):
 
 
 def cmd_verify(args) -> int:
+    _require_positive(args, "--trials", "--fold-trials", "--h", "--w")
     out = _outdir(args)
     rows = list(_check_rows_verify(args))
     _write_csv(os.path.join(out, "verify.csv"),
@@ -205,6 +214,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_coverage(args) -> int:
+    _require_positive(args, "--h", "--w", "--n-seeds")
     out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)
@@ -406,6 +416,7 @@ def cmd_prune_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
+    _require_positive(args, "--h", "--w")
     out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)

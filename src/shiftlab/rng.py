@@ -145,23 +145,38 @@ class CounterRng:
             raise ValueError("randint bound must be positive")
         return (self.next_u64() * n) >> 64
 
-    def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates permutation of range(n).  The draws j = randint(i + 1)
-        for i = n - 1 .. 1 are taken in one array op, as in permutations()."""
+    def _fisher_yates(self, n: int, stop: int) -> list[int]:
+        """range(n) after the Fisher-Yates swaps for i = n - 1 .. stop, 0 <= stop <= n.
+
+        The draw j = randint(i + 1) of swap i is word n - 1 - i of the
+        stream, so only the words of those swaps are drawn (in one array
+        op, as in permutations()); the counter still moves n - 1 on.
+        """
         bounds = _draw_bounds(n)
-        draws = _mul_hi(_words(self._key, self._ctr, bounds.size), bounds).tolist()
+        live = bounds[:n - stop]
+        draws = _mul_hi(_words(self._key, self._ctr, live.size), live).tolist()
         self._ctr += bounds.size
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), draws):
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def sample(self, population: list, k: int) -> list:
-        """k distinct elements, order-stable in the population's order."""
-        if k > len(population):
-            raise ValueError("sample larger than population")
-        idx = self.permutation(len(population))[:k]
-        return [population[i] for i in sorted(idx)]
+    def permutation(self, n: int) -> list[int]:
+        """Fisher-Yates permutation of range(n): the draws j = randint(i + 1)
+        for i = n - 1 .. 1, swapping slots i and j."""
+        return self._fisher_yates(n, 1)
+
+    def sample(self, population, k: int) -> list:
+        """k distinct elements, order-stable in the population's order.
+
+        The kept set is the first k slots of permutation(len(population)).
+        Swaps at i < k only reorder those slots, so only the n - k swaps
+        for i = n - 1 .. k are drawn; the stream still advances by n - 1.
+        """
+        if not 0 <= k <= len(population):
+            raise ValueError(f"sample size {k} outside [0, {len(population)}]")
+        kept = self._fisher_yates(len(population), k)[:k]
+        return [population[i] for i in sorted(kept)]
 
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
         """Array of uniforms in [lo, hi), identical to repeated uniform() calls.

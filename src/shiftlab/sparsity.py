@@ -47,9 +47,10 @@ def prune_to_target(scores: np.ndarray, s: float) -> np.ndarray:
         raise ShapeError(f"target sparsity {s} outside [0, 1)")
     sc = np.asarray(scores, dtype=np.float64)
     n = sc.size
-    kill = _rank_lowest(sc.reshape(-1), int(s * n))
+    count = int(s * n)
     mask = np.ones(n, dtype=bool)
-    mask[kill] = False
+    if count:
+        mask[_rank_lowest(sc.reshape(-1), count)] = False
     return mask.reshape(sc.shape)
 
 
@@ -180,8 +181,7 @@ def _nested_subsets(base: np.ndarray, nb: int, s: float, seed: int,
         s_r = min(0.95, s * (1.0 + r / (2.0 * max(1, nb - 1))))
         keep_r = base.size - int(s_r * base.size)
         rng = CounterRng(seed, *labels, r)
-        kept_idx = np.array(rng.sample(list(kept_idx), min(keep_r, kept_idx.size)),
-                            dtype=np.int64)
+        kept_idx = kept_idx[rng.sample(range(kept_idx.size), min(keep_r, kept_idx.size))]
         m = np.zeros(base.size, dtype=bool)
         m[kept_idx] = True
         masks.append(m.reshape(base.shape))

@@ -291,3 +291,30 @@ def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
     rc = main(["coverage", "--out", str(tmp_path / "o"), "--spec", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--trials", "-3"], "--trials"),
+    (["verify", "--fold-trials", "0"], "--fold-trials"),
+    (["verify", "--w", "0"], "--w"),
+    (["coverage", "--h", "0"], "--h"),
+    (["coverage", "--w", "-1"], "--w"),
+    (["coverage", "--n-seeds", "0"], "--n-seeds"),
+    (["bench", "--h", "0"], "--h"),
+    (["bench", "--w", "0"], "--w"),
+])
+def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("ghost", ["1.5", "1", "-0.5"])
+def test_params_rejects_ghost_outside_unit_interval(tmp_path, capsys, ghost):
+    rc = main(["params", "--out", str(tmp_path), "--ghost", ghost])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ghost ratio") and err.count("\n") == 1
+    assert not (tmp_path / "params.csv").exists()

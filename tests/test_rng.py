@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from shiftlab.analysis import ArchSpec
 from shiftlab.cli import run_prune_sim
 from shiftlab.rng import CounterRng, _mul_hi, permutations
-from shiftlab.sparsity import init_sparsity
+from shiftlab.sparsity import _nested_subsets, init_sparsity
 from shiftlab.sw_op import SwConfig, build_shift_plan, random_weights
 
 
@@ -126,6 +126,66 @@ def test_sample_is_sorted_subset():
     assert len(set(got)) == 10
     assert got == sorted(got)
     assert all(v in pop for v in got)
+
+
+def test_sample_rejects_sizes_outside_the_population():
+    r = CounterRng(1, "sample")
+    for k in (-1, 11):
+        with pytest.raises(ValueError):
+            r.sample(list(range(10)), k)
+
+
+def _loop_sample(rng, population, k):
+    """The full-loop reference: the first k slots of _loop_permutation, in
+    the population's order."""
+    kept = _loop_permutation(rng, len(population))[:k]
+    return [population[i] for i in sorted(kept)]
+
+
+_POPULATIONS = st.integers(0, 300).flatmap(lambda n: st.one_of(
+    st.just([f"f{i}" for i in range(n)]),
+    st.integers(-2**40, 2**40).map(lambda lo: np.arange(lo, lo + n, dtype=np.int64))))
+
+
+@given(st.integers(0, 2**64 - 1), st.text(max_size=6), _POPULATIONS)
+@example(0, "", [])
+def test_sample_matches_full_loop(seed, label, population):
+    """For every k, sample() keeps what the full Fisher-Yates loop keeps and
+    leaves the stream where that loop leaves it (n - 1 draws on)."""
+    n = len(population)
+    ref = CounterRng(seed, label, n)
+    perm = _loop_permutation(ref, n)
+    after = ref.next_u64()
+    for k in range(n + 1):
+        rng = CounterRng(seed, label, n)
+        got = rng.sample(population, k)
+        assert got == [population[i] for i in sorted(perm[:k])]
+        assert rng.next_u64() == after
+
+
+def _loop_nested_subsets(base, nb, s, seed, *labels):
+    """_nested_subsets spelled out over _loop_sample on Python lists."""
+    masks, kept = [base], np.flatnonzero(base.reshape(-1)).tolist()
+    for r in range(1, nb):
+        s_r = min(0.95, s * (1.0 + r / (2.0 * max(1, nb - 1))))
+        keep_r = base.size - int(s_r * base.size)
+        kept = _loop_sample(CounterRng(seed, *labels, r), kept, min(keep_r, len(kept)))
+        m = np.zeros(base.size, dtype=bool)
+        m[kept] = True
+        masks.append(m.reshape(base.shape))
+    return masks
+
+
+@given(arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 17))),
+       st.integers(1, 4), st.floats(0.0, 0.95, exclude_max=True),
+       st.integers(0, 2**32))
+def test_nested_subsets_match_full_loop(base, nb, s, seed):
+    got = _nested_subsets(base, nb, s, seed, "subset-init", "stage0.block0")
+    want = _loop_nested_subsets(base, nb, s, seed, "subset-init", "stage0.block0")
+    assert len(got) == nb
+    for g, w in zip(got, want):
+        assert g.dtype == bool and g.shape == base.shape
+        assert np.array_equal(g, w)
 
 
 def _tiny_configs(policy):
