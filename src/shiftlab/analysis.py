@@ -7,9 +7,12 @@ single band, so adding edges changes nothing; shuffled assignments make
 the union grow with the edge count.
 
 ERF maps are computed for stacks of linear depthwise components via the
-adjoint pass (shift adjoint = negated displacement, correlation adjoint =
-correlation with the flipped kernel), with a brute-force impulse-response
-path as the independent cross-check.
+adjoint pass.  A plain conv's adjoint is correlation with the flipped
+kernel; the exact-mode operator's adjoint is one FFT convolution with its
+`densify` kernel, with cells inside the transform's rounding floor set to
+exactly zero.  A dot-product test checks that adjoint against the forward
+pass, and a brute-force impulse-response path is the independent
+cross-check of whole maps.
 
 The budget walker counts parameters and multiply-accumulates for the
 four-stage architecture; per-experiment closed forms are evaluated next
@@ -21,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .conv_ref import strip_conv_ref
-from .reparam import FoldRequiredError
-from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, SwConfig, SwWeights,
-                    ShiftPlan, build_shift_plan, sw_forward)
+from .reparam import FoldRequiredError, densify
+from .sw_op import SwConfig, SwWeights, ShiftPlan, build_shift_plan, sw_forward
 from .tensor import ShapeError, Tensor
 
 
@@ -118,51 +120,38 @@ def _adjoint_conv(z: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return strip_conv_ref(Tensor(z), kernel[:, ::-1, ::-1]).data
 
 
-def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
-    """Adjoint of the exact-mode operator: reversed shifts, flipped taps.
+# multiple of eps * log2(size) * |z_c|_2 * |K_c|_2 below which an FFT
+# adjoint cell is rounding noise (measured noise: under 0.03 of that unit)
+_FFT_ROUNDING = 8
 
-    z is zero-padded once by P = S + N//2 (S the shift margin).  Per
-    channel c, the cotangent of fan-out map (c, k) on the (H + N - 1,
-    W + N - 1) grid its flipped taps read is the sum over (branch, edge)
-    of the window of the padded z at offset (S - dy, S - dx); one gather
-    per (branch, edge) covers every k, into one (g, H + N - 1, W + N - 1)
-    buffer reused across channels.  Each of the N^2 flipped taps then
-    multiplies and sums over k in one pass.
+
+def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
+    """Adjoint of the exact-mode operator: ghosts pass through, and the
+    rest is one FFT convolution with the `densify` kernel.
+
+    Exact mode equals a depthwise "same" correlation with that kernel, so
+    its adjoint is the full convolution cropped at (kh//2, kw//2).  A
+    circular length of h + kh//2 (at least kh, to hold the kernel) already
+    keeps the wrapped terms out of the crop.  The transform turns the
+    kernel's structural zeros into rounding noise, so a cell within
+    _FFT_ROUNDING * eps * log2(size) * |z_c|_2 * |K_c|_2 of zero, per
+    channel, is set to exactly zero and the map keeps its support.
     """
-    cfg, plan, w = layer.cfg, layer.plan, layer.weights
+    cfg = layer.cfg
     if cfg.pad_mode != "exact":
         raise ShapeError("ERF adjoint is defined for exact pad mode")
-    cg, n, s = cfg.ghost_channels, cfg.n, cfg.shift_margin()
+    cg = cfg.ghost_channels
+    kernel = densify(layer.weights, layer.plan, cfg).astype(z.dtype, copy=False)
     zs = z[cg:]
-    h, wd = zs.shape[1], zs.shape[2]
-    p = s + n // 2
-    zpad = np.pad(zs, ((0, 0), (p, p), (p, p)))
-    win = sliding_window_view(zpad, (h + n - 1, wd + n - 1), axis=(1, 2))
-
-    flipped = w.merged_bank()[:, :, ::-1, ::-1]
-    out = np.zeros_like(z)
-    out[:cg] = z[:cg]
-    cot = np.empty((cfg.g, h + n - 1, wd + n - 1), dtype=z.dtype)
-    for c in range(cfg.sw_channels):
-        cot.fill(0)
-        for branch in cfg.branch_types:
-            for e in range(cfg.edges):
-                if branch == BRANCH_H:
-                    cot += win[c, s - plan.disp_h[e, c], s]
-                elif branch == BRANCH_W:
-                    cot += win[c, s, s - plan.disp_w[e, c]]
-                elif not cfg.center_independent:  # independent center: below
-                    cot[plan.center_block] += win[c, s, s]
-        for u in range(n):
-            for v in range(n):
-                # einsum sums over k without a (g, H, W) product temporary
-                out[cg + c] += np.einsum("k,kij->ij", flipped[c, :, u, v],
-                                         cot[:, u:u + h, v:v + wd])
-    if cfg.center_independent and BRANCH_CENTER in cfg.branch_types:
-        center_adj = _adjoint_conv(zs, w.center)
-        for _e in range(cfg.edges):
-            out[cg:] += center_adj
-    return out
+    (h, w), (kh, kw) = zs.shape[1:], kernel.shape[1:]
+    shape = tuple(next_fast_len(max(e + k // 2, k), real=True)
+                  for e, k in ((h, kh), (w, kw)))
+    full = irfft2(rfft2(zs, shape) * rfft2(kernel, shape), shape)
+    adj = full[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w]
+    floor = (_FFT_ROUNDING * np.finfo(z.dtype).eps * np.log2(shape[0] * shape[1])
+             * np.linalg.norm(zs, axis=(1, 2)) * np.linalg.norm(kernel, axis=(1, 2)))
+    adj[np.abs(adj) <= floor[:, None, None]] = 0
+    return np.concatenate((z[:cg], adj))
 
 
 def _forward_layer(x: Tensor, layer) -> Tensor:

@@ -371,6 +371,8 @@ def run_prune_sim(steps, u, gap, s, policy, stream, n_layers=4, branches=2,
 
 
 def cmd_prune_sim(args) -> int:
+    _require_positive(args, "--steps", "--layers", "--branches", "--channels", "--g",
+                      "--u", "--gap")
     out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)

@@ -135,6 +135,28 @@ def test_erf_stack_adjoint_matches_impulse(rng):
     assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
 
 
+@pytest.mark.parametrize("sw_first", (True, False))
+@pytest.mark.parametrize("probe", (15, 1))
+@pytest.mark.parametrize("opts", (
+    dict(m=9, ghost=0.3, rep_branches=2),   # ghosts; branch 1 loses a row below
+    dict(m=9, center_independent=True),
+    dict(m=3),                              # g = 1
+), ids=("ghost-rep2-pruned", "center-independent", "g1"))
+def test_erf_stack_with_sw_layer_matches_impulse(rng, opts, probe, sw_first):
+    """The SW adjoint receives a non-delta cotangent when it is not last."""
+    cfg = sl.SwConfig(n=3, channels=4, edges=2, pad_mode="exact",
+                      order_policy="per_edge_shuffled", seed=17, **opts)
+    wts = sl.random_weights(cfg)
+    if cfg.rep_branches == 2:
+        wts.masks[1][0, :] = False
+    sw = an.SwLayer(cfg, wts, sl.build_shift_plan(cfg))
+    conv = an.ConvLayer(rng.uniform(-1, 1, (4, 5, 3)))
+    stack = [sw, conv] if sw_first else [conv, sw]
+    a_adj = an.erf_map(stack, probe_size=probe)
+    a_imp = an.erf_map_impulse(stack, probe_size=probe)
+    assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
+
+
 def test_erf_symmetric_kernel_symmetric_map(rng):
     k = rng.uniform(-1, 1, (1, 5, 3))
     k = k + k[:, ::-1, :]  # vertically symmetric

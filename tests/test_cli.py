@@ -2,11 +2,14 @@ import csv
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 import shiftlab as sl
+import shiftlab.analysis as an
 from shiftlab import bench, cli
 from shiftlab.cli import gen_golden, main
+from shiftlab.sparsity import init_sparsity
 from shiftlab.sw_op import save_sw_weights
 
 
@@ -204,6 +207,35 @@ def test_erf_strip_writes_artifacts(tmp_path):
     assert (tmp_path / "erf_strip_21x3.pgm").exists()
 
 
+@pytest.mark.parametrize("s", (0.0, 0.4))
+def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
+    """The stage-0 sw_tiny operator's ERF against the tap-loop ERF of its
+    densified kernel (ghosts as a centred delta): FFT rounding noise must
+    not turn the kernel's structural zeros into support."""
+    cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
+                      order_policy="per_edge_shuffled", seed=11)
+    wts = sl.random_weights(cfg)
+    wts.masks = init_sparsity("subset", {"op": wts.rep}, s, seed=11)["op"]
+    sl.write_operator_spec(cfg, tmp_path / "op.spec")
+    save_sw_weights(wts, tmp_path / "op")
+    rc = main(["erf", "--out", str(tmp_path / "o"), "--spec", str(tmp_path / "op.spec"),
+               "--weights", str(tmp_path / "op"), "--probe", "63"])
+    assert rc == 0
+    got = sl.read_container(tmp_path / "o" / "erf_sw_51x3.swt").data
+
+    ecfg = sl.SwConfig(**{**cfg.__dict__, "pad_mode": "exact"})
+    kernel = sl.densify(wts, sl.build_shift_plan(ecfg), ecfg)
+    kh, kw = kernel.shape[1:]
+    full = np.zeros((cfg.channels, kh, kw))
+    full[cfg.ghost_channels:] = kernel
+    full[:cfg.ghost_channels, kh // 2, kw // 2] = 1.0
+    ref = an.erf_map([an.ConvLayer(full)], probe_size=63)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.all(got[ref == 0] == 0)
+    rows = _read_csv(tmp_path / "o" / "erf_sw_51x3.csv")
+    assert int(rows[1][2]) == np.count_nonzero(ref)
+
+
 def test_prune_sim_schedule(tmp_path):
     rc = main(["prune-sim", "--out", str(tmp_path), "--steps", "1000",
                "--gap", "3", "--save-masks"])
@@ -302,6 +334,14 @@ def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
     (["coverage", "--n-seeds", "0"], "--n-seeds"),
     (["bench", "--h", "0"], "--h"),
     (["bench", "--w", "0"], "--w"),
+    (["prune-sim", "--steps", "0"], "--steps"),
+    (["prune-sim", "--steps", "-5"], "--steps"),
+    (["prune-sim", "--layers", "0"], "--layers"),
+    (["prune-sim", "--branches", "0"], "--branches"),
+    (["prune-sim", "--channels", "0"], "--channels"),
+    (["prune-sim", "--g", "0"], "--g"),
+    (["prune-sim", "--u", "0"], "--u"),
+    (["prune-sim", "--gap", "0"], "--gap"),
 ])
 def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--out", str(tmp_path)])
