@@ -208,6 +208,10 @@ def erf_map_impulse(stack, probe_size: int = 15) -> np.ndarray:
 # parameter / MAC accounting
 # ---------------------------------------------------------------------------
 
+FFN_RATIO = 4        # pointwise FFN expansion of every block (fixed)
+NUM_CLASSES = 1000   # classes of the linear head (fixed)
+
+
 @dataclass(frozen=True)
 class ArchSpec:
     """Four-stage backbone description.
@@ -215,21 +219,18 @@ class ArchSpec:
     The block internals beyond the shift operator follow the inherited
     design: LayerNorm, pointwise FFN with expansion 4, a learnable
     per-channel scale, two stride-2 3x3 stem convolutions (3 -> C/2 -> C),
-    and one stride-2 3x3 convolution per stage transition.  Budget totals
-    depend on these assumptions, hence the +-10% acceptance band.
+    one stride-2 3x3 convolution per stage transition and a 1000-class
+    head.  Budget totals depend on these fixed assumptions, hence the +-10%
+    acceptance band.
     """
 
     depths: tuple[int, ...] = (3, 3, 18, 3)
     dims: tuple[int, ...] = (80, 160, 320, 640)
     stage_m: tuple[int, ...] = (51, 49, 47, 13)
     n: int = 3
-    width_factor: float = 1.0
     ghost: float = 0.23
     edges: int = 4
     rep_branches: int = 2
-    ffn_ratio: int = 4
-    include_se: bool = False
-    num_classes: int = 1000
 
     def __post_init__(self):
         if len(self.depths) != 4 or len(self.dims) != 4 or len(self.stage_m) != 4:
@@ -240,15 +241,15 @@ class ArchSpec:
             raise ShapeError(f"ghost ratio {self.ghost} outside [0, 1)")
 
     @classmethod
-    def sw_tiny(cls, **kw) -> "ArchSpec":
-        return cls(depths=(3, 3, 18, 3), dims=(80, 160, 320, 640), **kw)
+    def sw_tiny(cls) -> "ArchSpec":
+        return cls(depths=(3, 3, 18, 3), dims=(80, 160, 320, 640))
 
     @classmethod
-    def sw_small(cls, **kw) -> "ArchSpec":
-        return cls(depths=(3, 3, 27, 3), dims=(96, 192, 384, 768), **kw)
+    def sw_small(cls) -> "ArchSpec":
+        return cls(depths=(3, 3, 27, 3), dims=(96, 192, 384, 768))
 
     def stage_dim(self, i: int) -> int:
-        return int(self.dims[i] * self.width_factor)
+        return self.dims[i]
 
     def stage_g(self, i: int) -> int:
         return -(-self.stage_m[i] // self.n)
@@ -341,20 +342,14 @@ def count_macs(arch: ArchSpec, input_size: int = 224, masks=None) -> CountReport
             sw_macs = kept * arch.n * arch.n * size * size
             closed = float(c_sw * g * arch.n * arch.n * size * size)
             rep.add(f"{name}.sw", "sw", sw_params, sw_macs, closed)
-            ffn_in = dim
-            hidden = arch.ffn_ratio * dim
-            p1, m1 = ffn_in * hidden + hidden, size * size * ffn_in * hidden
-            p2, m2 = hidden * ffn_in + ffn_in, size * size * hidden * ffn_in
+            hidden = FFN_RATIO * dim
+            p1, m1 = dim * hidden + hidden, size * size * dim * hidden
+            p2, m2 = hidden * dim + dim, size * size * hidden * dim
             extras = 2 * dim + dim  # layer norm + per-channel scale
-            se_p = se_m = 0
-            if arch.include_se:
-                red = max(1, dim // 4)
-                se_p = dim * red + red + red * dim + dim
-                se_m = dim * red + red * dim
-            rep.add(f"{name}.ffn", "ffn", p1 + p2 + extras + se_p, m1 + m2 + se_m)
+            rep.add(f"{name}.ffn", "ffn", p1 + p2 + extras, m1 + m2)
     dim = arch.stage_dim(3)
-    rep.add("head", "linear", 2 * dim + dim * arch.num_classes + arch.num_classes,
-            dim * arch.num_classes)
+    rep.add("head", "linear", 2 * dim + dim * NUM_CLASSES + NUM_CLASSES,
+            dim * NUM_CLASSES)
     return rep
 
 

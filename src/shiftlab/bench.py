@@ -136,10 +136,9 @@ class _Runner:
     """Shared state for one benchmark problem instance."""
 
     def __init__(self, cfg: SwConfig, h: int, w: int, dtype: str = "f32",
-                 weights: SwWeights | None = None, x: np.ndarray | None = None):
+                 weights: SwWeights | None = None):
         self.cfg = cfg
         self.h, self.w = h, w
-        self.dtype = dtype
         self.np_dtype = {"f32": np.float32, "f64": np.float64}.get(dtype)
         if self.np_dtype is None:
             raise ShapeError(f"unknown dtype {dtype!r}; bench runs f32 or f64")
@@ -158,10 +157,8 @@ class _Runner:
                      for k in range(cfg.g)]
         # some chunk of kept channels needs a copy of its input planes
         self.gappy = any(s.size and s[-1] - s[0] + 1 != s.size for s in self.kept)
-        if x is None:
-            x = CounterRng(cfg.seed, "bench-x").uniform_array(
-                (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
-        self.x = x.astype(self.np_dtype)
+        self.x = CounterRng(cfg.seed, "bench-x").uniform_array(
+            (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
         pads, self.origin = _grid_geometry(cfg, h, w)
         (pt, pb), (pl, pr) = pads
         self.pads = (pt, pb, pl, pr)

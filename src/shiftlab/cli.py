@@ -295,6 +295,7 @@ def _experiment_rows(c: int, ghost: float) -> list[tuple]:
 
 
 def cmd_params(args) -> int:
+    _require_positive(args, "--input-size")
     out = _outdir(args)
     arch = (analysis.ArchSpec.sw_small() if args.arch == "small"
             else analysis.ArchSpec.sw_tiny())
@@ -373,6 +374,8 @@ def run_prune_sim(steps, u, gap, s, policy, stream, n_layers=4, branches=2,
 def cmd_prune_sim(args) -> int:
     _require_positive(args, "--steps", "--layers", "--branches", "--channels", "--g",
                       "--u", "--gap")
+    if args.jitter < 0:
+        raise ValueError(f"--jitter must be >= 0, got {args.jitter}")
     out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)

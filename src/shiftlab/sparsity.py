@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import CounterRng
-from .tensor import ShapeError, from_array, read_container, write_container
+from .tensor import ShapeError, ensure_fresh, from_array, read_container, write_container
 
 INIT_POLICIES = ("sum_then_prune", "branch_mean_init", "subset")
-STEP_POLICIES = ("shared", "branch_mean_init", "subset")
+STEP_POLICIES = ("shared", "subset")
 
 
 def score_filters(bank: np.ndarray) -> np.ndarray:
@@ -210,7 +210,8 @@ def sparsity_step(state: SparsityState, weight_banks: dict[str, list[np.ndarray]
     surviving filters by magnitude sum, then grow the same number back by
     the injected grow scores, keeping total sparsity at the target.  On
     every share_gap-th update the branch masks of each layer are
-    synchronized per the policy.
+    synchronized: "shared" gives every branch the joint re-ranked mask,
+    "subset" keeps it for branch 0 and nests random subsets below it.
     """
     if state.step % state.update_period != 0 or state.step == 0:
         return state
@@ -310,8 +311,7 @@ def save_masks(masks: dict[str, list[np.ndarray]], dirpath, force: bool = True) 
     for name, branch_masks in masks.items():
         for r, m in enumerate(branch_masks):
             path = os.path.join(dirpath, f"{name}.branch{r}.swt")
-            if not force and os.path.exists(path):
-                raise FileExistsError(path)
+            ensure_fresh(path, force)
             write_container(from_array(m.astype(np.float32)), path)
 
 

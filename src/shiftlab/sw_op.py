@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .rng import CounterRng, permutations
-from .reparam import AffineNorm
+from .reparam import AffineNorm, merge_rep
 from .tensor import (FormatError, ShapeError, Tensor, ensure_fresh,
                      from_array, read_container, write_container)
 
@@ -203,22 +203,19 @@ class SwWeights:
         return self.rep[r] * self.masks[r][:, :, None, None].astype(self.rep[r].dtype)
 
     def merged_bank(self) -> np.ndarray:
-        out = self.masked_bank(0).copy()
-        for r in range(1, len(self.rep)):
-            out += self.masked_bank(r)
-        return out
+        return merge_rep([self.masked_bank(r) for r in range(len(self.rep))])
 
 
-def random_weights(cfg: SwConfig, scale: float = 0.5, dtype=np.float64) -> SwWeights:
-    """Uniform(-scale, scale) banks, all-kept masks, identity norms."""
+def random_weights(cfg: SwConfig, dtype=np.float64) -> SwWeights:
+    """Uniform(-0.5, 0.5) banks, all-kept masks, identity norms."""
     shape = (cfg.sw_channels, cfg.g, cfg.n, cfg.n)
-    rep = [CounterRng(cfg.seed, "weights", cfg.layer_id, r).uniform_array(shape, -scale, scale, dtype)
+    rep = [CounterRng(cfg.seed, "weights", cfg.layer_id, r).uniform_array(shape, -0.5, 0.5, dtype)
            for r in range(cfg.rep_branches)]
     masks = [np.ones(shape[:2], dtype=bool) for _ in range(cfg.rep_branches)]
     center = None
     if cfg.center_independent:
         center = CounterRng(cfg.seed, "weights", cfg.layer_id, "center").uniform_array(
-            (cfg.sw_channels, cfg.n, cfg.n), -scale, scale, dtype)
+            (cfg.sw_channels, cfg.n, cfg.n), -0.5, 0.5, dtype)
     return SwWeights(rep=rep, masks=masks, center=center)
 
 
@@ -244,39 +241,6 @@ def _grid_geometry(cfg: SwConfig, h: int, w: int):
         mb, mr = extra - extra // 2, extra - extra // 2
     pads = ((mt + n // 2, mb + n // 2), (ml + n // 2, mr + n // 2))
     return pads, (mt, ml)
-
-
-def shift_add(maps, displacements, grid_mode: str = "cropped",
-              out_hw: tuple[int, int] | None = None,
-              origin: tuple[int, int] | None = None) -> np.ndarray:
-    """Sum g spatial maps under integer displacements.
-
-    out[i, j] = sum_k maps[k, oy + i + dy_k, ox + j + dx_k].  In cropped
-    mode reads outside the map grid contribute 0; in extended mode every
-    read must be in bounds (the maps were computed on an enlarged grid)
-    and an out-of-margin displacement is a plan error.
-    """
-    arr = np.asarray(maps)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected (g, H, W) maps, got {arr.shape}")
-    if grid_mode not in ("cropped", "extended"):
-        raise ShapeError(f"unknown grid mode {grid_mode!r}")
-    g, mh, mw = arr.shape
-    if len(displacements) != g:
-        raise ShapeError("one displacement per map required")
-    if out_hw is None:
-        if grid_mode == "extended":
-            raise ShapeError("extended mode needs the target grid size")
-        out_hw = (mh, mw)
-    h, w = out_hw
-    if origin is None:
-        origin = ((mh - h) // 2, (mw - w) // 2)
-    oy, ox = origin
-    out = np.zeros((h, w), dtype=arr.dtype)
-    for k, (dy, dx) in enumerate(displacements):
-        _accumulate_shifted(out, arr[k], dy, dx, oy, ox,
-                            strict=(grid_mode == "extended"))
-    return out
 
 
 def _accumulate_shifted(out: np.ndarray, plane: np.ndarray, dy: int, dx: int,

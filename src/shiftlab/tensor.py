@@ -77,9 +77,6 @@ class Tensor:
     def dtype(self) -> str:
         return dtype_of(self.data)
 
-    def item(self, *idx) -> float:
-        return float(self.data[idx])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 

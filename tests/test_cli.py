@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -10,7 +12,7 @@ import shiftlab.analysis as an
 from shiftlab import bench, cli
 from shiftlab.cli import gen_golden, main
 from shiftlab.sparsity import init_sparsity
-from shiftlab.sw_op import save_sw_weights
+from shiftlab.sw_op import load_sw_weights, save_sw_weights
 
 
 def _read_csv(path):
@@ -166,6 +168,26 @@ def test_verify_csv_quotes_a_detail_with_commas(tmp_path):
     assert "(4, 5, 3, 3) != (4, 3, 3, 3)" in rows[-1]["detail"]
 
 
+def test_center_bank_weights_round_trip_and_verify(tmp_path, capsys):
+    cfg = sl.SwConfig(m=9, n=3, channels=4, edges=2, rep_branches=2,
+                      center_independent=True, pad_mode="exact", seed=3)
+    wts = sl.random_weights(cfg)
+    wts.masks[1][2, :] = False
+    wdir = tmp_path / "weights"
+    save_sw_weights(wts, wdir)
+    assert (wdir / "center.swt").exists()
+    back = load_sw_weights(wdir, cfg)
+    for a, b in zip(wts.rep + wts.masks + [wts.center],
+                    back.rep + back.masks + [back.center]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, spec)
+    rc = main(["verify", "--out", str(tmp_path / "o"), "--spec", str(spec),
+               "--weights", str(wdir)])
+    assert rc == 0
+    assert "verify: 5/5 checks passed" in capsys.readouterr().out
+
+
 def test_params_outputs_and_band(tmp_path, capsys):
     rc = main(["params", "--out", str(tmp_path)])
     assert rc == 0
@@ -195,6 +217,16 @@ def test_coverage_ordered_invariant_columns(tmp_path):
     e1 = [r for r in rows if r[0] == "1"]
     e8 = [r for r in rows if r[0] == "8"]
     assert [r[3:] for r in e1] == [r[3:] for r in e8]
+
+
+def test_coverage_spec_matches_explicit_extents(tmp_path):
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(sl.SwConfig(m=21, n=3, channels=4), spec)
+    common = ["coverage", "--edges", "1,4", "--n-seeds", "3"]
+    assert main(common + ["--out", str(tmp_path / "a"), "--spec", str(spec)]) == 0
+    assert main(common + ["--out", str(tmp_path / "b"), "--m", "21", "--n", "3"]) == 0
+    assert ((tmp_path / "a" / "coverage.csv").read_bytes()
+            == (tmp_path / "b" / "coverage.csv").read_bytes())
 
 
 def test_erf_strip_writes_artifacts(tmp_path):
@@ -248,6 +280,74 @@ def test_prune_sim_schedule(tmp_path):
     for r in rows:
         assert abs(float(r[3]) - want) <= 1.0 / n
     assert (tmp_path / "masks" / "layer0.branch0.swt").exists()
+
+
+def test_prune_sim_rejects_negative_jitter(tmp_path, capsys):
+    rc = main(["prune-sim", "--out", str(tmp_path / "o"), "--jitter", "-0.05"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jitter must be >= 0") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_prune_sim_save_masks_refuses_to_clobber(tmp_path, capsys):
+    argv = ["prune-sim", "--out", str(tmp_path), "--steps", "100", "--save-masks"]
+    assert main(argv) == 0
+    (tmp_path / "prune_trajectory.csv").unlink()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "layer0.branch0.swt exists; pass force to overwrite" in err
+    assert main(argv + ["--force"]) == 0
+
+
+def test_prune_sim_spec_matches_explicit_layer_shape(tmp_path):
+    cfg = sl.SwConfig(m=15, n=3, channels=10, ghost=0.2, rep_branches=3)
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, spec)
+    common = ["prune-sim", "--steps", "300", "--layers", "2"]
+    assert main(common + ["--out", str(tmp_path / "a"), "--spec", str(spec)]) == 0
+    assert main(common + ["--out", str(tmp_path / "b"), "--g", "5",
+                          "--branches", "3", "--channels", "8"]) == 0
+    assert ((tmp_path / "a" / "prune_trajectory.csv").read_bytes()
+            == (tmp_path / "b" / "prune_trajectory.csv").read_bytes())
+
+
+def test_prune_sim_grow_streams_are_deterministic_and_distinct(tmp_path):
+    def run(stream, tag):
+        out = tmp_path / f"{stream}{tag}"
+        assert main(["prune-sim", "--out", str(out), "--steps", "300", "--layers", "2",
+                     "--stream", stream, "--save-masks"]) == 0
+        masks = b"".join((out / "masks" / name).read_bytes()
+                         for name in sorted(os.listdir(out / "masks")))
+        return (out / "prune_trajectory.csv").read_bytes(), masks
+
+    runs = {stream: run(stream, "") for stream in ("uniform", "persistent", "adversarial")}
+    for stream in ("persistent", "adversarial"):
+        assert run(stream, "-again") == runs[stream]
+    # the trajectory records sparsity fractions only, which every stream keeps
+    assert len({traj for traj, _ in runs.values()}) == 1
+    assert len({masks for _, masks in runs.values()}) == 3
+
+
+def _prune_sim_choices(flag):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices["prune-sim"]._actions
+                if flag in a.option_strings)
+
+
+def test_every_policy_and_init_choice_selects_different_masks():
+    # an option value that runs like another one is an alias nobody asked for
+    def final_masks(policy="shared", init="per_branch"):
+        state, _ = cli.run_prune_sim(200, 100, 2, 0.4, policy, "uniform", init=init)
+        return np.concatenate([m.reshape(-1) for name in sorted(state.masks)
+                               for m in state.masks[name]])
+
+    for group in ([final_masks(policy=p) for p in _prune_sim_choices("--policy")],
+                  [final_masks(init=i) for i in _prune_sim_choices("--init")]):
+        assert len(group) >= 2
+        for a, b in itertools.combinations(group, 2):
+            assert not np.array_equal(a, b)
 
 
 def test_prune_sim_arch_stats(tmp_path):
@@ -342,6 +442,8 @@ def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
     (["prune-sim", "--g", "0"], "--g"),
     (["prune-sim", "--u", "0"], "--u"),
     (["prune-sim", "--gap", "0"], "--gap"),
+    (["params", "--input-size", "0"], "--input-size"),
+    (["params", "--input-size", "-224"], "--input-size"),
 ])
 def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--out", str(tmp_path)])

@@ -84,41 +84,6 @@ def test_plan_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# shift_add
-# ---------------------------------------------------------------------------
-
-def test_shift_add_identity(rng):
-    m = rng.uniform(-1, 1, (1, 5, 6))
-    out = sl.shift_add(m, [(0, 0)])
-    assert np.array_equal(out, m[0])
-
-
-def test_shift_add_boundary_counting():
-    maps = np.ones((2, 4, 3))
-    out = sl.shift_add(maps, [(-1, 0), (1, 0)])
-    assert np.array_equal(out[:, 0], np.array([1.0, 2.0, 2.0, 1.0]))
-
-
-def test_shift_add_extended_reproduces_strip(rng):
-    k = rng.uniform(-1, 1, (1, 9, 3))
-    x = rng.uniform(-1, 1, (1, 12, 13))
-    cfg, wts, plan = sl.from_strip(k)
-    mv = cfg.shift_margin()
-    maps = sl.fanout_conv(sl.Tensor(x), wts.rep[0],
-                          ((mv + 1, mv + 1), (1, 1))).data
-    disp = [(d, 0) for d in plan.displacements]
-    out = sl.shift_add(maps, disp, "extended", out_hw=(12, 13))
-    want = naive_depthwise(x, k)
-    assert np.max(np.abs(out - want[0])) <= 1e-12
-
-
-def test_shift_add_extended_rejects_oversized_displacement(rng):
-    maps = rng.uniform(-1, 1, (1, 8, 8))
-    with pytest.raises(sl.PlanError):
-        sl.shift_add(maps, [(5, 0)], "extended", out_hw=(4, 4))
-
-
-# ---------------------------------------------------------------------------
 # from_strip
 # ---------------------------------------------------------------------------
 
@@ -296,6 +261,26 @@ def test_channel_mismatch_raises(rng):
     wts = sl.random_weights(cfg)
     with pytest.raises(sl.ShapeError):
         sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (3, 8, 8))), wts, cfg, plan)
+
+
+def test_plan_with_other_fanout_raises(rng):
+    cfg = sl.SwConfig(m=9, n=3, channels=2)
+    plan = sl.build_shift_plan(sl.SwConfig(m=15, n=3, channels=2))
+    with pytest.raises(sl.PlanError, match="does not match"):
+        sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (2, 8, 8))),
+                      sl.random_weights(cfg), cfg, plan)
+
+
+def test_exact_mode_rejects_displacement_past_its_margin(rng):
+    # M = 7 and M = 9 both give g = 3 at N = 3, so the plan passes the shape
+    # checks; its largest displacement 4 exceeds the M = 9 exact margin of 3
+    plan = sl.build_shift_plan(sl.SwConfig(m=7, n=3, channels=2))
+    x = sl.Tensor(rng.uniform(-1, 1, (2, 8, 8)))
+    exact = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
+    with pytest.raises(sl.PlanError, match=r"displacement \(4, 0\) exceeds"):
+        sl.sw_forward(x, sl.random_weights(exact), exact, plan)
+    half = sl.SwConfig(m=9, n=3, channels=2)
+    assert sl.sw_forward(x, sl.random_weights(half), half, plan).shape == (2, 8, 8)
 
 
 def test_independent_center_bank(rng):
