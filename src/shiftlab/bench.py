@@ -18,14 +18,21 @@ buffer every read is one flat offset, so each (map k, branch, edge) is one
 numpy gather-add over the chunk's channels; out-of-grid reads add +0.0.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
-at the bottom) is viewed flat per channel, and each of the N*N taps is one
-contiguous multiply-add of Hg whole padded rows (Wp = Wg + N - 1 columns
-each) into a flat accumulator; copying the accumulator into the staging
-buffer's grid drops the N - 1 wrap-around columns of each row.  Masked
-filters are skipped: a fused chunk is drawn from the channels that keep
-map k.  Its staging buffer, accumulator and, when kept channels are not
-contiguous, copy of their padded input planes hold no more elements than
-one (C_sw, Hg, Wg) map, floored at one channel.
+at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
+padded rows (Wp = Wg + N - 1 columns each) from element u*Wp + v on, into a
+flat accumulator; copying the accumulator into the staging buffer's grid
+drops the N - 1 wrap-around columns of each row.  The flat planes of a
+chunk of channels are first copied N times into a row-shift buffer, copy v
+shifted left by v, so that all N*N taps are one einsum over a zero-copy
+(c, u, v, Hg*Wp) view of it; einsum sums (u, v) in order from zero, as the
+tap loop does.  Masked filters are skipped: a fused chunk is drawn from the
+channels that keep map k, and when they are not contiguous the copy into
+the row-shift buffer is a gather.  A fused chunk's staging buffer,
+accumulator and row-shift buffer hold no more elements than one
+(C_sw, Hg, Wg) map.  Where that leaves no room for one channel's row-shift
+copies (grids of a few pixels), fused runs one channel at a time through
+the tap loop, one contiguous multiply-add of the flat plane per tap, with
+no row-shift buffer.
 
 Both variants share one accumulation order per output element -- for
 each map k, the H edges, then the W edges, then the center -- so
@@ -36,13 +43,14 @@ Instrumentation counts destination-accumulation events per fan-out
 (conv output) pixel, from in-grid reads only -- each conv-output pixel is
 moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
-variant-owned staging buffers (zero-gap buffer, conv accumulator, input
-copy), which excludes the shared padded input and the final output.  It
+variant-owned staging buffers (zero-gap buffer, conv accumulator, row-shift
+buffer), which excludes the shared padded input and the final output.  It
 also leaves out numpy temporaries: the gathered window of every read, the
-product of every conv tap and the per-run offset tables.  With tracemalloc
-around one f32 fused run of the sw_tiny stage-0 layer (seed 1), the traced
-peak less the output and padded input is 1069770 B against 741024 B
-reported.
+gathered planes of a gappy chunk before they land in the row-shift buffer,
+the product of every tap of the tap loop and the per-run offset tables.
+With tracemalloc around one f32 fused run of the sw_tiny stage-0 layer
+(seed 1), the traced peak less the output and padded input is 915003 to
+924636 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -96,15 +104,32 @@ class BenchReport:
     checksum: str
 
 
-def _conv_slice(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
+def _conv_slice(rows: np.ndarray, taps: np.ndarray, acc: np.ndarray,
                 out: np.ndarray) -> None:
-    """out[c] = sum_uv taps[c, u, v] * xpad[c] window; fixed (u, v) order.
+    """out[c] = sum_uv taps[c, u, v] * input window; fixed (u, v) order.
 
-    Rows are computed wide: acc holds Hg whole padded rows of Wp columns
-    each, flat, so every tap is one contiguous multiply-add.  The last
-    N - 1 columns of each wide row wrap into the next row and are dropped
-    on the copy into out; xpad's spare zero row keeps the last tap in bounds.
+    rows[c, v] holds channel c's flat padded plane shifted left by v, so tap
+    (u, v) reads Hg whole padded rows (Wp = Wg + N - 1 columns each) at
+    rows[c, v, u * Wp:], and all N * N taps are one einsum over a zero-copy
+    (c, u, v, Hg * Wp) view; einsum sums (u, v) in order from zero, as
+    _conv_taps does.  The last N - 1 columns of each wide row of acc wrap
+    into the next row and are dropped on the copy into out.
     """
+    c, n, span = rows.shape
+    gh, gw = out.shape[1:]
+    wp = gw + n - 1
+    item = rows.itemsize
+    view = as_strided(rows, (c, n, n, gh * wp),
+                      (rows.strides[0], wp * item, span * item, item), writeable=False)
+    np.einsum("cuv,cuvp->cp", taps, view, out=acc)
+    out[:] = acc.reshape(c, gh, wp)[:, :, :gw]
+
+
+def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
+               out: np.ndarray) -> None:
+    """_conv_slice without the row-shifted copies: each tap is one contiguous
+    multiply-add of Hg whole padded rows of the flat plane into acc; xpad's
+    spare zero row keeps the last tap in bounds."""
     c, _, wp = xpad.shape
     n = taps.shape[1]
     gh, gw = out.shape[1:]
@@ -115,6 +140,18 @@ def _conv_slice(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
             s = u * wp + v
             acc += taps[:, u, v][:, None] * flat[:, s:s + gh * wp]
     out[:] = acc.reshape(c, gh, wp)[:, :, :gw]
+
+
+def _shift_rows(flat: np.ndarray, idx, rows: np.ndarray) -> None:
+    """rows[i, v] = flat[idx][i, v:v + span] for v = 0 .. N - 1: the flat
+    padded planes of channels idx, each shifted left by v, copied in one
+    call from a zero-copy overlapping view of flat.  A gappy idx gathers
+    through a temporary the size of rows."""
+    _, n, span = rows.shape
+    item = flat.itemsize
+    shifted = as_strided(flat, (flat.shape[0], n, span), (flat.strides[0], item, item),
+                         writeable=False)
+    rows[:] = shifted[idx]
 
 
 def _channel_index(sel: np.ndarray):
@@ -155,8 +192,6 @@ class _Runner:
         self.bank = weights.merged_bank().astype(self.np_dtype)
         self.kept = [np.flatnonzero(np.logical_or.reduce([m[:, k] for m in weights.masks]))
                      for k in range(cfg.g)]
-        # some chunk of kept channels needs a copy of its input planes
-        self.gappy = any(s.size and s[-1] - s[0] + 1 != s.size for s in self.kept)
         self.x = CounterRng(cfg.seed, "bench-x").uniform_array(
             (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
         pads, self.origin = _grid_geometry(cfg, h, w)
@@ -188,7 +223,7 @@ class _Runner:
         cg = self.cfg.ghost_channels
         xs = self.x[cg:]
         pt, pb, pl, pr = self.pads
-        # one spare zero row below the padded plane for _conv_slice's last tap
+        # one spare zero row below the padded plane for the last tap's wide rows
         xpad = np.zeros((xs.shape[0], self.h + pt + pb + 1, self.w + pl + pr),
                         dtype=self.np_dtype)
         xpad[:, pt:pt + self.h, pl:pl + self.w] = xs
@@ -262,6 +297,12 @@ class _Runner:
         run(out_full[cg:], xpad, ks, self._gather(), instr)
         return out_full
 
+    def _rows(self, xpad, chunk, instr):
+        """A counted row-shift buffer for `chunk` channels (see _conv_slice)."""
+        n, wp = self.cfg.n, xpad.shape[2]
+        return instr.take(np.empty((chunk, n, (self.gh + n - 1) * wp),
+                                   dtype=self.np_dtype))
+
     def _run_naive(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
@@ -269,9 +310,12 @@ class _Runner:
         maps, grid, win = self._staging(cfg.g * c_sw, instr)
         acc = instr.take(np.empty((c_sw, self.gh * xpad.shape[2]),
                                   dtype=self.np_dtype))
+        rows = self._rows(xpad, c_sw, instr)
+        _shift_rows(xpad.reshape(c_sw, -1), slice(None), rows)
         for k in ks:
-            _conv_slice(xpad, self.bank[:, k], acc, grid[k * c_sw:(k + 1) * c_sw])
+            _conv_slice(rows, self.bank[:, k], acc, grid[k * c_sw:(k + 1) * c_sw])
             instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
+        instr.drop(rows)
         instr.drop(acc)
         every = np.arange(c_sw)
         for k in ks:
@@ -281,24 +325,31 @@ class _Runner:
     def _run_fused(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         wide = self.gh * xpad.shape[2]
-        copy = xpad[0].size if self.gappy else 0
-        chunk = max(1, (cfg.sw_channels * self.gh * self.gw - self.lead)
-                    // (self.slot + wide + copy))
+        span = wide + (cfg.n - 1) * xpad.shape[2]
+        chunk = ((cfg.sw_channels * self.gh * self.gw - self.lead)
+                 // (self.slot + wide + cfg.n * span))
+        # where one channel's rows do not fit, run one channel (always a
+        # slice of xpad) at a time through the tap loop
+        taps_only = chunk == 0
+        chunk = max(chunk, 1)
         buf, grid, win = self._staging(chunk, instr)
         acc = instr.take(np.empty((chunk, wide), dtype=self.np_dtype))
-        xin = instr.take(np.empty((chunk if copy else 0,) + xpad.shape[1:],
-                                  dtype=self.np_dtype))
+        rows = self._rows(xpad, 0 if taps_only else chunk, instr)
+        flat = xpad.reshape(xpad.shape[0], -1)
         for k in ks:
             kept = self.kept[k]
             for i in range(0, kept.size, chunk):
                 sel = kept[i:i + chunk]
                 idx = _channel_index(sel)
-                src = (xpad[idx] if isinstance(idx, slice) else
-                       np.take(xpad, sel, axis=0, out=xin[:sel.size], mode="clip"))
-                _conv_slice(src, self.bank[idx, k], acc[:sel.size], grid[:sel.size])
-                instr.macs += sel.size * cfg.n * cfg.n * self.gh * self.gw
+                m = sel.size
+                if taps_only:
+                    _conv_taps(xpad[idx], self.bank[idx, k], acc, grid)
+                else:
+                    _shift_rows(flat, idx, rows[:m])
+                    _conv_slice(rows[:m], self.bank[idx, k], acc[:m], grid[:m])
+                instr.macs += m * cfg.n * cfg.n * self.gh * self.gw
                 self._add_map(out, sel, win, 0, k, gat, instr)
-        instr.drop(xin)
+        instr.drop(rows)
         instr.drop(acc)
         instr.drop(buf)
 
@@ -327,7 +378,13 @@ def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
             if i >= warmup:
                 samples[v].append(t1 - t0)
             last[v] = out, instr
-    text = f"{cfg}|{h}x{w}|{dtype}"
+    # what ran: the config, the grid, the dtype, the accumulation order and
+    # the weights (merged bank and every mask), so a masked run or one with
+    # other weights never shares a digest with the dense default
+    tensors = hashlib.sha256(runner.bank.tobytes())
+    for mask in runner.weights.masks:
+        tensors.update(np.ascontiguousarray(mask).tobytes())
+    text = f"{cfg}|{h}x{w}|{dtype}|relaxed={relaxed}|{tensors.hexdigest()}"
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     reports = []
     for v, s in samples.items():

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftlab.bench as bn
 from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
@@ -194,9 +195,9 @@ def test_staging_reads_stay_in_their_own_map():
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
 @pytest.mark.parametrize("n", (3, 5))
 def test_conv_slice_matches_fanout_conv_bitwise(pad_mode, n):
-    """The wide-row conv equals the tap-by-tap oracle bit for bit on every
-    map, including grids where the wrap-around columns and the spare row
-    of the padded input matter."""
+    """The row-shift einsum and the tap loop equal the tap-by-tap oracle bit
+    for bit on every map, including grids where the wrap-around columns and
+    the spare row of the padded input matter."""
     cfg = SwConfig(m=4 * n, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
                    edges=2, seed=13)
     for h, w in ((1, 1), (1, 7), (2, 3), (5, 4), (9, 13)):
@@ -207,11 +208,46 @@ def test_conv_slice_matches_fanout_conv_bitwise(pad_mode, n):
                               runner.bank, pads).data
             xpad = runner.padded_input()
             c_sw, gh, gw = cfg.sw_channels, runner.gh, runner.gw
+            rows = runner._rows(xpad, c_sw, bn._Instr())
+            bn._shift_rows(xpad.reshape(c_sw, -1), slice(None), rows)
             for k in range(cfg.g):
-                acc = np.full((c_sw, gh * xpad.shape[2]), np.nan, runner.np_dtype)
-                out = np.full((c_sw, gh, gw), np.nan, runner.np_dtype)
-                bn._conv_slice(xpad, runner.bank[:, k], acc, out)
-                assert out.tobytes() == ref[k::cfg.g].tobytes(), (h, w, dtype, k)
+                for conv, src in ((bn._conv_slice, rows), (bn._conv_taps, xpad)):
+                    acc = np.full((c_sw, gh * xpad.shape[2]), np.nan, runner.np_dtype)
+                    out = np.full((c_sw, gh, gw), np.nan, runner.np_dtype)
+                    conv(src, runner.bank[:, k], acc, out)
+                    assert out.tobytes() == ref[k::cfg.g].tobytes(), (h, w, dtype, k, conv)
+
+
+@settings(max_examples=200)
+@given(n=st.sampled_from((1, 3, 5)), gh=st.integers(1, 14), gw=st.integers(1, 14),
+       size=st.integers(1, 40), gappy=st.booleans(),
+       dtype=st.sampled_from((np.float32, np.float64)), seed=st.integers(0, 2**32 - 1))
+def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, gappy,
+                                                              dtype, seed):
+    """_conv_slice relies on einsum summing (u, v) in order from zero, which
+    numpy does not document: on every chunk of kept channels, contiguous or
+    not, it must equal the tap loop and conv_ref.fanout_conv byte for byte."""
+    rng = np.random.default_rng(seed)
+    if gappy:
+        steps = rng.integers(1, 3, size)
+        steps[-1] = 2                        # at least one missing channel
+        sel = np.cumsum(steps)
+    else:
+        sel = np.arange(size) + rng.integers(0, 3)
+    wp = gw + n - 1
+    x = rng.uniform(-0.5, 0.5, (sel[-1] + 1, gh + n - 1, wp)).astype(dtype)
+    bank = rng.uniform(-0.5, 0.5, (x.shape[0], 1, n, n)).astype(dtype)
+    xpad = np.concatenate([x, np.zeros((x.shape[0], 1, wp), dtype)], axis=1)
+    idx = bn._channel_index(sel)
+    assert isinstance(idx, slice) == (not gappy or size == 1)
+    rows = np.full((size, n, (gh + n - 1) * wp), np.nan, dtype)
+    bn._shift_rows(xpad.reshape(x.shape[0], -1), idx, rows)
+    ref = fanout_conv(Tensor(x[sel]), bank[sel], 0).data
+    for conv, src in ((bn._conv_slice, rows), (bn._conv_taps, xpad[sel])):
+        acc = np.full((size, gh * wp), np.nan, dtype)
+        out = np.full((size, gh, gw), np.nan, dtype)
+        conv(src, bank[idx, 0], acc, out)
+        assert out.tobytes() == ref.tobytes(), conv
 
 
 def _assert_fused_staging_within_bound(cfg, h, w, dtype, weights=None):
@@ -244,24 +280,91 @@ def test_fused_staging_within_one_map_bound():
 
 
 def test_masked_chunk_input_copy_is_counted(monkeypatch):
-    """When a chunk's kept channels are not contiguous, its input planes are
-    copied into a counted staging buffer, and the reported peak covers it."""
-    taken, sources, shared = [], [], []
-    take, conv, pad = bn._Instr.take, bn._conv_slice, bn._Runner.padded_input
+    """When a chunk's kept channels are not contiguous, their padded input
+    planes are gathered, shifted, into the counted row-shift buffer, and the
+    reported peak covers it."""
+    taken, gathers, shared = [], [], []
+    take, shift, pad = bn._Instr.take, bn._shift_rows, bn._Runner.padded_input
     monkeypatch.setattr(bn._Instr, "take", lambda s, a: taken.append(a) or take(s, a))
-    monkeypatch.setattr(bn, "_conv_slice", lambda x, *a: sources.append(x) or conv(x, *a))
+    monkeypatch.setattr(bn, "_shift_rows", lambda flat, idx, rows: shift(flat, idx, rows)
+                        or gathers.append((idx, rows, rows.copy())))
     monkeypatch.setattr(bn._Runner, "padded_input",
                         lambda s: shared.append(pad(s)) or shared[-1])
-    cfg = SwConfig(m=15, n=3, channels=10, edges=2, seed=3)
+    cfg = SwConfig(m=15, n=3, channels=20, edges=2, seed=3)   # chunks of 3
     wts = random_weights(cfg)
     for mask in wts.masks:
         mask[::2] = False                    # kept: the odd channels
     instr = bn._Instr()
-    bn._Runner(cfg, 16, 16, "f32", weights=wts).run("fused", instr)
-    copies = [x for x in sources if not np.shares_memory(x, shared[0])]
-    assert copies
-    assert all(any(np.shares_memory(x, t) for t in taken) for x in copies)
+    bn._Runner(cfg, 24, 24, "f32", weights=wts).run("fused", instr)
+    flat = shared[0].reshape(shared[0].shape[0], -1)
+    gappy = [g for g in gathers if not isinstance(g[0], slice)]
+    assert gappy
+    for sel, rows, got in gappy:
+        assert (sel % 2 == 1).all()
+        span = rows.shape[2]
+        for v in range(cfg.n):
+            assert got[:, v].tobytes() == flat[sel, v:v + span].tobytes()
+    held = [t for t in taken if any(np.shares_memory(g[1], t) for g in gappy)]
+    assert len(held) == 1                    # one counted row-shift buffer
     assert instr.peak == sum(t.nbytes for t in taken)
+
+
+def _record_convs(monkeypatch):
+    """Channel counts of every _conv_slice and _conv_taps call, by kernel."""
+    calls = {"rows": [], "taps": []}
+    for name, key in (("_conv_slice", "rows"), ("_conv_taps", "taps")):
+        conv = getattr(bn, name)
+        monkeypatch.setattr(bn, name, lambda src, *a, _c=conv, _k=key:
+                            calls[_k].append(src.shape[0]) or _c(src, *a))
+    return calls
+
+
+def test_every_sw_tiny_layer_fits_rows(monkeypatch):
+    """At its 224-input shape, dense and 60 % kept, in f32 and f64, every
+    sw_tiny layer has room for at least one channel of row-shifted input, so
+    the benchmark's fused stack never runs the one-channel tap floor."""
+    calls = _record_convs(monkeypatch)
+    monkeypatch.setattr(bn._Runner, "_add_map", lambda *a: None)   # not under test
+    arch = ArchSpec.sw_tiny()
+    for lid, name in enumerate(arch.layer_names()):
+        st = arch.stage_of(name)
+        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
+                       ghost=arch.ghost, edges=arch.edges, rep_branches=arch.rep_branches,
+                       order_policy="per_edge_shuffled", seed=1, layer_id=lid)
+        dense = random_weights(cfg)
+        masked = random_weights(cfg)
+        masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
+        hw = 56 >> st
+        for wts, dtype in itertools.product((dense, masked), ("f32", "f64")):
+            calls["rows"].clear()
+            bn._Runner(cfg, hw, hw, dtype, weights=wts).run("fused", bn._Instr())
+            assert calls["rows"] and not calls["taps"], (name, dtype)
+
+
+def test_grids_without_room_for_rows_take_the_tap_floor(monkeypatch, rng):
+    """Where the one-map bound leaves no room for one channel of rows, fused
+    runs one channel at a time through the tap loop, bitwise equal to naive."""
+    calls = _record_convs(monkeypatch)
+    floored = 0
+    for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
+        for m, h, w in _small_grids(n):
+            cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                           edges=2, order_policy="per_edge_shuffled", seed=9)
+            for dtype, masked in itertools.product(("f32", "f64"), (False, True)):
+                wts = random_weights(cfg)
+                if masked:
+                    wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+                runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+                calls["rows"].clear()
+                calls["taps"].clear()
+                fused = runner.run("fused", bn._Instr())
+                case = (pad_mode, m, n, h, w, dtype, masked)
+                if calls["taps"]:
+                    floored += 1
+                    assert not calls["rows"] and set(calls["taps"]) == {1}, case
+                naive = runner.run("naive", bn._Instr())
+                assert fused.tobytes() == naive.tobytes(), case
+    assert floored
 
 
 def test_center_independent_rejected():
@@ -321,6 +424,27 @@ def test_fused_output_checksums_pinned():
                          weights=wts)
     assert rep.checksum == ("a711fba9b9582a5440e06b0eb1cf3cbd"
                             "1f61a8b353c17ef57f938ee7e83ac1da")
+
+
+def test_config_digest_names_weights_masks_and_relaxed():
+    """Runs that differ only in weights, masks or `relaxed` get different
+    digests; the same tensors passed in or drawn by default share one."""
+    cfg = SwConfig(**SMALL)
+
+    def digest(weights=None, relaxed=False):
+        return bn.run_variant("fused", cfg, 12, 12, reps=1, warmup=0, weights=weights,
+                              relaxed=relaxed).config_digest
+
+    zeroed = random_weights(cfg)
+    zeroed.rep[0][0, 0] = 0.0                # the same merged bank with or
+    pruned = random_weights(cfg)             # without filter (0, 0) kept
+    pruned.rep[0][0, 0] = 0.0
+    pruned.masks[0][0, 0] = False
+    other = random_weights(SwConfig(**{**SMALL, "seed": 8}))
+    digests = [digest(), digest(relaxed=True), digest(zeroed), digest(pruned),
+               digest(other)]
+    assert len(set(digests)) == len(digests)
+    assert digest(random_weights(cfg)) == digests[0]
 
 
 def test_unknown_variant_rejected():
