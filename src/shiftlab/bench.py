@@ -15,7 +15,11 @@ next row, and each map by max(top, bottom) zero rows, also the top margin
 of the next map.  A margin covers the reads the plan makes past that grid
 edge, capped at H rows (W columns).  Over an (H, W)-window view of the
 buffer every read is one flat offset, so each (map k, branch, edge) is one
-numpy gather-add over the chunk's channels; out-of-grid reads add +0.0.
+window per channel of the chunk; out-of-grid reads add +0.0.  The reads of
+a map are gathered several at a time, as many as fit in the chunk's own
+staging buffer (at least one), and added one read at a time.  The views,
+slot offsets and per-map counts are built once per run, before the loop
+over maps.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
@@ -45,12 +49,12 @@ moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
 variant-owned staging buffers (zero-gap buffer, conv accumulator, row-shift
 buffer), which excludes the shared padded input and the final output.  It
-also leaves out numpy temporaries: the gathered window of every read, the
-gathered planes of a gappy chunk before they land in the row-shift buffer,
-the product of every tap of the tap loop and the per-run offset tables.
-With tracemalloc around one f32 fused run of the sw_tiny stage-0 layer
-(seed 1), the traced peak less the output and padded input is 915003 to
-924636 B over three runs, against 718416 B reported.
+also leaves out numpy temporaries: the block of windows each grouped read
+gathers, the gathered planes of a gappy chunk before they land in the
+row-shift buffer, the product of every tap of the tap loop and the per-run
+offset tables.  With tracemalloc around one f32 fused run of the sw_tiny
+stage-0 layer (seed 1), the traced peak less the output and padded input
+is 1260579 to 1261547 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -104,54 +108,81 @@ class BenchReport:
     checksum: str
 
 
-def _conv_slice(rows: np.ndarray, taps: np.ndarray, acc: np.ndarray,
-                out: np.ndarray) -> None:
+def _row_shifts(flat: np.ndarray, n: int, span: int) -> np.ndarray:
+    """Zero-copy (C, N, span) view of the flat padded planes: [c, v] is
+    channel c's plane from element v on, i.e. shifted left by v."""
+    item = flat.itemsize
+    return as_strided(flat, (flat.shape[0], n, span), (flat.strides[0], item, item),
+                      writeable=False)
+
+
+def _shift_rows(shifted: np.ndarray, idx, rows: np.ndarray) -> None:
+    """rows[i] = shifted[idx][i]: the N row-shifted copies of each channel of
+    idx, in one call from the _row_shifts view.  A gappy idx gathers through
+    a temporary the size of rows."""
+    rows[:] = shifted[idx]
+
+
+def _tap_view(rows: np.ndarray, gh: int, wp: int) -> np.ndarray:
+    """Zero-copy (c, u, v, Hg * Wp) view of a row-shift buffer: tap (u, v)
+    of channel c reads Hg whole padded rows (Wp columns each) at
+    rows[c, v, u * Wp:]."""
+    _, n, span = rows.shape
+    item = rows.itemsize
+    return as_strided(rows, (rows.shape[0], n, n, gh * wp),
+                      (rows.strides[0], wp * item, span * item, item), writeable=False)
+
+
+def _conv_slice(view: np.ndarray, taps: np.ndarray, acc: np.ndarray,
+                wide: np.ndarray, out: np.ndarray) -> None:
     """out[c] = sum_uv taps[c, u, v] * input window; fixed (u, v) order.
 
-    rows[c, v] holds channel c's flat padded plane shifted left by v, so tap
-    (u, v) reads Hg whole padded rows (Wp = Wg + N - 1 columns each) at
-    rows[c, v, u * Wp:], and all N * N taps are one einsum over a zero-copy
-    (c, u, v, Hg * Wp) view; einsum sums (u, v) in order from zero, as
-    _conv_taps does.  The last N - 1 columns of each wide row of acc wrap
-    into the next row and are dropped on the copy into out.
+    view is the _tap_view of the chunk's row-shift buffer, so all N * N taps
+    are one einsum into the flat (c, Hg * Wp) accumulator acc; einsum sums
+    (u, v) in order from zero, as _conv_taps does.  wide is acc's
+    (c, Hg, Wg) view without the last N - 1 columns of each wide row, which
+    wrap into the next row.
     """
-    c, n, span = rows.shape
-    gh, gw = out.shape[1:]
-    wp = gw + n - 1
-    item = rows.itemsize
-    view = as_strided(rows, (c, n, n, gh * wp),
-                      (rows.strides[0], wp * item, span * item, item), writeable=False)
     np.einsum("cuv,cuvp->cp", taps, view, out=acc)
-    out[:] = acc.reshape(c, gh, wp)[:, :, :gw]
+    out[:] = wide
 
 
 def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
-               out: np.ndarray) -> None:
+               wide: np.ndarray, out: np.ndarray) -> None:
     """_conv_slice without the row-shifted copies: each tap is one contiguous
     multiply-add of Hg whole padded rows of the flat plane into acc; xpad's
     spare zero row keeps the last tap in bounds."""
     c, _, wp = xpad.shape
     n = taps.shape[1]
-    gh, gw = out.shape[1:]
+    gh = out.shape[1]
     flat = xpad.reshape(c, -1)
     acc[:] = 0.0
     for u in range(n):
         for v in range(n):
             s = u * wp + v
             acc += taps[:, u, v][:, None] * flat[:, s:s + gh * wp]
-    out[:] = acc.reshape(c, gh, wp)[:, :, :gw]
+    out[:] = wide
 
 
-def _shift_rows(flat: np.ndarray, idx, rows: np.ndarray) -> None:
-    """rows[i, v] = flat[idx][i, v:v + span] for v = 0 .. N - 1: the flat
-    padded planes of channels idx, each shifted left by v, copied in one
-    call from a zero-copy overlapping view of flat.  A gappy idx gathers
-    through a temporary the size of rows."""
-    _, n, span = rows.shape
-    item = flat.itemsize
-    shifted = as_strided(flat, (flat.shape[0], n, span), (flat.strides[0], item, item),
-                         writeable=False)
-    rows[:] = shifted[idx]
+def _add_map(out: np.ndarray, idx, win: np.ndarray, offs: np.ndarray, room: int,
+             center: np.ndarray, repeats: int) -> None:
+    """out[idx] += win[o] for each row o of offs in turn, then += center,
+    `repeats` times: one map's (branch, edge) reads in canonical order.
+
+    Column i of offs reads for channel i of idx.  Each fancy-index call
+    gathers as many reads as fit in `room` elements, and at least one, into
+    a numpy temporary; the adds still run one read at a time, so the result
+    does not depend on the group size.
+    """
+    dst = out[idx]
+    group = max(1, room // dst.size)
+    for j in range(0, len(offs), group):
+        for read in win[offs[j:j + group]]:
+            dst += read
+    for _e in range(repeats):
+        dst += center
+    if not isinstance(idx, slice):
+        out[idx] = dst
 
 
 def _channel_index(sel: np.ndarray):
@@ -166,6 +197,7 @@ class _Gather:
     """Window offsets for a map in staging slot 0, and in-grid read counts."""
     reads: np.ndarray   # [r, c, k]: the H edges, then the W edges, clipped
     center: int         # the unshifted window
+    center_map: int | None  # the map k the center branch reads, if it is on
     moved: np.ndarray   # [c, k]: in-grid reads over all branches and edges
 
 
@@ -257,29 +289,11 @@ class _Runner:
         if BRANCH_W in cfg.branch_types:
             moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
             reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
+        center_map = None
         if BRANCH_CENTER in cfg.branch_types:
-            moved[:, plan.center_block] += cfg.edges * h * w
-        return _Gather(np.concatenate(reads), self.lead + oy * p + ox, moved)
-
-    def _add_map(self, out, sel, win, first, k, gat, instr) -> None:
-        """Every (branch, edge) read of map k into channels sel, canonical order.
-
-        Channel sel[i]'s map sits in slot first + i of the staging buffer
-        whose window view is win.
-        """
-        cfg = self.cfg
-        idx = _channel_index(sel)
-        dst = out[idx]
-        at = (first + np.arange(sel.size)) * self.slot
-        for offs in gat.reads[:, sel, k] + at:
-            dst += win[offs]
-        if BRANCH_CENTER in cfg.branch_types and k == self.plan.center_block:
-            center = win[gat.center + at[0]::self.slot][:sel.size]
-            for _e in range(cfg.edges):
-                dst += center
-        if not isinstance(idx, slice):
-            out[idx] = dst
-        instr.moves += int(gat.moved[sel, k].sum())
+            center_map = plan.center_block
+            moved[:, center_map] += cfg.edges * h * w
+        return _Gather(np.concatenate(reads), self.lead + oy * p + ox, center_map, moved)
 
     # ---- the two variants --------------------------------------------------
 
@@ -298,57 +312,77 @@ class _Runner:
         return out_full
 
     def _rows(self, xpad, chunk, instr):
-        """A counted row-shift buffer for `chunk` channels (see _conv_slice)."""
+        """A counted row-shift buffer for `chunk` channels, its _tap_view and
+        the _row_shifts view of xpad that fills it."""
         n, wp = self.cfg.n, xpad.shape[2]
-        return instr.take(np.empty((chunk, n, (self.gh + n - 1) * wp),
-                                   dtype=self.np_dtype))
+        span = (self.gh + n - 1) * wp
+        rows = instr.take(np.empty((chunk, n, span), dtype=self.np_dtype))
+        shifted = _row_shifts(xpad.reshape(xpad.shape[0], -1), n, span)
+        return rows, _tap_view(rows, self.gh, wp), shifted
+
+    def _acc(self, chunk, wp, instr):
+        """A counted flat (chunk, Hg * Wp) conv accumulator and its
+        (chunk, Hg, Wg) view without the wrap-around columns."""
+        acc = instr.take(np.empty((chunk, self.gh * wp), dtype=self.np_dtype))
+        return acc, acc.reshape(chunk, self.gh, wp)[:, :, :self.gw]
 
     def _run_naive(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
         # map k of channel c sits in slot k * c_sw + c
         maps, grid, win = self._staging(cfg.g * c_sw, instr)
-        acc = instr.take(np.empty((c_sw, self.gh * xpad.shape[2]),
-                                  dtype=self.np_dtype))
-        rows = self._rows(xpad, c_sw, instr)
-        _shift_rows(xpad.reshape(c_sw, -1), slice(None), rows)
+        acc, wide = self._acc(c_sw, xpad.shape[2], instr)
+        rows, view, shifted = self._rows(xpad, c_sw, instr)
+        _shift_rows(shifted, slice(None), rows)
         for k in ks:
-            _conv_slice(rows, self.bank[:, k], acc, grid[k * c_sw:(k + 1) * c_sw])
-            instr.macs += c_sw * cfg.n * cfg.n * self.gh * self.gw
+            _conv_slice(view, self.bank[:, k], acc, wide, grid[k * c_sw:(k + 1) * c_sw])
+        instr.macs += len(ks) * c_sw * cfg.n * cfg.n * self.gh * self.gw
         instr.drop(rows)
         instr.drop(acc)
-        every = np.arange(c_sw)
+        at = np.arange(c_sw) * self.slot
         for k in ks:
-            self._add_map(out, every, win, k * c_sw, k, gat, instr)
+            first = k * c_sw
+            _add_map(out, slice(None), win, gat.reads[:, :, k] + (first * self.slot + at),
+                     maps.size, win[gat.center + first * self.slot::self.slot][:c_sw],
+                     cfg.edges if k == gat.center_map else 0)
+            instr.moves += int(gat.moved[:, k].sum())
         instr.drop(maps)
 
     def _run_fused(self, out, xpad, ks, gat, instr):
         cfg = self.cfg
-        wide = self.gh * xpad.shape[2]
-        span = wide + (cfg.n - 1) * xpad.shape[2]
+        wp = xpad.shape[2]
+        span = (self.gh + cfg.n - 1) * wp
         chunk = ((cfg.sw_channels * self.gh * self.gw - self.lead)
-                 // (self.slot + wide + cfg.n * span))
+                 // (self.slot + self.gh * wp + cfg.n * span))
         # where one channel's rows do not fit, run one channel (always a
         # slice of xpad) at a time through the tap loop
         taps_only = chunk == 0
         chunk = max(chunk, 1)
         buf, grid, win = self._staging(chunk, instr)
-        acc = instr.take(np.empty((chunk, wide), dtype=self.np_dtype))
-        rows = self._rows(xpad, 0 if taps_only else chunk, instr)
-        flat = xpad.reshape(xpad.shape[0], -1)
+        acc, wide = self._acc(chunk, wp, instr)
+        rows, view, shifted = self._rows(xpad, 0 if taps_only else chunk, instr)
+        # the slot of each kept channel within its chunk, and the center
+        # window of every slot
+        at = np.arange(cfg.sw_channels) % chunk * self.slot
+        center = win[gat.center::self.slot]
+        macs = cfg.n * cfg.n * self.gh * self.gw
         for k in ks:
             kept = self.kept[k]
+            bank = self.bank[:, k]
+            offs = gat.reads[:, kept, k] + at[:kept.size]
+            repeats = cfg.edges if k == gat.center_map else 0
             for i in range(0, kept.size, chunk):
                 sel = kept[i:i + chunk]
                 idx = _channel_index(sel)
                 m = sel.size
                 if taps_only:
-                    _conv_taps(xpad[idx], self.bank[idx, k], acc, grid)
+                    _conv_taps(xpad[idx], bank[idx], acc, wide, grid)
                 else:
-                    _shift_rows(flat, idx, rows[:m])
-                    _conv_slice(rows[:m], self.bank[idx, k], acc[:m], grid[:m])
-                instr.macs += m * cfg.n * cfg.n * self.gh * self.gw
-                self._add_map(out, sel, win, 0, k, gat, instr)
+                    _shift_rows(shifted, idx, rows[:m])
+                    _conv_slice(view[:m], bank[idx], acc[:m], wide[:m], grid[:m])
+                _add_map(out, idx, win, offs[:, i:i + m], buf.size, center[:m], repeats)
+            instr.macs += kept.size * macs
+            instr.moves += int(gat.moved[kept, k].sum())
         instr.drop(rows)
         instr.drop(acc)
         instr.drop(buf)

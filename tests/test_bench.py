@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 import shiftlab.bench as bn
 from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
@@ -208,13 +209,14 @@ def test_conv_slice_matches_fanout_conv_bitwise(pad_mode, n):
                               runner.bank, pads).data
             xpad = runner.padded_input()
             c_sw, gh, gw = cfg.sw_channels, runner.gh, runner.gw
-            rows = runner._rows(xpad, c_sw, bn._Instr())
-            bn._shift_rows(xpad.reshape(c_sw, -1), slice(None), rows)
+            rows, view, shifted = runner._rows(xpad, c_sw, bn._Instr())
+            bn._shift_rows(shifted, slice(None), rows)
             for k in range(cfg.g):
-                for conv, src in ((bn._conv_slice, rows), (bn._conv_taps, xpad)):
-                    acc = np.full((c_sw, gh * xpad.shape[2]), np.nan, runner.np_dtype)
+                for conv, src in ((bn._conv_slice, view), (bn._conv_taps, xpad)):
+                    acc, wide = runner._acc(c_sw, xpad.shape[2], bn._Instr())
+                    acc[:] = np.nan
                     out = np.full((c_sw, gh, gw), np.nan, runner.np_dtype)
-                    conv(src, runner.bank[:, k], acc, out)
+                    conv(src, runner.bank[:, k], acc, wide, out)
                     assert out.tobytes() == ref[k::cfg.g].tobytes(), (h, w, dtype, k, conv)
 
 
@@ -240,13 +242,15 @@ def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, g
     xpad = np.concatenate([x, np.zeros((x.shape[0], 1, wp), dtype)], axis=1)
     idx = bn._channel_index(sel)
     assert isinstance(idx, slice) == (not gappy or size == 1)
-    rows = np.full((size, n, (gh + n - 1) * wp), np.nan, dtype)
-    bn._shift_rows(xpad.reshape(x.shape[0], -1), idx, rows)
+    span = (gh + n - 1) * wp
+    rows = np.full((size, n, span), np.nan, dtype)
+    bn._shift_rows(bn._row_shifts(xpad.reshape(x.shape[0], -1), n, span), idx, rows)
     ref = fanout_conv(Tensor(x[sel]), bank[sel], 0).data
-    for conv, src in ((bn._conv_slice, rows), (bn._conv_taps, xpad[sel])):
+    for conv, src in ((bn._conv_slice, bn._tap_view(rows, gh, wp)),
+                      (bn._conv_taps, xpad[sel])):
         acc = np.full((size, gh * wp), np.nan, dtype)
         out = np.full((size, gh, gw), np.nan, dtype)
-        conv(src, bank[idx, 0], acc, out)
+        conv(src, bank[idx, 0], acc, acc.reshape(size, gh, wp)[:, :, :gw], out)
         assert out.tobytes() == ref.tobytes(), conv
 
 
@@ -286,8 +290,8 @@ def test_masked_chunk_input_copy_is_counted(monkeypatch):
     taken, gathers, shared = [], [], []
     take, shift, pad = bn._Instr.take, bn._shift_rows, bn._Runner.padded_input
     monkeypatch.setattr(bn._Instr, "take", lambda s, a: taken.append(a) or take(s, a))
-    monkeypatch.setattr(bn, "_shift_rows", lambda flat, idx, rows: shift(flat, idx, rows)
-                        or gathers.append((idx, rows, rows.copy())))
+    monkeypatch.setattr(bn, "_shift_rows", lambda shifted, idx, rows:
+                        shift(shifted, idx, rows) or gathers.append((idx, rows, rows.copy())))
     monkeypatch.setattr(bn._Runner, "padded_input",
                         lambda s: shared.append(pad(s)) or shared[-1])
     cfg = SwConfig(m=15, n=3, channels=20, edges=2, seed=3)   # chunks of 3
@@ -324,7 +328,7 @@ def test_every_sw_tiny_layer_fits_rows(monkeypatch):
     sw_tiny layer has room for at least one channel of row-shifted input, so
     the benchmark's fused stack never runs the one-channel tap floor."""
     calls = _record_convs(monkeypatch)
-    monkeypatch.setattr(bn._Runner, "_add_map", lambda *a: None)   # not under test
+    monkeypatch.setattr(bn, "_add_map", lambda *a: None)   # not under test
     arch = ArchSpec.sw_tiny()
     for lid, name in enumerate(arch.layer_names()):
         st = arch.stage_of(name)
@@ -424,6 +428,122 @@ def test_fused_output_checksums_pinned():
                          weights=wts)
     assert rep.checksum == ("a711fba9b9582a5440e06b0eb1cf3cbd"
                             "1f61a8b353c17ef57f938ee7e83ac1da")
+
+
+def test_fused_checksums_pinned_at_four_read_groups():
+    """Frozen sha256 of the sw_tiny stage-2 operator at 14x14, where each of
+    fused's gathers holds four reads (see
+    test_read_groups_fit_their_chunks_staging_buffer): dense f32 and 60 %
+    kept f64."""
+    cfg = SwConfig(m=47, n=3, channels=320, ghost=0.23, edges=4, rep_branches=2,
+                   pad_mode="half", order_policy="per_edge_shuffled", seed=1)
+    rep = bn.run_variant("fused", cfg, 14, 14, reps=1, warmup=0, dtype="f32")
+    assert rep.checksum == ("835514c3bcd05ac42eb4c0bece9f569a"
+                            "354ab0415c03abcb3b17bd12e04f5792")
+    wts = random_weights(cfg, dtype=np.float64)
+    wts.masks = init_sparsity("subset", {"op": wts.rep}, 0.4, seed=1)["op"]
+    rep = bn.run_variant("fused", cfg, 14, 14, reps=1, warmup=0, dtype="f64",
+                         weights=wts)
+    assert rep.checksum == ("ecc6bdf558e6fc30672591b620a07e73"
+                            "78996e9561cf09b4ccbc3fda8cf2f68e")
+
+
+@settings(max_examples=200)
+@given(c=st.integers(1, 9), h=st.integers(1, 5), w=st.integers(1, 5),
+       reads=st.integers(0, 9), group=st.integers(1, 9), gappy=st.booleans(),
+       repeats=st.integers(0, 3), dtype=st.sampled_from((np.float32, np.float64)),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_reads_match_one_read_at_a_time(c, h, w, reads, group, gappy, repeats,
+                                               dtype, seed):
+    """_add_map gathers several reads per fancy-index call, but its output is
+    byte-equal to adding the reads one at a time, in order, then the center,
+    whatever the group size, channel set or read table."""
+    rng = np.random.default_rng(seed)
+    if gappy:
+        steps = rng.integers(1, 3, c)
+        steps[-1] = 2                        # at least one missing channel
+        sel = np.cumsum(steps)
+    else:
+        sel = np.arange(c) + rng.integers(0, 3)
+    idx = bn._channel_index(sel)
+    pitch = w + int(rng.integers(0, 3))
+    buf = rng.uniform(-1, 1, (h + 4) * pitch * 3).astype(dtype)
+    item = buf.itemsize
+    win = as_strided(buf, (buf.size - (h - 1) * pitch - w + 1, h, w),
+                     (item, pitch * item, item), writeable=False)
+    offs = rng.integers(0, len(win), (reads, c))
+    center = win[rng.integers(0, len(win), c)]
+    out = rng.uniform(-1, 1, (sel[-1] + 2, h, w)).astype(dtype)
+    want = out.copy()
+    for o in offs:
+        want[sel] += win[o]
+    for _e in range(repeats):
+        want[sel] += center
+    # `room` allows exactly `group` reads per gather, clipped to all reads
+    room = min(group, max(reads, 1)) * c * h * w + int(rng.integers(0, c * h * w))
+    bn._add_map(out, idx, win, offs, room, center, repeats)
+    assert out.tobytes() == want.tobytes()
+
+
+class _GatherSpy:
+    """Wraps a window view and records the shape of every block gathered from it."""
+
+    def __init__(self, win, blocks):
+        self.win, self.blocks = win, blocks
+
+    def __getitem__(self, key):
+        got = self.win[key]
+        self.blocks.append(got.shape)
+        return got
+
+
+def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
+    """No gather of fused's grouped reads holds more elements than the
+    chunk's own staging buffer: every sw_tiny layer at its 224-input shape,
+    dense and 60 % kept, f32 and f64, and the _small_grids cases.  A full
+    chunk of a dense stage-2 layer gathers four reads at a time."""
+    rooms, blocks = [], []
+    stage, add = bn._Runner._staging, bn._add_map
+
+    def staging(runner, *a):
+        got = stage(runner, *a)
+        rooms.append(got[0].size)
+        return got
+
+    monkeypatch.setattr(bn._Runner, "_staging", staging)
+    monkeypatch.setattr(bn, "_add_map", lambda out, idx, win, *a:
+                        add(out, idx, _GatherSpy(win, blocks), *a))
+
+    def check(cfg, h, w, dtype, weights=None):
+        rooms.clear()
+        blocks.clear()
+        bn._Runner(cfg, h, w, dtype, weights=weights).run("fused", bn._Instr())
+        assert len(rooms) == 1, (cfg, h, w, dtype)
+        assert max((np.prod(b) for b in blocks), default=0) <= rooms[0], (cfg, h, w, dtype)
+        widest = max((b[1] for b in blocks), default=0)
+        return {b[0] for b in blocks if b[1] == widest}   # reads per full-chunk gather
+
+    arch = ArchSpec.sw_tiny()
+    for lid, name in enumerate(arch.layer_names()):
+        st = arch.stage_of(name)
+        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
+                       ghost=arch.ghost, edges=arch.edges, rep_branches=arch.rep_branches,
+                       order_policy="per_edge_shuffled", seed=1, layer_id=lid)
+        masked = random_weights(cfg)
+        masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
+        for wts, dtype in itertools.product((None, masked), ("f32", "f64")):
+            groups = check(cfg, 56 >> st, 56 >> st, dtype, wts)
+            if st == 2 and wts is None:
+                assert groups == {4}, name
+    for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
+        for m, h, w in _small_grids(n):
+            cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
+                           edges=2, order_policy="per_edge_shuffled", seed=9)
+            for dtype, masking in itertools.product(("f32", "f64"), (False, True)):
+                wts = random_weights(cfg)
+                if masking:
+                    wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+                check(cfg, h, w, dtype, wts)
 
 
 def test_config_digest_names_weights_masks_and_relaxed():
