@@ -27,7 +27,7 @@ import numpy as np
 from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .conv_ref import strip_conv_ref
-from .reparam import FoldRequiredError, densify
+from .reparam import densify
 from .sw_op import SwConfig, SwWeights, ShiftPlan, build_shift_plan, sw_forward
 from .tensor import ShapeError, Tensor
 
@@ -104,11 +104,7 @@ class SwLayer:
     plan: ShiftPlan
 
     def __post_init__(self):
-        for branch in self.cfg.branch_types:
-            norm = self.weights.norms.get(branch)
-            if norm is not None and not norm.is_identity():
-                raise FoldRequiredError(
-                    "ERF analysis is linear-only: fold normalization first")
+        self.weights.validate_linear(self.cfg, self.plan)
 
     @property
     def channels(self) -> int:

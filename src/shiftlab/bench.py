@@ -34,9 +34,10 @@ channels that keep map k, and when they are not contiguous the copy into
 the row-shift buffer is a gather.  A fused chunk's staging buffer,
 accumulator and row-shift buffer hold no more elements than one
 (C_sw, Hg, Wg) map.  Where that leaves no room for one channel's row-shift
-copies (grids of a few pixels), fused runs one channel at a time through
-the tap loop, one contiguous multiply-add of the flat plane per tap, with
-no row-shift buffer.
+copies (grids of a few pixels, and layers whose few channels make one map
+smaller than one channel's buffers, such as 8 channels of an m = 51
+operator at 24 x 24), fused runs one channel at a time through the tap
+loop, one contiguous multiply-add per tap, with no row-shift buffer.
 
 Both variants share one accumulation order per output element -- for
 each map k, the H edges, then the W edges, then the center -- so
@@ -214,10 +215,8 @@ class _Runner:
         self.plan = build_shift_plan(cfg)
         if weights is None:
             weights = random_weights(cfg, dtype=self.np_dtype)
+        weights.validate_linear(cfg, self.plan)
         self.weights = weights
-        for norm in weights.norms.values():
-            if norm is not None and not norm.is_identity():
-                raise ShapeError("bench variants run with identity normalization")
         if cfg.center_independent and BRANCH_CENTER in cfg.branch_types:
             raise ShapeError("bench variants add the shared center block k0; "
                              "center_independent is not supported")

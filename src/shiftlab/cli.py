@@ -102,7 +102,7 @@ def _check_rows_verify(args):
             return
         rng = CounterRng(cfg.seed, "verify-input")
         x = Tensor(rng.uniform_array((cfg.channels, args.h, args.w), -0.5, 0.5, dt))
-        if all(norm is None for norm in w.norms.values()):
+        if w.identity_norms(cfg):
             ecfg = SwConfig(**{**cfg.__dict__, "pad_mode": "exact"})
             y = sw_forward(x, w, ecfg, plan).data
             keq = densify(w, plan, ecfg)
@@ -263,8 +263,7 @@ def cmd_erf(args) -> int:
         label = f"strip_{m}x{n}"
     a = analysis.erf_map(stack, probe_size=args.probe)
     path = os.path.join(out, f"erf_{label}.swt")
-    ensure_fresh(path, args.force)
-    write_container(from_array(a), path)
+    write_container(from_array(a), path, args.force)
     if args.pgm:
         _write_pgm(os.path.join(out, f"erf_{label}.pgm"), a, args.force)
     _write_csv(os.path.join(out, f"erf_{label}.csv"),
@@ -342,14 +341,9 @@ def run_prune_sim(steps, u, gap, s, policy, stream, n_layers=4, branches=2,
     banks = {nm: [CounterRng(seed, "sim-bank", nm, r).uniform_array(
         (c, gk, n, n), -1, 1) for r in range(branches)]
         for nm, c, gk in layer_specs}
-    if init == "per_branch":
-        masks = {nm: [sparsity.prune_to_target(sparsity.score_filters(b), s)
-                      for b in banks[nm]] for nm in names}
-    else:
-        masks = sparsity.init_sparsity(init, banks, s, seed=seed)
-    state = sparsity.SparsityState(masks=masks, target=s, update_period=u,
-                                   share_gap=gap, policy=policy, seed=seed,
-                                   horizon=steps)
+    state = sparsity.SparsityState(masks=sparsity.init_sparsity(init, banks, s, seed=seed),
+                                   target=s, update_period=u, share_gap=gap,
+                                   policy=policy, seed=seed, horizon=steps)
     rows = []
     for step in range(1, steps + 1):
         state.step = step
@@ -466,8 +460,7 @@ def gen_golden(out: str, seed: int, force: bool = False) -> list[str]:
 
     def tensor(name, t):
         paths.append(os.path.join(out, name))
-        ensure_fresh(paths[-1], force)
-        write_container(t, paths[-1])
+        write_container(t, paths[-1], force)
 
     for i, (m, n, c, h, w) in enumerate([(21, 3, 2, 16, 18), (13, 5, 3, 14, 14),
                                          (51, 3, 1, 24, 24)]):
@@ -579,8 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=0.4)
     sp.add_argument("--policy", default="shared",
                     choices=sparsity.STEP_POLICIES)
-    sp.add_argument("--init", default="per_branch",
-                    choices=("per_branch",) + sparsity.INIT_POLICIES)
+    sp.add_argument("--init", default="per_branch", choices=sparsity.INIT_POLICIES)
     sp.add_argument("--stream", default="uniform",
                     choices=("uniform", "persistent", "adversarial"))
     sp.add_argument("--arch", default="none", choices=("none", "tiny", "small"),

@@ -131,7 +131,8 @@ def densify(w, plan, cfg) -> np.ndarray:
 
     Places every branch contribution's filter taps at their displaced
     positions; a depthwise "same" convolution with the result equals the
-    exact-mode forward pass.  Requires identity normalization: folding a
+    exact-mode forward pass.  Weights and plan must fit cfg, and every
+    active norm must be absent or identity (`w.validate_linear`): folding a
     per-branch-type norm would scale contributions that share one bank,
     so the caller must fold first (or clear the norms).
 
@@ -139,13 +140,7 @@ def densify(w, plan, cfg) -> np.ndarray:
     the largest absolute displacements used by the active vertical and
     horizontal branches.
     """
-    for branch in cfg.branch_types:
-        norm = w.norms.get(branch)
-        if norm is not None and not norm.is_identity():
-            raise FoldRequiredError(
-                f"branch {branch!r} carries a non-identity normalization; "
-                "fold it before densifying")
-
+    w.validate_linear(cfg, plan)
     n, s = cfg.n, cfg.shift_margin()
     s_v = s if "H" in cfg.branch_types else 0
     s_h = s if "W" in cfg.branch_types else 0

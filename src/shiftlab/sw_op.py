@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .rng import CounterRng, permutations
-from .reparam import AffineNorm, merge_rep
+from .reparam import AffineNorm, FoldRequiredError, merge_rep
 from .tensor import (FormatError, ShapeError, Tensor, ensure_fresh,
                      from_array, read_container, write_container)
 
@@ -133,6 +133,10 @@ class ShiftPlan:
     def g(self) -> int:
         return len(self.displacements)
 
+    def validate(self, cfg: SwConfig) -> None:
+        """Raise PlanError unless the plan has cfg's (E, C_sw, g) tables."""
+        if self.g != cfg.g or self.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g):
+            raise PlanError("plan does not match the configuration")
 
 
 def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
@@ -186,6 +190,7 @@ class SwWeights:
     center: np.ndarray | None = None
 
     def validate(self, cfg: SwConfig) -> None:
+        """ShapeError unless banks, masks, center bank and present norms fit cfg."""
         want = (cfg.sw_channels, cfg.g, cfg.n, cfg.n)
         if len(self.rep) != cfg.rep_branches or len(self.masks) != cfg.rep_branches:
             raise ShapeError("branch count disagrees with config")
@@ -197,6 +202,23 @@ class SwWeights:
         if cfg.center_independent:
             if self.center is None or self.center.shape != (cfg.sw_channels, cfg.n, cfg.n):
                 raise ShapeError("independent center bank missing or misshapen")
+        for branch, norm in self.norms.items():
+            if norm is not None and norm.channels != cfg.sw_channels:
+                raise ShapeError(f"norm {branch!r} has {norm.channels} channels, "
+                                 f"config wants {cfg.sw_channels}")
+
+    def identity_norms(self, cfg: SwConfig) -> bool:
+        """Every active branch's norm is absent or identity."""
+        return all(self.norms.get(b) is None or self.norms[b].is_identity()
+                   for b in cfg.branch_types)
+
+    def validate_linear(self, cfg: SwConfig, plan: ShiftPlan) -> None:
+        """Gate of a route with no per-branch norm stage (densify, ERF, bench):
+        validate both, then FoldRequiredError unless identity_norms holds."""
+        self.validate(cfg)
+        plan.validate(cfg)
+        if not self.identity_norms(cfg):
+            raise FoldRequiredError("linear-only route: fold normalization first")
 
     def masked_bank(self, r: int) -> np.ndarray:
         """Branch r with masked filters materialized as exact zeros."""
@@ -319,8 +341,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
     if xa.shape[-3] != cfg.channels:
         raise ShapeError(f"input has {xa.shape[-3]} channels, config wants {cfg.channels}")
     w.validate(cfg)
-    if plan.g != cfg.g or plan.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g):
-        raise PlanError("plan does not match the configuration")
+    plan.validate(cfg)
 
     cg = cfg.ghost_channels
     pads, origin = _grid_geometry(cfg, xa.shape[-2], xa.shape[-1])
@@ -455,22 +476,15 @@ def read_operator_spec(path) -> SwConfig:
 def save_sw_weights(w: SwWeights, dirpath, force: bool = True) -> None:
     os.makedirs(dirpath, exist_ok=True)
     for r, (bank, mask) in enumerate(zip(w.rep, w.masks)):
-        p = os.path.join(dirpath, f"rep{r}.swt")
-        ensure_fresh(p, force)
-        write_container(from_array(bank), p)
-        p = os.path.join(dirpath, f"mask{r}.swt")
-        ensure_fresh(p, force)
-        write_container(from_array(mask.astype(np.float32)), p)
+        write_container(from_array(bank), os.path.join(dirpath, f"rep{r}.swt"), force)
+        write_container(from_array(mask.astype(np.float32)),
+                        os.path.join(dirpath, f"mask{r}.swt"), force)
     for branch, norm in w.norms.items():
-        if norm is None:
-            continue
-        p = os.path.join(dirpath, f"bn_{branch}.swt")
-        ensure_fresh(p, force)
-        write_container(from_array(norm.as_rows()), p)
+        if norm is not None:
+            write_container(from_array(norm.as_rows()),
+                            os.path.join(dirpath, f"bn_{branch}.swt"), force)
     if w.center is not None:
-        p = os.path.join(dirpath, "center.swt")
-        ensure_fresh(p, force)
-        write_container(from_array(w.center), p)
+        write_container(from_array(w.center), os.path.join(dirpath, "center.swt"), force)
 
 
 def load_sw_weights(dirpath, cfg: SwConfig) -> SwWeights:

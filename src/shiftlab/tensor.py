@@ -114,7 +114,10 @@ def get_zero_extended(t: Tensor, c: int, y: int, x: int) -> float:
     return 0.0
 
 
-def write_container(t: Tensor, path) -> None:
+def write_container(t: Tensor, path, force: bool = True) -> None:
+    """Write t to path in the SWT1 layout; an existing file is replaced only
+    when force is true, else FileExistsError (see ensure_fresh)."""
+    ensure_fresh(path, force)
     arr = t.data
     code = _CODE_BY_NAME[t.dtype]
     header = MAGIC + bytes([code, arr.ndim]) + b"\x00" * 6

@@ -25,11 +25,19 @@ def test_variants_match_reference_f64():
         assert d <= 1e-10, (v, d)
 
 
-def test_variants_match_reference_f32_relaxed():
-    diffs = bn.verify_variants(SwConfig(**SMALL), trials=2, h=18, w=20,
-                               dtype="f32", relaxed=True)
-    for v, d in diffs.items():
-        assert d <= 1e-5, (v, d)
+def test_variants_match_reference_f32_relaxed(monkeypatch):
+    # SMALL leaves fused no room for rows (tap loop); 20 channels run the
+    # einsum in chunks of 2 over 16 channels
+    calls = _record_convs(monkeypatch)
+    for cfg, fused_conv in ((SwConfig(**SMALL), "taps"),
+                            (SwConfig(**{**SMALL, "channels": 20}), "rows")):
+        calls["rows"].clear()
+        calls["taps"].clear()
+        diffs = bn.verify_variants(cfg, trials=2, h=18, w=20, dtype="f32", relaxed=True)
+        for v, d in diffs.items():
+            assert d <= 1e-5, (cfg.channels, v, d)
+        # naive converts all C_sw channels at once, fused a chunk at a time
+        assert min(calls[fused_conv]) < cfg.sw_channels, (cfg.channels, calls)
 
 
 def test_checksums_bitwise_equal_in_deterministic_mode():
@@ -369,6 +377,18 @@ def test_grids_without_room_for_rows_take_the_tap_floor(monkeypatch, rng):
                 naive = runner.run("naive", bn._Instr())
                 assert fused.tobytes() == naive.tobytes(), case
     assert floored
+
+
+@pytest.mark.parametrize("other", (
+    dict(m=21),             # a g = 7 bank on a g = 5 config
+    dict(rep_branches=2),   # a second Rep bank
+    dict(channels=8),       # 8-channel weights on 6 channels
+), ids=("g7", "two_rep", "eight_channels"))
+def test_run_variant_rejects_weights_of_another_config(other):
+    cfg = SwConfig(m=15, n=3, channels=6)
+    wts = random_weights(SwConfig(**{**cfg.__dict__, **other}))
+    with pytest.raises(ShapeError):
+        bn.run_variant("fused", cfg, 10, 10, reps=1, warmup=0, weights=wts)
 
 
 def test_center_independent_rejected():

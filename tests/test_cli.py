@@ -168,6 +168,41 @@ def test_verify_csv_quotes_a_detail_with_commas(tmp_path):
     assert "(4, 5, 3, 3) != (4, 3, 3, 3)" in rows[-1]["detail"]
 
 
+def _spec_with_weights(tmp_path, cfg, wts):
+    spec, wdir = tmp_path / "op.spec", tmp_path / "weights"
+    sl.write_operator_spec(cfg, spec)
+    save_sw_weights(wts, wdir)
+    return ["--spec", str(spec), "--weights", str(wdir)]
+
+
+def test_verify_spec_with_identity_norm_runs_densify_consistency(tmp_path):
+    # an identity norm file is no norm at all: the densify row still runs
+    cfg = sl.SwConfig(m=9, n=3, channels=4, ghost=0.25, seed=3)
+    wts = sl.random_weights(cfg)
+    wts.norms["H"] = sl.AffineNorm.identity(cfg.sw_channels)
+    rc = main(["verify", "--out", str(tmp_path / "o")]
+              + _spec_with_weights(tmp_path, cfg, wts))
+    assert rc == 0
+    rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights", "plan-bijective",
+                                    "densify-consistency", "ghost-passthrough"]
+    assert all(r[4] == "pass" for r in rows)
+
+
+def test_verify_spec_with_misshapen_norm_fails_load_weights(tmp_path, capsys):
+    cfg = sl.SwConfig(m=9, n=3, channels=4, seed=3)
+    wts = sl.random_weights(cfg)
+    wts.norms["W"] = sl.AffineNorm.identity(3)
+    rc = main(["verify", "--out", str(tmp_path / "o")]
+              + _spec_with_weights(tmp_path, cfg, wts))
+    assert rc == 1
+    assert "error:" not in capsys.readouterr().err
+    rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights"]
+    assert rows[1][4] == "FAIL"
+    assert "norm 'W' has 3 channels, config wants 4" in rows[1][1]
+
+
 def test_center_bank_weights_round_trip_and_verify(tmp_path, capsys):
     cfg = sl.SwConfig(m=9, n=3, channels=4, edges=2, rep_branches=2,
                       center_independent=True, pad_mode="exact", seed=3)

@@ -222,6 +222,41 @@ def _arch_masks(arch, sparsifier):
     return masks
 
 
+def test_shared_sync_ends_every_init_on_the_joint_top_set():
+    """A shared sync keeps the top n - floor(s n) filters by joint score
+    within the union of the branches' kept sets, so once that union holds
+    the global joint top set, the init policy no longer matters."""
+    def final(steps, gap, s, init):
+        state, _ = run_prune_sim(steps, 100, gap, s, "shared", "uniform", init=init)
+        return state.masks
+
+    def joint_top(s):   # per layer of run_prune_sim's default 4 x 16 x 17 banks
+        return {f"layer{i}": sp.prune_to_target(np.add.reduce([
+            sp.score_filters(CounterRng(51, "sim-bank", f"layer{i}", r).uniform_array(
+                (16, 17, 3, 3), -1, 1)) for r in range(2)]), s) for i in range(4)}
+
+    top = joint_top(0.4)
+    for init in sp.INIT_POLICIES:
+        masks = final(100, 1, 0.4, init)
+        assert all(np.array_equal(m, top[name]) for name in top for m in masks[name]), init
+    top = joint_top(0.8)
+    ends = [final(300, 3, 0.8, init) for init in sp.INIT_POLICIES]
+    for masks in ends:
+        assert not all(np.array_equal(masks[name][0], top[name]) for name in top)
+    flat = [np.concatenate([m.reshape(-1) for name in top for m in masks[name]])
+            for masks in ends]
+    assert len({f.tobytes() for f in flat}) == len(flat)
+    # the mechanism itself: a union that holds the top set syncs to it
+    rng = np.random.default_rng(3)
+    scores = rng.uniform(size=(2, 6, 5))
+    banks = np.zeros((2, 6, 5, 3, 3))
+    banks[..., 1, 1] = scores   # each filter's magnitude sum is its score
+    best = sp.prune_to_target(scores.sum(0), 0.6)
+    other = rng.uniform(size=(6, 5)) < 0.5
+    for masks in ([best, other], [other | best, best]):
+        assert all(np.array_equal(m, best) for m in sp._unify_shared(masks, banks, 18))
+
+
 def test_mask_stats_all_dense():
     arch = ArchSpec.sw_tiny()
     masks = _arch_masks(arch, lambda s, c, g: np.ones((c, g), dtype=bool))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
+import shiftlab.analysis as an
 from shiftlab.sw_op import PAD_MODES
 from conftest import naive_depthwise
 
@@ -269,6 +270,26 @@ def test_plan_with_other_fanout_raises(rng):
     with pytest.raises(sl.PlanError, match="does not match"):
         sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (2, 8, 8))),
                       sl.random_weights(cfg), cfg, plan)
+
+
+@pytest.mark.parametrize("route", ("densify", "SwLayer"))
+@pytest.mark.parametrize("other, error", (
+    (dict(rep_branches=2), sl.ShapeError),   # a second Rep bank
+    (dict(edges=2), sl.PlanError),           # a plan built for two edges
+), ids=("two_rep", "two_edge_plan"))
+def test_linear_routes_reject_weights_or_plan_of_another_config(route, other, error):
+    cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
+    wts, plan = sl.random_weights(cfg), sl.build_shift_plan(cfg)
+    odd = sl.SwConfig(**{**cfg.__dict__, **other})
+    if "rep_branches" in other:
+        wts = sl.random_weights(odd)
+    else:
+        plan = sl.build_shift_plan(odd)
+    with pytest.raises(error):
+        if route == "densify":
+            sl.densify(wts, plan, cfg)
+        else:
+            an.SwLayer(cfg, wts, plan)
 
 
 def test_exact_mode_rejects_displacement_past_its_margin(rng):
