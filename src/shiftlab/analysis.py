@@ -300,9 +300,9 @@ class CountReport:
         self.rows.append(CountRow(name, kind, int(params), int(macs), closed_form))
 
 
-def _conv_counts(c_in, c_out, k, out_hw, bias=True, groups=1):
-    params = c_out * (c_in // groups) * k * k + (c_out if bias else 0)
-    macs = out_hw * out_hw * c_out * (c_in // groups) * k * k
+def _conv_counts(c_in, c_out, k, out_hw):
+    params = c_out * c_in * k * k + c_out
+    macs = out_hw * out_hw * c_out * c_in * k * k
     return params, macs
 
 

@@ -17,9 +17,10 @@ edge, capped at H rows (W columns).  Over an (H, W)-window view of the
 buffer every read is one flat offset, so each (map k, branch, edge) is one
 window per channel of the chunk; out-of-grid reads add +0.0.  The reads of
 a map are gathered several at a time, as many as fit in the chunk's own
-staging buffer (at least one), and added one read at a time.  The views,
-slot offsets and per-map counts are built once per run, before the loop
-over maps.
+staging buffer (at least one), and added one read at a time.  The read
+tables -- the window offset of every shifted read, the center window and
+the in-grid read counts of each map -- are built once per runner, with the
+plan and the bank; only the staging views are made on each run.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
@@ -29,11 +30,16 @@ drops the N - 1 wrap-around columns of each row.  The flat planes of a
 chunk of channels are first copied N times into a row-shift buffer, copy v
 shifted left by v, so that all N*N taps are one einsum over a zero-copy
 (c, u, v, Hg*Wp) view of it; einsum sums (u, v) in order from zero, as the
-tap loop does.  Masked filters are skipped: a fused chunk is drawn from the
-channels that keep map k, and when they are not contiguous the copy into
-the row-shift buffer is a gather.  A fused chunk's staging buffer,
-accumulator and row-shift buffer hold no more elements than one
-(C_sw, Hg, Wg) map.  Where that leaves no room for one channel's row-shift
+tap loop does.  The row-shift copy stays because the same einsum over a
+zero-copy (c, u, v, Hg*Wp) view of the padded input itself, with strides
+(plane, Wp, 1, 1), makes numpy reorder its loops: at the sw_tiny chunk
+sizes it ran 2.3 to 13.8 times slower than copy plus einsum (stage 0, f32,
+9 channels: 1231 us against 89 us, on a 2-core Xeon with numpy 2.4.6),
+and its output was not bitwise equal.  Masked filters are skipped: a fused
+chunk is drawn from the channels that keep map k, and when they are not
+contiguous the copy into the row-shift buffer is a gather.  A fused
+chunk's staging buffer, accumulator and row-shift buffer hold no more
+elements than one (C_sw, Hg, Wg) map.  Where that leaves no room for one channel's row-shift
 copies (grids of a few pixels, and layers whose few channels make one map
 smaller than one channel's buffers, such as 8 channels of an m = 51
 operator at 24 x 24), fused runs one channel at a time through the tap
@@ -49,13 +55,14 @@ Instrumentation counts destination-accumulation events per fan-out
 moved at most once per edge by each shift branch plus once by the center
 branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
 variant-owned staging buffers (zero-gap buffer, conv accumulator, row-shift
-buffer), which excludes the shared padded input and the final output.  It
+buffer), which excludes the shared padded input and the final output.  The
+peak is the sum of these buffers, as each one lives until the run ends.  It
 also leaves out numpy temporaries: the block of windows each grouped read
 gathers, the gathered planes of a gappy chunk before they land in the
-row-shift buffer, the product of every tap of the tap loop and the per-run
-offset tables.  With tracemalloc around one f32 fused run of the sw_tiny
+row-shift buffer, the product of every tap of the tap loop and each map's
+offset table.  With tracemalloc around one f32 fused run of the sw_tiny
 stage-0 layer (seed 1), the traced peak less the output and padded input
-is 1260579 to 1261547 B over three runs, against 718416 B reported.
+is 1183787 to 1187955 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -85,16 +92,11 @@ class _Instr:
     """Counters of one run, and byte accounting for variant-owned staging."""
     moves: int = 0          # destination-accumulation events (elements)
     macs: int = 0           # multiply-accumulates in the conv stage
-    current: int = 0        # staging bytes held now
-    peak: int = 0           # most staging bytes held at once
+    peak: int = 0           # staging bytes taken; each buffer lives to the run's end
 
     def take(self, arr: np.ndarray) -> np.ndarray:
-        self.current += arr.nbytes
-        self.peak = max(self.peak, self.current)
+        self.peak += arr.nbytes
         return arr
-
-    def drop(self, arr: np.ndarray) -> None:
-        self.current -= arr.nbytes
 
 
 @dataclass
@@ -193,15 +195,6 @@ def _channel_index(sel: np.ndarray):
     return sel
 
 
-@dataclass
-class _Gather:
-    """Window offsets for a map in staging slot 0, and in-grid read counts."""
-    reads: np.ndarray   # [r, c, k]: the H edges, then the W edges, clipped
-    center: int         # the unshifted window
-    center_map: int | None  # the map k the center branch reads, if it is on
-    moved: np.ndarray   # [c, k]: in-grid reads over all branches and edges
-
-
 class _Runner:
     """Shared state for one benchmark problem instance."""
 
@@ -225,30 +218,46 @@ class _Runner:
                      for k in range(cfg.g)]
         self.x = CounterRng(cfg.seed, "bench-x").uniform_array(
             (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
-        pads, self.origin = _grid_geometry(cfg, h, w)
+        pads, (oy, ox) = _grid_geometry(cfg, h, w)
         (pt, pb), (pl, pr) = pads
         self.pads = (pt, pb, pl, pr)
-        self.gh = h + pt + pb - cfg.n + 1
-        self.gw = w + pl + pr - cfg.n + 1
-        mt, mb, ml, mr = self._margins()
+        gh = self.gh = h + pt + pb - cfg.n + 1
+        gw = self.gw = w + pl + pr - cfg.n + 1
+        on_h, on_w = BRANCH_H in cfg.branch_types, BRANCH_W in cfg.branch_types
+        d = self.plan.displacements
+        dys = d if on_h else (0,)
+        dxs = d if on_w else (0,)
+        # zero rows/columns (top, bottom, left, right) around the working grid:
+        # each side covers the reads past that grid edge, at most h (w)
+        self.margins = mt, mb, ml, mr = (min(h, max(0, -(oy + min(dys)))),
+                                         min(h, max(0, oy + max(dys) + h - gh)),
+                                         min(w, max(0, -(ox + min(dxs)))),
+                                         min(w, max(0, ox + max(dxs) + w - gw)))
         # staging layout: row pitch, elements per map and zeros before map 0
-        self.pitch = self.gw + max(ml, mr)
-        self.slot = (self.gh + max(mt, mb)) * self.pitch
-        self.lead = mt * self.pitch + ml
-
-    def _margins(self):
-        """Zero rows/columns (top, bottom, left, right) around the working grid.
-
-        Each side covers the reads past that grid edge, at most h (w).
-        """
-        cfg, d = self.cfg, self.plan.displacements
-        oy, ox = self.origin
-        dys = d if BRANCH_H in cfg.branch_types else (0,)
-        dxs = d if BRANCH_W in cfg.branch_types else (0,)
-        return (min(self.h, max(0, -(oy + min(dys)))),
-                min(self.h, max(0, oy + max(dys) + self.h - self.gh)),
-                min(self.w, max(0, -(ox + min(dxs)))),
-                min(self.w, max(0, ox + max(dxs) + self.w - self.gw)))
+        p = self.pitch = gw + max(ml, mr)
+        self.slot = (gh + max(mt, mb)) * p
+        self.lead = mt * p + ml
+        # read tables, for a map in staging slot 0: the window offset of each
+        # read [r, c, k] (the H edges, then the W edges, clipped into the
+        # margins), the unshifted center window, the map k the center branch
+        # reads (None when it is off) and the in-grid reads [c, k] over all
+        # branches and edges
+        ry = oy + self.plan.disp_h     # first map row each H read needs
+        cx = ox + self.plan.disp_w     # first map column each W read needs
+        self.moved = np.zeros((cfg.sw_channels, cfg.g), dtype=np.int64)
+        reads = [ry[:0]]               # no edges when neither shift branch is on
+        if on_h:
+            self.moved += ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w).sum(0)
+            reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
+        if on_w:
+            self.moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
+            reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
+        self.reads = np.concatenate(reads)
+        self.center = self.lead + oy * p + ox
+        self.center_map = None
+        if BRANCH_CENTER in cfg.branch_types:
+            self.center_map = self.plan.center_block
+            self.moved[:, self.center_map] += cfg.edges * h * w
 
     def padded_input(self) -> np.ndarray:
         cg = self.cfg.ghost_channels
@@ -260,9 +269,6 @@ class _Runner:
         xpad[:, pt:pt + self.h, pl:pl + self.w] = xs
         return xpad
 
-    def fanout_pixels(self) -> int:
-        return self.cfg.sw_channels * self.cfg.g * self.gh * self.gw
-
     def _staging(self, slots: int, instr: _Instr):
         """A zeroed staging buffer of `slots` maps, its (slots, Hg, Wg) grid
         view and its window view: win[o] is the (h, w) window at element o."""
@@ -272,27 +278,6 @@ class _Runner:
         win = as_strided(buf, (buf.size - (self.h - 1) * p - self.w + 1, self.h, self.w),
                          (item, p * item, item), writeable=False)
         return buf, grid, win
-
-    def _gather(self) -> _Gather:
-        cfg, plan = self.cfg, self.plan
-        h, w, gh, gw, p = self.h, self.w, self.gh, self.gw, self.pitch
-        mt, mb, ml, mr = self._margins()
-        oy, ox = self.origin
-        ry = oy + plan.disp_h          # first map row each H read needs
-        cx = ox + plan.disp_w          # first map column each W read needs
-        moved = np.zeros((cfg.sw_channels, cfg.g), dtype=np.int64)
-        reads = [ry[:0]]               # no edges when neither shift branch is on
-        if BRANCH_H in cfg.branch_types:
-            moved += ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w).sum(0)
-            reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
-        if BRANCH_W in cfg.branch_types:
-            moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
-            reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
-        center_map = None
-        if BRANCH_CENTER in cfg.branch_types:
-            center_map = plan.center_block
-            moved[:, center_map] += cfg.edges * h * w
-        return _Gather(np.concatenate(reads), self.lead + oy * p + ox, center_map, moved)
 
     # ---- the two variants --------------------------------------------------
 
@@ -307,7 +292,7 @@ class _Runner:
         if relaxed:
             ks = ks[::-1]
         run = self._run_naive if variant == "naive" else self._run_fused
-        run(out_full[cg:], xpad, ks, self._gather(), instr)
+        run(out_full[cg:], xpad, ks, instr)
         return out_full
 
     def _rows(self, xpad, chunk, instr):
@@ -325,7 +310,7 @@ class _Runner:
         acc = instr.take(np.empty((chunk, self.gh * wp), dtype=self.np_dtype))
         return acc, acc.reshape(chunk, self.gh, wp)[:, :, :self.gw]
 
-    def _run_naive(self, out, xpad, ks, gat, instr):
+    def _run_naive(self, out, xpad, ks, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
         # map k of channel c sits in slot k * c_sw + c
@@ -336,18 +321,15 @@ class _Runner:
         for k in ks:
             _conv_slice(view, self.bank[:, k], acc, wide, grid[k * c_sw:(k + 1) * c_sw])
         instr.macs += len(ks) * c_sw * cfg.n * cfg.n * self.gh * self.gw
-        instr.drop(rows)
-        instr.drop(acc)
         at = np.arange(c_sw) * self.slot
         for k in ks:
             first = k * c_sw
-            _add_map(out, slice(None), win, gat.reads[:, :, k] + (first * self.slot + at),
-                     maps.size, win[gat.center + first * self.slot::self.slot][:c_sw],
-                     cfg.edges if k == gat.center_map else 0)
-            instr.moves += int(gat.moved[:, k].sum())
-        instr.drop(maps)
+            _add_map(out, slice(None), win, self.reads[:, :, k] + (first * self.slot + at),
+                     maps.size, win[self.center + first * self.slot::self.slot][:c_sw],
+                     cfg.edges if k == self.center_map else 0)
+            instr.moves += int(self.moved[:, k].sum())
 
-    def _run_fused(self, out, xpad, ks, gat, instr):
+    def _run_fused(self, out, xpad, ks, instr):
         cfg = self.cfg
         wp = xpad.shape[2]
         span = (self.gh + cfg.n - 1) * wp
@@ -363,13 +345,13 @@ class _Runner:
         # the slot of each kept channel within its chunk, and the center
         # window of every slot
         at = np.arange(cfg.sw_channels) % chunk * self.slot
-        center = win[gat.center::self.slot]
+        center = win[self.center::self.slot]
         macs = cfg.n * cfg.n * self.gh * self.gw
         for k in ks:
             kept = self.kept[k]
             bank = self.bank[:, k]
-            offs = gat.reads[:, kept, k] + at[:kept.size]
-            repeats = cfg.edges if k == gat.center_map else 0
+            offs = self.reads[:, kept, k] + at[:kept.size]
+            repeats = cfg.edges if k == self.center_map else 0
             for i in range(0, kept.size, chunk):
                 sel = kept[i:i + chunk]
                 idx = _channel_index(sel)
@@ -381,10 +363,7 @@ class _Runner:
                     _conv_slice(view[:m], bank[idx], acc[:m], wide[:m], grid[:m])
                 _add_map(out, idx, win, offs[:, i:i + m], buf.size, center[:m], repeats)
             instr.macs += kept.size * macs
-            instr.moves += int(gat.moved[kept, k].sum())
-        instr.drop(rows)
-        instr.drop(acc)
-        instr.drop(buf)
+            instr.moves += int(self.moved[kept, k].sum())
 
 
 def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
@@ -425,7 +404,8 @@ def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
         med = statistics.median(s)
         mad = statistics.median([abs(t - med) for t in s])
         reports.append(BenchReport(v, digest, s, float(med), float(mad),
-                                   instr.moves / runner.fanout_pixels(), instr.peak,
+                                   instr.moves / (cfg.sw_channels * cfg.g * runner.gh * runner.gw),
+                                   instr.peak,
                                    hashlib.sha256(out.tobytes()).hexdigest()))
     return reports
 

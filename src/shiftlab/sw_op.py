@@ -23,6 +23,7 @@ leading slice of ghost channels bypasses the operator unchanged.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -134,8 +135,10 @@ class ShiftPlan:
         return len(self.displacements)
 
     def validate(self, cfg: SwConfig) -> None:
-        """Raise PlanError unless the plan has cfg's (E, C_sw, g) tables."""
-        if self.g != cfg.g or self.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g):
+        """Raise PlanError unless the plan has cfg's displacements and
+        (E, C_sw, g) tables."""
+        if (self.displacements != cfg.displacements()
+                or self.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g)):
             raise PlanError("plan does not match the configuration")
 
 
@@ -280,7 +283,7 @@ def _accumulate_shifted(out: np.ndarray, plane: np.ndarray, dy: int, dx: int,
         out[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] += plane[rr0:rr1, cc0:cc1]
 
 
-def from_strip(k, pad_mode: str = "exact", dtype=None):
+def from_strip(k):
     """Exact-equivalence constructor from an M x N depthwise strip kernel.
 
     Partitions the kernel into g = ceil(M/N) row blocks of N rows (the
@@ -291,14 +294,12 @@ def from_strip(k, pad_mode: str = "exact", dtype=None):
     Returns (cfg, weights, plan).
     """
     ka = k.data if isinstance(k, Tensor) else np.asarray(k)
-    if dtype is not None:
-        ka = ka.astype(dtype)
     if ka.ndim != 3:
         raise ShapeError("expected a (C, M, N) strip kernel")
     c, m, n = ka.shape
     if m % 2 == 0 or n % 2 == 0:
         raise ShapeError("strip extents must be odd")
-    cfg = SwConfig(m=m, n=n, channels=c, pad_mode=pad_mode,
+    cfg = SwConfig(m=m, n=n, channels=c, pad_mode="exact",
                    branch_types=(BRANCH_H,))
     g = cfg.g
     bank = np.zeros((c, g, n, n), dtype=ka.dtype)
@@ -493,6 +494,11 @@ def load_sw_weights(dirpath, cfg: SwConfig) -> SwWeights:
         rep.append(read_container(os.path.join(dirpath, f"rep{r}.swt")).data.copy())
         mask = read_container(os.path.join(dirpath, f"mask{r}.swt")).data
         masks.append(mask > 0.5)
+    for name in sorted(os.listdir(dirpath)):
+        extra = re.fullmatch(r"(?:rep|mask)(\d+)\.swt", name)
+        if extra and int(extra[1]) >= cfg.rep_branches:
+            raise FormatError(f"{os.path.join(dirpath, name)}: Rep branch {extra[1]}, "
+                              f"config wants rep_branches = {cfg.rep_branches}")
     norms: dict[str, AffineNorm | None] = {b: None for b in ALL_BRANCHES}
     for branch in ALL_BRANCHES:
         p = os.path.join(dirpath, f"bn_{branch}.swt")

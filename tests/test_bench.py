@@ -194,8 +194,7 @@ def test_staging_reads_stay_in_their_own_map():
         runner = bn._Runner(cfg, h, w, "f32")
         _, grid, win = runner._staging(3, bn._Instr())
         grid[:] = np.arange(1, 4)[:, None, None]
-        gat = runner._gather()
-        offsets = np.unique(np.append(gat.reads, gat.center))
+        offsets = np.unique(np.append(runner.reads, runner.center))
         for j in range(3):
             got = win[offsets + j * runner.slot]
             assert np.all((got == 0) | (got == j + 1)), (cfg, h, w, j)
@@ -268,7 +267,7 @@ def _assert_fused_staging_within_bound(cfg, h, w, dtype, weights=None):
     runner = bn._Runner(cfg, h, w, dtype, weights=weights)
     instr = bn._Instr()
     runner.run("fused", instr)
-    mt, mb, ml, mr = runner._margins()
+    mt, mb, ml, mr = runner.margins
     wp = runner.padded_input().shape[2]
     floor = (runner.gh + mt + mb) * (runner.gw + ml + mr) + runner.gh * wp
     bound = max(cfg.sw_channels * runner.gh * runner.gw, floor)
@@ -289,6 +288,22 @@ def test_fused_staging_within_one_map_bound():
                                edges=2, order_policy="per_edge_shuffled", seed=9)
                 for dtype in ("f32", "f64"):
                     _assert_fused_staging_within_bound(cfg, h, w, dtype)
+
+
+def test_staging_bytes_pinned_per_sw_tiny_stage():
+    """Frozen staging bytes, so that peak_staging_bytes keeps its meaning:
+    each sw_tiny stage at its 224-input shape, dense and 60 % kept, in f32
+    and in f64 (exactly twice f32)."""
+    fused = (718416, 385908, 193432, 94676)
+    naive = (30298496, 25446296, 13375192, 2536292)
+    for (hw, cfg), want in zip(_tiny_stage_cfgs(), zip(fused, naive)):
+        masked = random_weights(cfg)
+        masked.masks = init_sparsity("subset", {"op": masked.rep}, 0.4, seed=1)["op"]
+        for wts, (dtype, scale) in itertools.product((None, masked), (("f32", 1), ("f64", 2))):
+            for variant, f32_bytes in zip(("fused", "naive"), want):
+                rep = bn.run_variant(variant, cfg, hw, hw, reps=1, warmup=0, dtype=dtype,
+                                     weights=wts)
+                assert rep.peak_intermediate_bytes == scale * f32_bytes, (hw, dtype, variant)
 
 
 def test_masked_chunk_input_copy_is_counted(monkeypatch):

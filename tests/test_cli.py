@@ -139,6 +139,20 @@ def test_verify_corrupted_weights_fails_with_named_check(tmp_path, capsys):
     assert "load-weights" in out and "FAIL" in out
 
 
+def test_verify_spec_refuses_extra_rep_branches(tmp_path):
+    # weights saved with b = 2 against a b = 1 spec: rep1/mask1 would be
+    # dropped without a word
+    cfg = sl.SwConfig(m=9, n=3, channels=4, seed=3)
+    two = sl.random_weights(sl.SwConfig(**{**cfg.__dict__, "rep_branches": 2}))
+    rc = main(["verify", "--out", str(tmp_path / "o")]
+              + _spec_with_weights(tmp_path, cfg, two))
+    assert rc == 1
+    rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights"]
+    assert rows[1][4] == "FAIL"
+    assert f"{tmp_path / 'weights' / 'mask1.swt'}: Rep branch 1" in rows[1][1]
+
+
 def test_verify_malformed_spec_fails_with_named_check(tmp_path, capsys):
     spec = tmp_path / "op.spec"
     spec.write_text("M=9\nN=3\nC=4\nM=51\n")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,6 @@ import shiftlab as sl
 import shiftlab.analysis as an
 from shiftlab.sw_op import PAD_MODES
 from conftest import naive_depthwise
-
-
-def _rand_cfg_weights(rng, m, n, c, **kw):
-    k = rng.uniform(-0.5, 0.5, (c, m, n))
-    cfg, wts, plan = sl.from_strip(k, **kw)
-    return k, cfg, wts, plan
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +289,22 @@ def test_linear_routes_reject_weights_or_plan_of_another_config(route, other, er
 
 
 def test_exact_mode_rejects_displacement_past_its_margin(rng):
-    # M = 7 and M = 9 both give g = 3 at N = 3, so the plan passes the shape
-    # checks; its largest displacement 4 exceeds the M = 9 exact margin of 3
+    # M = 7 and M = 9 both give g = 3 at N = 3, but the M = 7 plan's
+    # displacements (-2, 1, 4) are not the M = 9 config's (-3, 0, 3)
     plan = sl.build_shift_plan(sl.SwConfig(m=7, n=3, channels=2))
     x = sl.Tensor(rng.uniform(-1, 1, (2, 8, 8)))
+    for pad_mode in ("half", "exact"):
+        cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode=pad_mode)
+        with pytest.raises(sl.PlanError, match="does not match"):
+            sl.sw_forward(x, sl.random_weights(cfg), cfg, plan)
+    # a hand-built disp_h that disagrees with its displacements passes the
+    # gate; exact mode's strict margin check stops its displacement 3 + 1,
+    # past the M = 9 margin of 3
     exact = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
+    plan = sl.build_shift_plan(exact)
+    odd = dataclasses.replace(plan, disp_h=plan.disp_h + 1)
     with pytest.raises(sl.PlanError, match=r"displacement \(4, 0\) exceeds"):
-        sl.sw_forward(x, sl.random_weights(exact), exact, plan)
-    half = sl.SwConfig(m=9, n=3, channels=2)
-    assert sl.sw_forward(x, sl.random_weights(half), half, plan).shape == (2, 8, 8)
+        sl.sw_forward(x, sl.random_weights(exact), exact, odd)
 
 
 def test_independent_center_bank(rng):
