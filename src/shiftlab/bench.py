@@ -14,13 +14,26 @@ followed by max(left, right) zero columns, also the left margin of the
 next row, and each map by max(top, bottom) zero rows, also the top margin
 of the next map.  A margin covers the reads the plan makes past that grid
 edge, capped at H rows (W columns).  Over an (H, W)-window view of the
-buffer every read is one flat offset, so each (map k, branch, edge) is one
-window per channel of the chunk; out-of-grid reads add +0.0.  The reads of
-a map are gathered several at a time, as many as fit in the chunk's own
-staging buffer (at least one), and added one read at a time.  The read
-tables -- the window offset of every shifted read, the center window and
-the in-grid read counts of each map -- are built once per runner, with the
-plan and the bank; only the staging views are made on each run.
+buffer every read is one flat offset.  A read is live when its window
+touches the grid; a dead read's window lies wholly in the margins and
+would add +0.0 to every element, which changes no bit, as the destination
+is never -0.0 (it starts at +0.0, and a sum is -0.0 only when both of its
+terms are).  So the engine gathers live windows only.  Each runner builds,
+once, one read table per (map, chunk): the chunk's channels sorted stably
+by their number of live reads, most first; one flat offset array holding
+the live windows read slot by read slot, where slot t is the t-th live
+read, in canonical order, of every channel that has one; and the number
+of channels in each slot, always the first ones of the sorted order.  The
+sorted chunks of a map, one after another, are the map's rows: the
+output rows of its channels, copied out before the map's adds and back
+after them when the sort reorders any, else a view.  A fancy-index call
+gathers as many whole read slots as fit in the chunk's own staging buffer
+(at least one), and slot t is added into the chunk's first counts[t]
+rows, one slot at a time, so each channel still adds its reads in
+canonical order.  On the center map each channel's center window is then
+gathered once and added E times.  The fused tables are built with the
+plan and the bank; naive's, one chunk of all channels per map, on its
+first run.  Only the staging views are made on each run.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
@@ -46,31 +59,33 @@ operator at 24 x 24), fused runs one channel at a time through the tap
 loop, one contiguous multiply-add per tap, with no row-shift buffer.
 
 Both variants share one accumulation order per output element -- for
-each map k, the H edges, then the W edges, then the center -- so
-checksums are bitwise identical in deterministic mode (the destination
-is never -0.0, so adding +0.0 changes no bit); the documented "relaxed"
-switch reverses the map order, which permits a 1e-5 (f32) tolerance.
-Instrumentation counts destination-accumulation events per fan-out
-(conv output) pixel, from in-grid reads only -- each conv-output pixel is
-moved at most once per edge by each shift branch plus once by the center
-branch, so the aggregate stays below 2E + 1 -- and the peak bytes of
-variant-owned staging buffers (zero-gap buffer, conv accumulator, row-shift
-buffer), which excludes the shared padded input and the final output.  The
-peak is the sum of these buffers, as each one lives until the run ends.  It
-also leaves out numpy temporaries: the block of windows each grouped read
-gathers, the gathered planes of a gappy chunk before they land in the
-row-shift buffer, the product of every tap of the tap loop and each map's
-offset table.  With tracemalloc around one f32 fused run of the sw_tiny
+each map k, the H edges, then the W edges, then the center, less the
+dead reads -- so checksums are bitwise identical in deterministic mode;
+the documented "relaxed" switch reverses the map order, which permits a
+1e-5 (f32) tolerance.  Instrumentation counts destination-accumulation
+events per fan-out (conv output) pixel, from in-grid reads only -- each
+conv-output pixel is moved at most once per edge by each shift branch plus
+once by the center branch, so the aggregate stays below 2E + 1 -- the (H, W)
+windows the shift-adds gather, and the peak bytes of variant-owned staging
+buffers (zero-gap buffer, conv accumulator, row-shift buffer), which
+excludes the shared padded input and the final output.  The peak is the
+sum of these buffers, as each one lives until the run ends.  It also
+leaves out numpy temporaries: the block of windows each gather holds, the
+center windows, the copy of a map's rows when the sort reorders them, the
+gathered planes of a gappy chunk before they land in the row-shift buffer
+and the product of every tap of the tap loop.  With tracemalloc around one f32 fused run of the sw_tiny
 stage-0 layer (seed 1), the traced peak less the output and padded input
-is 1183787 to 1187955 B over three runs, against 718416 B reported.
+is 1178890 to 1187955 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import statistics
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -93,6 +108,7 @@ class _Instr:
     moves: int = 0          # destination-accumulation events (elements)
     macs: int = 0           # multiply-accumulates in the conv stage
     peak: int = 0           # staging bytes taken; each buffer lives to the run's end
+    reads: int = 0          # (h, w) windows the shift-adds gather
 
     def take(self, arr: np.ndarray) -> np.ndarray:
         self.peak += arr.nbytes
@@ -107,6 +123,7 @@ class BenchReport:
     median_ns: float
     mad_ns: float
     moves_per_pixel: float
+    reads_per_pixel: float
     peak_intermediate_bytes: int
     checksum: str
 
@@ -167,32 +184,58 @@ def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
     out[:] = wide
 
 
-def _add_map(out: np.ndarray, idx, win: np.ndarray, offs: np.ndarray, room: int,
-             center: np.ndarray, repeats: int) -> None:
-    """out[idx] += win[o] for each row o of offs in turn, then += center,
-    `repeats` times: one map's (branch, edge) reads in canonical order.
+class _ReadTable(NamedTuple):
+    """The live reads of one chunk of channels on one map.
 
-    Column i of offs reads for channel i of idx.  Each fancy-index call
-    gathers as many reads as fit in `room` elements, and at least one, into
-    a numpy temporary; the adds still run one read at a time, so the result
-    does not depend on the group size.
+    A map's read tables index one array of rows: the map's kept channels,
+    chunk by chunk, each chunk's sorted stably by its number of live shift
+    reads, most first.  src holds the chunk's channels in staging-slot order
+    (a slice when they count up by one); dst is the chunk's slice of those
+    rows that the map adds to.  offs holds the window offset of every live
+    shift read, read slot by read slot: slot t is the t-th live read, in
+    canonical order, of each of the first counts[t] rows of dst.  On the
+    center map, center holds the center window of each row of dst, which
+    all of them add E times after their shift reads; elsewhere it is None.
     """
-    dst = out[idx]
-    group = max(1, room // dst.size)
-    for j in range(0, len(offs), group):
-        for read in win[offs[j:j + group]]:
-            dst += read
-    for _e in range(repeats):
-        dst += center
-    if not isinstance(idx, slice):
-        out[idx] = dst
+    src: slice | np.ndarray
+    size: int
+    dst: slice
+    offs: np.ndarray
+    counts: list[int]
+    center: np.ndarray | None
+    moved: int              # in-grid elements the reads add
 
 
-def _channel_index(sel: np.ndarray):
-    """A slice when the channel ids are contiguous, else the ids themselves."""
-    if sel[-1] - sel[0] + 1 == sel.size:
-        return slice(int(sel[0]), int(sel[-1]) + 1)
-    return sel
+def _add_map(rows: np.ndarray, table: _ReadTable, win: np.ndarray, room: int,
+             repeats: int) -> int:
+    """rows[table.dst][:counts[t]] += the windows of read slot t, for each
+    slot in turn, then += the center windows `repeats` times: one chunk's
+    live reads of one map, in canonical order.  Returns the number of
+    windows gathered.
+
+    Each fancy-index call gathers as many whole read slots as fit in `room`
+    elements, and at least one, into a numpy temporary; the adds still run
+    one slot at a time, so the result does not depend on the group size.
+    The center windows are gathered once and added `repeats` times.
+    """
+    counts = table.counts
+    dst = rows[table.dst]
+    if counts:
+        per = max(1, room // (counts[0] * win.shape[1] * win.shape[2]))
+        start = 0
+        for j in range(0, len(counts), per):
+            group = counts[j:j + per]
+            block = win[table.offs[start:start + sum(group)]]
+            at = 0
+            for n in group:
+                dst[:n] += block[at:at + n]
+                at += n
+            start += at
+    if table.center is not None:
+        center = win[table.center]
+        for _e in range(repeats):
+            dst += center
+    return table.offs.size + (0 if table.center is None else table.center.size)
 
 
 class _Runner:
@@ -214,8 +257,6 @@ class _Runner:
             raise ShapeError("bench variants add the shared center block k0; "
                              "center_independent is not supported")
         self.bank = weights.merged_bank().astype(self.np_dtype)
-        self.kept = [np.flatnonzero(np.logical_or.reduce([m[:, k] for m in weights.masks]))
-                     for k in range(cfg.g)]
         self.x = CounterRng(cfg.seed, "bench-x").uniform_array(
             (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
         pads, (oy, ox) = _grid_geometry(cfg, h, w)
@@ -237,27 +278,120 @@ class _Runner:
         p = self.pitch = gw + max(ml, mr)
         self.slot = (gh + max(mt, mb)) * p
         self.lead = mt * p + ml
-        # read tables, for a map in staging slot 0: the window offset of each
-        # read [r, c, k] (the H edges, then the W edges, clipped into the
-        # margins), the unshifted center window, the map k the center branch
-        # reads (None when it is off) and the in-grid reads [c, k] over all
-        # branches and edges
-        ry = oy + self.plan.disp_h     # first map row each H read needs
-        cx = ox + self.plan.disp_w     # first map column each W read needs
-        self.moved = np.zeros((cfg.sw_channels, cfg.g), dtype=np.int64)
-        reads = [ry[:0]]               # no edges when neither shift branch is on
+        # reads, for a map in staging slot 0: the window offset of each read
+        # [k, c, r] (the H edges, then the W edges, clipped into the margins)
+        # and whether it is live (touches the grid), the unshifted center
+        # window and the map k the center branch reads (None when it is off);
+        # moved[k, c] counts the in-grid elements that all reads of (c, k) add
+        ry = oy + self.plan.disp_h.T   # first map row each H read needs
+        cx = ox + self.plan.disp_w.T   # first map column each W read needs
+        reads, hits = [ry[..., :0]], [ry[..., :0]]   # no edges when neither shift branch is on
         if on_h:
-            self.moved += ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w).sum(0)
+            hits.append((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w)
             reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
         if on_w:
-            self.moved += ((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h).sum(0)
+            hits.append((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h)
             reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
-        self.reads = np.concatenate(reads)
+        self.reads = np.concatenate(reads, axis=-1, dtype=np.int32)
+        hits = np.concatenate(hits, axis=-1)
+        self.live = hits > 0
+        self.moved = hits.sum(-1)
         self.center = self.lead + oy * p + ox
         self.center_map = None
         if BRANCH_CENTER in cfg.branch_types:
             self.center_map = self.plan.center_block
-            self.moved[:, self.center_map] += cfg.edges * h * w
+            self.moved[self.center_map] += cfg.edges * h * w
+        # fused chunk: as many channels as keep its staging buffer, accumulator
+        # and row-shift buffer within one (C_sw, Hg, Wg) map; where one
+        # channel's rows do not fit, fused runs one channel (always a slice of
+        # the padded input) at a time through the tap loop
+        wp = w + pl + pr
+        chunk = ((cfg.sw_channels * gh * gw - self.lead)
+                 // (self.slot + gh * wp + cfg.n * (gh + cfg.n - 1) * wp))
+        self.taps_only = chunk == 0
+        self.chunk = max(chunk, 1)
+        self.fused = self._read_tables(np.logical_or.reduce(weights.masks), self.chunk)
+
+    @functools.cached_property
+    def naive(self) -> list[tuple[slice | np.ndarray, list[_ReadTable]]]:
+        """Naive's read tables, one chunk of all channels per map; built on
+        first use, so that a runner that only runs fused never pays for them."""
+        return self._read_tables(np.ones((self.cfg.sw_channels, self.cfg.g), bool),
+                                 self.cfg.sw_channels)
+
+    def _read_tables(self, keep: np.ndarray,
+                     chunk: int) -> list[tuple[slice | np.ndarray, list[_ReadTable]]]:
+        """For every map k, its rows and the _ReadTable of each of its chunks:
+        the channels c with keep[c, k], in order, `chunk` staging slots at a
+        time.  The rows are those channels, each chunk's sorted by live reads
+        (a slice when they count up by one)."""
+        cfg = self.cfg
+        c_sw, r = cfg.sw_channels, self.reads.shape[-1]
+        live = self.live.reshape(-1, r)
+        nlive = live @ np.ones(r, dtype=np.int32)   # live reads of each (map, channel) pair
+        total = nlive.copy()                        # with the center map's E center reads
+        if self.center_map is not None:
+            total[self.center_map * c_sw:(self.center_map + 1) * c_sw] += cfg.edges
+        pairs = keep.T.ravel().nonzero()[0]         # k * C_sw + c, map by map
+        ks, cs = np.divmod(pairs, c_sw)
+        pos = (keep.T.cumsum(1).ravel()[pairs] - 1) % chunk   # staging slot in the chunk
+        new = pos == 0
+        first = new.nonzero()[0]                    # each chunk's first pair
+        gid = new.cumsum() - 1                      # each pair's chunk
+        # within each chunk, most reads first (stable; the key's smallest
+        # unsigned type lets numpy radix-sort it)
+        key = gid * (r + cfg.edges + 1) + (r + cfg.edges - total[pairs])
+        rank = key.astype(np.min_scalar_type(key.max(initial=0))).argsort(kind="stable")
+        order = pairs[rank]
+        # every pair's live reads in canonical order, moved to its staging
+        # slot: pair p's are vals[start[p]:start[p] + nlive[p]]
+        at = np.zeros(live.shape[0], dtype=np.int32)
+        at[pairs] = pos * self.slot
+        vals = (self.reads.reshape(-1, r) + at[:, None]).compress(live.ravel())
+        start = nlive.cumsum() - nlive
+        # (chunk, read slot, row of the chunk), padded to whole chunks
+        cell = gid * chunk + pos
+        grid = np.zeros((2, first.size * chunk), dtype=np.int32)
+        grid[0, cell] = start[order]
+        grid[1, cell] = nlive[order]
+        head, used = grid.reshape(2, -1, 1, chunk)
+        slots = np.arange(r)[:, None] < used
+        flat = vals.take((head + np.arange(r, dtype=np.int32)[:, None]).compress(slots.ravel()))
+        counts = slots.sum(2).tolist()
+        moved = (np.add.reduceat(self.moved.ravel()[pairs], first) if first.size else first).tolist()
+        # each map's rows, map by map; a slice stands for them when they
+        # count up by one
+        ids = order % c_sw
+        step = ids - np.arange(ids.size)
+        maps = np.flatnonzero(np.diff(ks, prepend=-1))  # each map's first pair
+        runs = ((np.maximum.reduceat(step, maps) == np.minimum.reduceat(step, maps)).tolist()
+                if maps.size else [])
+        tables = [(slice(0, 0), []) for _ in range(cfg.g)]
+        for k, a, n, run in zip(ks[maps].tolist(), maps.tolist(),
+                                np.diff(maps, append=ids.size).tolist(), runs):
+            c = int(ids[a])
+            tables[k] = (slice(c, c + n) if run else ids[a:a + n], [])
+        center = self.center + at[order]            # each pair's center window, in row order
+        chan = cs.tolist()
+        lo = 0
+        for k, a, m, n_slots, mv, cnt in zip(ks[first].tolist(), first.tolist(),
+                                             np.bincount(gid).tolist(),
+                                             used[:, 0, 0].tolist(), moved, counts):
+            chunks = tables[k][1]
+            if not chunks:
+                row = a                             # the map's first pair
+            # src is a slice when its channels count up by one; the center
+            # map adds to every row, other maps to those with a live read
+            c = chan[a]
+            n_dst = m if k == self.center_map else cnt[0]
+            hi = lo + sum(cnt)
+            chunks.append(_ReadTable(
+                slice(c, c + m) if chan[a + m - 1] - c == m - 1 else cs[a:a + m], m,
+                slice(a - row, a - row + n_dst), flat[lo:hi],
+                cnt if n_slots == r else cnt[:n_slots],
+                center[a:a + m] if k == self.center_map else None, mv))
+            lo = hi
+        return tables
 
     def padded_input(self) -> np.ndarray:
         cg = self.cfg.ghost_channels
@@ -321,49 +455,38 @@ class _Runner:
         for k in ks:
             _conv_slice(view, self.bank[:, k], acc, wide, grid[k * c_sw:(k + 1) * c_sw])
         instr.macs += len(ks) * c_sw * cfg.n * cfg.n * self.gh * self.gw
-        at = np.arange(c_sw) * self.slot
         for k in ks:
-            first = k * c_sw
-            _add_map(out, slice(None), win, self.reads[:, :, k] + (first * self.slot + at),
-                     maps.size, win[self.center + first * self.slot::self.slot][:c_sw],
-                     cfg.edges if k == self.center_map else 0)
-            instr.moves += int(self.moved[:, k].sum())
+            perm, chunks = self.naive[k]
+            dst = out[perm]
+            for table in chunks:
+                instr.reads += _add_map(dst, table, win[k * c_sw * self.slot:], maps.size,
+                                        cfg.edges)
+                instr.moves += table.moved
+            if not isinstance(perm, slice):
+                out[perm] = dst
 
     def _run_fused(self, out, xpad, ks, instr):
         cfg = self.cfg
-        wp = xpad.shape[2]
-        span = (self.gh + cfg.n - 1) * wp
-        chunk = ((cfg.sw_channels * self.gh * self.gw - self.lead)
-                 // (self.slot + self.gh * wp + cfg.n * span))
-        # where one channel's rows do not fit, run one channel (always a
-        # slice of xpad) at a time through the tap loop
-        taps_only = chunk == 0
-        chunk = max(chunk, 1)
-        buf, grid, win = self._staging(chunk, instr)
-        acc, wide = self._acc(chunk, wp, instr)
-        rows, view, shifted = self._rows(xpad, 0 if taps_only else chunk, instr)
-        # the slot of each kept channel within its chunk, and the center
-        # window of every slot
-        at = np.arange(cfg.sw_channels) % chunk * self.slot
-        center = win[self.center::self.slot]
+        buf, grid, win = self._staging(self.chunk, instr)
+        acc, wide = self._acc(self.chunk, xpad.shape[2], instr)
+        rows, view, shifted = self._rows(xpad, 0 if self.taps_only else self.chunk, instr)
         macs = cfg.n * cfg.n * self.gh * self.gw
         for k in ks:
-            kept = self.kept[k]
             bank = self.bank[:, k]
-            offs = self.reads[:, kept, k] + at[:kept.size]
-            repeats = cfg.edges if k == self.center_map else 0
-            for i in range(0, kept.size, chunk):
-                sel = kept[i:i + chunk]
-                idx = _channel_index(sel)
-                m = sel.size
-                if taps_only:
-                    _conv_taps(xpad[idx], bank[idx], acc, wide, grid)
+            perm, chunks = self.fused[k]
+            dst = out[perm]                 # the map's rows: a view, or a copy when sorted
+            for table in chunks:
+                src, m = table.src, table.size
+                if self.taps_only:
+                    _conv_taps(xpad[src], bank[src], acc, wide, grid)
                 else:
-                    _shift_rows(shifted, idx, rows[:m])
-                    _conv_slice(view[:m], bank[idx], acc[:m], wide[:m], grid[:m])
-                _add_map(out, idx, win, offs[:, i:i + m], buf.size, center[:m], repeats)
-            instr.macs += kept.size * macs
-            instr.moves += int(self.moved[kept, k].sum())
+                    _shift_rows(shifted, src, rows[:m])
+                    _conv_slice(view[:m], bank[src], acc[:m], wide[:m], grid[:m])
+                instr.reads += _add_map(dst, table, win, buf.size, cfg.edges)
+                instr.macs += m * macs
+                instr.moves += table.moved
+            if not isinstance(perm, slice):
+                out[perm] = dst
 
 
 def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
@@ -378,6 +501,9 @@ def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
     """
     if reps < 1:
         raise ShapeError("need at least one measured rep")
+    variants = tuple(variants)
+    if len(set(variants)) != len(variants) or not set(variants) <= set(VARIANTS):
+        raise ShapeError(f"variants must be distinct names from {VARIANTS}, got {variants}")
     runner = _Runner(cfg, h, w, dtype, weights=weights)
     samples: dict[str, list[int]] = {v: [] for v in variants}
     last = {}
@@ -403,9 +529,9 @@ def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,
         out, instr = last[v]
         med = statistics.median(s)
         mad = statistics.median([abs(t - med) for t in s])
-        reports.append(BenchReport(v, digest, s, float(med), float(mad),
-                                   instr.moves / (cfg.sw_channels * cfg.g * runner.gh * runner.gw),
-                                   instr.peak,
+        pixels = cfg.sw_channels * cfg.g * runner.gh * runner.gw
+        reports.append(BenchReport(v, digest, s, float(med), float(mad), instr.moves / pixels,
+                                   instr.reads * h * w / pixels, instr.peak,
                                    hashlib.sha256(out.tobytes()).hexdigest()))
     return reports
 

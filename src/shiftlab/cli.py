@@ -425,15 +425,20 @@ def cmd_bench(args) -> int:
                             reps=args.reps, dtype=args.dtype, relaxed=args.relaxed)
     for rep in reports:
         print(f"bench[{rep.variant}]: median {rep.median_ns / 1e6:.2f} ms, "
-              f"moves/px {rep.moves_per_pixel:.2f}, peak {rep.peak_intermediate_bytes} B")
+              f"moves/px {rep.moves_per_pixel:.2f}, reads/px {rep.reads_per_pixel:.2f}, "
+              f"peak {rep.peak_intermediate_bytes} B")
     _write_csv(os.path.join(out, "bench.csv"),
                ("variant", "median_ns", "mad_ns", "moves_per_pixel", "peak_bytes",
-                "checksum"),
+                "checksum", "reads_per_pixel"),
                [(r.variant, round(r.median_ns), round(r.mad_ns), r.moves_per_pixel,
-                 r.peak_intermediate_bytes, r.checksum) for r in reports], args.force,
+                 r.peak_intermediate_bytes, r.checksum, r.reads_per_pixel) for r in reports],
+               args.force,
                notes=("moves_per_pixel counts destination-accumulation events per"
                       " fan-out (conv output) pixel; the shared-memory staging bound"
-                      " is 2E+1",))
+                      " is 2E+1",
+                      "reads_per_pixel counts the window elements the shift-adds"
+                      " gather per fan-out pixel, in-grid or not; reads that miss"
+                      " the grid are not gathered"))
     if args.check:
         diffs = bench.verify_variants(cfg, trials=2, h=min(args.h, 24),
                                       w=min(args.w, 24), dtype="f64")

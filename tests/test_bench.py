@@ -171,6 +171,81 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
                     assert np.max(np.abs(fused - oracle)) <= 1e-10, case
 
 
+def _table_reads(runner, tables, slots, base):
+    """Check every read table of one variant against the canonical reads: for
+    each channel of each chunk, the windows the table gathers are its reads
+    (the H edges, then the W edges) that touch the grid, in that order, then
+    its center window E times on the center map.  A window touches the grid
+    when it holds a cell of a staging buffer whose grid is all ones."""
+    _, grid, win = runner._staging(slots, bn._Instr())
+    grid[:] = 1
+    for k, (perm, chunks) in enumerate(tables):
+        view = win[base(k):]
+        rows = (np.arange(perm.start, perm.stop) if isinstance(perm, slice) else perm).tolist()
+        assert len(rows) == sum(t.size for t in chunks)
+        start = 0
+        for t in chunks:
+            src = (np.arange(t.src.start, t.src.stop) if isinstance(t.src, slice) else t.src).tolist()
+            block = rows[start:start + t.size]
+            assert t.dst.start == start and t.dst.stop <= start + t.size
+            assert sorted(src) == src == sorted(block)
+            start += t.size
+            dst = rows[t.dst]
+            assert t.counts == sorted(t.counts, reverse=True) and t.counts[-1:] != [0]
+            assert len(t.offs) == sum(t.counts) and t.counts[:1] <= [len(dst)]
+            got = {c: [] for c in src}
+            at = 0
+            for n in t.counts:
+                for c, o in zip(dst[:n], t.offs[at:at + n]):
+                    got[c].append(int(o))
+                at += n
+            for c, o in zip(dst, [] if t.center is None else t.center):
+                got[c] += [int(o)] * runner.cfg.edges
+            for pos, c in enumerate(src):
+                every = runner.reads[k, c] + pos * runner.slot
+                want = [int(o) for o in every if view[o].any()]
+                if k == runner.center_map:
+                    want += [runner.center + pos * runner.slot] * runner.cfg.edges
+                assert got[c] == want, (k, c)
+                # the reads left out address all-zero windows
+                assert not any(view[o].any() for o in set(every) - set(want))
+            # the chunk's rows: its channels sorted stably by their number of
+            # reads, most first; the map adds to the rows that have a read
+            assert block == sorted(src, key=lambda c: -len(got[c]))
+            assert dst == [c for c in block if got[c]]
+
+
+@settings(max_examples=40)
+@given(pad_mode=st.sampled_from(("half", "full", "exact")), n=st.sampled_from((3, 5)),
+       g=st.sampled_from((1, 2, 5)), hw=st.sampled_from(((1, 1), (2, 3), (5, 4), (9, 13))),
+       ghost=st.sampled_from((0.0, 0.3)), channels=st.integers(3, 9),
+       branches=st.sampled_from(BRANCH_SETS), masked=st.booleans(),
+       dtype=st.sampled_from(("f32", "f64")), seed=st.integers(0, 2**16))
+def test_read_tables_hold_exactly_the_live_reads(pad_mode, n, g, hw, ghost, channels,
+                                                 branches, masked, dtype, seed):
+    """Fused's and naive's read tables keep exactly the reads that touch the
+    grid, in canonical order per channel, over pad modes, N, g = 1, 1 x 1
+    grids and grids smaller than the shift margin, ghosts, masks and both
+    dtypes; fused == naive bitwise, and both are within 1e-10 of sw_forward
+    in f64."""
+    cfg = SwConfig(m=g * n, n=n, channels=channels, ghost=ghost, pad_mode=pad_mode,
+                   edges=2, order_policy="per_edge_shuffled", seed=seed, branch_types=branches)
+    wts = random_weights(cfg, dtype=np.float64 if dtype == "f64" else np.float32)
+    if masked:
+        wts.masks[0][:] = np.random.default_rng(seed).uniform(size=wts.masks[0].shape) > 0.5
+    h, w = hw
+    runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+    c_sw = cfg.sw_channels
+    _table_reads(runner, runner.fused, runner.chunk, lambda k: 0)
+    _table_reads(runner, runner.naive, cfg.g * c_sw, lambda k: k * c_sw * runner.slot)
+    fused = runner.run("fused", bn._Instr())
+    naive = runner.run("naive", bn._Instr())
+    assert fused.tobytes() == naive.tobytes()
+    if dtype == "f64":
+        oracle = sw_forward(Tensor(runner.x), wts, cfg, build_shift_plan(cfg)).data
+        assert np.max(np.abs(fused - oracle), initial=0.0) <= 1e-10
+
+
 def _tiny_stage_cfgs():
     arch = ArchSpec.sw_tiny()
     for st, hw in enumerate((56, 28, 14, 7)):
@@ -247,8 +322,7 @@ def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, g
     x = rng.uniform(-0.5, 0.5, (sel[-1] + 1, gh + n - 1, wp)).astype(dtype)
     bank = rng.uniform(-0.5, 0.5, (x.shape[0], 1, n, n)).astype(dtype)
     xpad = np.concatenate([x, np.zeros((x.shape[0], 1, wp), dtype)], axis=1)
-    idx = bn._channel_index(sel)
-    assert isinstance(idx, slice) == (not gappy or size == 1)
+    idx = sel if gappy else slice(sel[0], sel[-1] + 1)
     span = (gh + n - 1) * wp
     rows = np.full((size, n, span), np.nan, dtype)
     bn._shift_rows(bn._row_shifts(xpad.reshape(x.shape[0], -1), n, span), idx, rows)
@@ -306,6 +380,25 @@ def test_staging_bytes_pinned_per_sw_tiny_stage():
                 assert rep.peak_intermediate_bytes == scale * f32_bytes, (hw, dtype, variant)
 
 
+def test_reads_per_pixel_pinned_per_sw_tiny_stage():
+    """Frozen count of the windows the shift-adds gather, per sw_tiny stage at
+    its 224-input shape in f32 (seed 1): every live shift read plus one
+    center window per channel of the center map.  Stages 0 and 1 miss the
+    grid with no read; stage 2 (14 x 14, shifts up to 23) skips 44 % of its
+    shift reads and stage 3 (7 x 7) 20 %.  Dense, naive gathers the same
+    windows as fused; at 60 % kept, fused gathers only the kept filters'."""
+    dense = (8494, 16988, 18031, 16269)
+    kept = (5103, 10195, 10835, 9796)
+    for (hw, cfg), want in zip(_tiny_stage_cfgs(), zip(dense, kept)):
+        masked = random_weights(cfg)
+        masked.masks = init_sparsity("subset", {"op": masked.rep}, 0.4, seed=1)["op"]
+        for variant, wts, windows in (("fused", None, want[0]), ("naive", None, want[0]),
+                                      ("fused", masked, want[1])):
+            rep = bn.run_variant(variant, cfg, hw, hw, reps=1, warmup=0, weights=wts)
+            assert rep.reads_per_pixel == windows / (cfg.sw_channels * cfg.g), (hw, variant)
+            assert rep.reads_per_pixel > rep.moves_per_pixel
+
+
 def test_masked_chunk_input_copy_is_counted(monkeypatch):
     """When a chunk's kept channels are not contiguous, their padded input
     planes are gathered, shifted, into the counted row-shift buffer, and the
@@ -351,7 +444,7 @@ def test_every_sw_tiny_layer_fits_rows(monkeypatch):
     sw_tiny layer has room for at least one channel of row-shifted input, so
     the benchmark's fused stack never runs the one-channel tap floor."""
     calls = _record_convs(monkeypatch)
-    monkeypatch.setattr(bn, "_add_map", lambda *a: None)   # not under test
+    monkeypatch.setattr(bn, "_add_map", lambda *a: 0)   # not under test
     arch = ArchSpec.sw_tiny()
     for lid, name in enumerate(arch.layer_names()):
         st = arch.stage_of(name)
@@ -485,39 +578,38 @@ def test_fused_checksums_pinned_at_four_read_groups():
 
 @settings(max_examples=200)
 @given(c=st.integers(1, 9), h=st.integers(1, 5), w=st.integers(1, 5),
-       reads=st.integers(0, 9), group=st.integers(1, 9), gappy=st.booleans(),
+       slots=st.integers(0, 9), group=st.integers(1, 9), lead=st.integers(0, 3),
        repeats=st.integers(0, 3), dtype=st.sampled_from((np.float32, np.float64)),
        seed=st.integers(0, 2**32 - 1))
-def test_grouped_reads_match_one_read_at_a_time(c, h, w, reads, group, gappy, repeats,
+def test_grouped_reads_match_one_read_at_a_time(c, h, w, slots, group, lead, repeats,
                                                dtype, seed):
-    """_add_map gathers several reads per fancy-index call, but its output is
-    byte-equal to adding the reads one at a time, in order, then the center,
-    whatever the group size, channel set or read table."""
+    """_add_map gathers several read slots per fancy-index call, but its
+    output is byte-equal to adding the reads one at a time, slot by slot,
+    then the center, whatever the group size or read table."""
     rng = np.random.default_rng(seed)
-    if gappy:
-        steps = rng.integers(1, 3, c)
-        steps[-1] = 2                        # at least one missing channel
-        sel = np.cumsum(steps)
-    else:
-        sel = np.arange(c) + rng.integers(0, 3)
-    idx = bn._channel_index(sel)
     pitch = w + int(rng.integers(0, 3))
     buf = rng.uniform(-1, 1, (h + 4) * pitch * 3).astype(dtype)
     item = buf.itemsize
     win = as_strided(buf, (buf.size - (h - 1) * pitch - w + 1, h, w),
                      (item, pitch * item, item), writeable=False)
-    offs = rng.integers(0, len(win), (reads, c))
-    center = win[rng.integers(0, len(win), c)]
-    out = rng.uniform(-1, 1, (sel[-1] + 2, h, w)).astype(dtype)
-    want = out.copy()
-    for o in offs:
-        want[sel] += win[o]
+    counts = sorted(rng.integers(1, c + 1, slots).tolist(), reverse=True)
+    offs = rng.integers(0, len(win), sum(counts))
+    center = rng.integers(0, len(win), c) if repeats else None
+    rows = rng.uniform(-1, 1, (lead + c + 2, h, w)).astype(dtype)
+    want = rows.copy()
+    read = iter(offs)
+    for n in counts:
+        for q in range(n):
+            want[lead + q] += win[next(read)]
     for _e in range(repeats):
-        want[sel] += center
-    # `room` allows exactly `group` reads per gather, clipped to all reads
-    room = min(group, max(reads, 1)) * c * h * w + int(rng.integers(0, c * h * w))
-    bn._add_map(out, idx, win, offs, room, center, repeats)
-    assert out.tobytes() == want.tobytes()
+        want[lead:lead + c] += win[center]
+    # `room` allows exactly `group` read slots per gather
+    full = max(counts, default=1) * h * w
+    room = group * full + int(rng.integers(0, full))
+    table = bn._ReadTable(slice(0, c), c, slice(lead, lead + c), offs, counts, center, 0)
+    gathered = bn._add_map(rows, table, win, room, repeats)
+    assert rows.tobytes() == want.tobytes()
+    assert gathered == len(offs) + (c if repeats else 0)
 
 
 class _GatherSpy:
@@ -525,6 +617,7 @@ class _GatherSpy:
 
     def __init__(self, win, blocks):
         self.win, self.blocks = win, blocks
+        self.shape = win.shape
 
     def __getitem__(self, key):
         got = self.win[key]
@@ -535,9 +628,10 @@ class _GatherSpy:
 def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
     """No gather of fused's grouped reads holds more elements than the
     chunk's own staging buffer: every sw_tiny layer at its 224-input shape,
-    dense and 60 % kept, f32 and f64, and the _small_grids cases.  A full
-    chunk of a dense stage-2 layer gathers four reads at a time."""
-    rooms, blocks = [], []
+    dense and 60 % kept, f32 and f64, and the _small_grids cases.  On a
+    dense stage-2 layer, a full chunk whose every channel has a live shift
+    read gathers four read slots at a time."""
+    rooms, calls = [], []
     stage, add = bn._Runner._staging, bn._add_map
 
     def staging(runner, *a):
@@ -545,18 +639,24 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
         rooms.append(got[0].size)
         return got
 
+    def add_map(out, table, win, *a):
+        calls.append((table, []))
+        return add(out, table, _GatherSpy(win, calls[-1][1]), *a)
+
     monkeypatch.setattr(bn._Runner, "_staging", staging)
-    monkeypatch.setattr(bn, "_add_map", lambda out, idx, win, *a:
-                        add(out, idx, _GatherSpy(win, blocks), *a))
+    monkeypatch.setattr(bn, "_add_map", add_map)
 
     def check(cfg, h, w, dtype, weights=None):
         rooms.clear()
-        blocks.clear()
-        bn._Runner(cfg, h, w, dtype, weights=weights).run("fused", bn._Instr())
+        calls.clear()
+        runner = bn._Runner(cfg, h, w, dtype, weights=weights)
+        runner.run("fused", bn._Instr())
         assert len(rooms) == 1, (cfg, h, w, dtype)
+        blocks = [b for _, got in calls for b in got]
         assert max((np.prod(b) for b in blocks), default=0) <= rooms[0], (cfg, h, w, dtype)
-        widest = max((b[1] for b in blocks), default=0)
-        return {b[0] for b in blocks if b[1] == widest}   # reads per full-chunk gather
+        # the windows of each gather of a full chunk that reads every channel
+        return [(t, [b[0] for b in got]) for t, got in calls
+                if t.size == runner.chunk and t.counts[:1] == [t.size]]
 
     arch = ArchSpec.sw_tiny()
     for lid, name in enumerate(arch.layer_names()):
@@ -567,9 +667,13 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
         masked = random_weights(cfg)
         masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
         for wts, dtype in itertools.product((None, masked), ("f32", "f64")):
-            groups = check(cfg, 56 >> st, 56 >> st, dtype, wts)
+            full = check(cfg, 56 >> st, 56 >> st, dtype, wts)
             if st == 2 and wts is None:
-                assert groups == {4}, name
+                assert full, name
+                for t, got in full:
+                    # then, on the center map, the center windows in one gather
+                    assert got == ([sum(t.counts[j:j + 4]) for j in range(0, len(t.counts), 4)]
+                                   + [t.size] * (t.center is not None)), name
     for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
         for m, h, w in _small_grids(n):
             cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,

@@ -426,6 +426,9 @@ def test_bench_csv(tmp_path):
     assert rows[0][0] == "variant"
     assert {r[0] for r in rows[1:]} == {"naive", "fused"}
     assert rows[1][5] == rows[2][5]  # identical checksums
+    assert rows[0][-1] == "reads_per_pixel"
+    # fused skips the reads that miss the grid; naive keeps one all-channel chunk
+    assert all(float(r[-1]) >= float(r[3]) for r in rows[1:])
 
 
 def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
@@ -436,6 +439,18 @@ def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
                "--w", "12", "--variants", "naive,fused"])
     assert rc == 0
     assert calls == ["naive", "fused"] * 5    # 3 warmup + 2 measured rounds
+
+
+@pytest.mark.parametrize("variants", ("fused,fused", "naive,fused,naive", "fused,warp"))
+def test_bench_rejects_repeated_or_unknown_variant(tmp_path, monkeypatch, capsys, variants):
+    def no_runner(*a, **k):
+        raise AssertionError("runner built before the variants were checked")
+
+    monkeypatch.setattr(bench, "_Runner", no_runner)
+    rc = main(["bench", "--out", str(tmp_path), "--variants", variants, "--reps", "3"])
+    assert rc == 2
+    assert "variants" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def test_bench_rejects_center_independent_spec(tmp_path, capsys):
