@@ -18,22 +18,23 @@ buffer every read is one flat offset.  A read is live when its window
 touches the grid; a dead read's window lies wholly in the margins and
 would add +0.0 to every element, which changes no bit, as the destination
 is never -0.0 (it starts at +0.0, and a sum is -0.0 only when both of its
-terms are).  So the engine gathers live windows only.  Each runner builds,
-once, one read table per (map, chunk): the chunk's channels sorted stably
-by their number of live reads, most first; one flat offset array holding
-the live windows read slot by read slot, where slot t is the t-th live
-read, in canonical order, of every channel that has one; and the number
-of channels in each slot, always the first ones of the sorted order.  The
-sorted chunks of a map, one after another, are the map's rows: the
-output rows of its channels, copied out before the map's adds and back
-after them when the sort reorders any, else a view.  A fancy-index call
+terms are).  So the engine gathers live windows only.  Each runner builds
+fused's read tables once, with the plan and the bank, for every map and
+chunk in a few whole-array numpy calls.  A map's rows are the channels
+that keep it, chunk by chunk, each chunk's sorted stably by its number of
+live reads, most first.  One flat offset array holds the live windows of
+each chunk read slot by read slot: slot t is the t-th live read, in
+canonical order, of every row that has one, and these rows are the
+chunk's first counts[t].  The conv still writes a chunk's channels to its
+staging slots in channel order, and each offset names its channel's slot.
+A map's rows are copied out of the output before its adds and back after
+them when the sort reorders any, else they are a view.  A fancy-index call
 gathers as many whole read slots as fit in the chunk's own staging buffer
-(at least one), and slot t is added into the chunk's first counts[t]
-rows, one slot at a time, so each channel still adds its reads in
-canonical order.  On the center map each channel's center window is then
-gathered once and added E times.  The fused tables are built with the
-plan and the bank; naive's, one chunk of all channels per map, on its
-first run.  Only the staging views are made on each run.
+(at least one), and slot t is added into the first counts[t] rows, one
+slot at a time, so each channel still adds its reads in canonical order.
+On the center map each row's center window is then gathered once and
+added E times.  Naive builds the same tables, one chunk of all channels
+per map, on each run.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
@@ -72,10 +73,11 @@ excludes the shared padded input and the final output.  The peak is the
 sum of these buffers, as each one lives until the run ends.  It also
 leaves out numpy temporaries: the block of windows each gather holds, the
 center windows, the copy of a map's rows when the sort reorders them, the
-gathered planes of a gappy chunk before they land in the row-shift buffer
-and the product of every tap of the tap loop.  With tracemalloc around one f32 fused run of the sw_tiny
-stage-0 layer (seed 1), the traced peak less the output and padded input
-is 1178890 to 1187955 B over three runs, against 718416 B reported.
+gathered planes of a gappy chunk before they land in the row-shift buffer,
+the product of every tap of the tap loop and naive's read tables.  With
+tracemalloc around one f32 fused run of the sw_tiny stage-0 layer (seed
+1), the traced peak less the output and padded input is 1179123 to
+1182587 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -184,58 +186,77 @@ def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
     out[:] = wide
 
 
-class _ReadTable(NamedTuple):
-    """The live reads of one chunk of channels on one map.
+class _Reads(NamedTuple):
+    """One variant's live shift reads, for every map k.
 
-    A map's read tables index one array of rows: the map's kept channels,
-    chunk by chunk, each chunk's sorted stably by its number of live shift
-    reads, most first.  src holds the chunk's channels in staging-slot order
-    (a slice when they count up by one); dst is the chunk's slice of those
-    rows that the map adds to.  offs holds the window offset of every live
-    shift read, read slot by read slot: slot t is the t-th live read, in
-    canonical order, of each of the first counts[t] rows of dst.  On the
-    center map, center holds the center window of each row of dst, which
-    all of them add E times after their shift reads; elsewhere it is None.
+    A map's rows are the channels that keep it, chunk by chunk, each chunk's
+    sorted stably by its number of live reads, most first: rows[k] holds
+    them (a slice when they count up from channel 0).  offs holds the
+    window offset of every live read, map by map, chunk by chunk and read
+    slot by read slot: slot t of chunk j is the t-th live read, in canonical
+    order, of each of the chunk's first counts[k][j][t] rows (counts run
+    down to zeros), and the chunk's reads start at offs[starts[k][j]].  A
+    read addresses the staging slot where its channel's map was written.
+    center holds the center window of each row of the center map (None when
+    the center branch is off); moved[k] the in-grid elements that map k's
+    reads add.
     """
-    src: slice | np.ndarray
-    size: int
-    dst: slice
+    rows: list
     offs: np.ndarray
-    counts: list[int]
+    starts: list[list[int]]
+    counts: list[list[list[int]]]
     center: np.ndarray | None
-    moved: int              # in-grid elements the reads add
+    moved: list[int]
 
 
-def _add_map(rows: np.ndarray, table: _ReadTable, win: np.ndarray, room: int,
-             repeats: int) -> int:
-    """rows[table.dst][:counts[t]] += the windows of read slot t, for each
-    slot in turn, then += the center windows `repeats` times: one chunk's
-    live reads of one map, in canonical order.  Returns the number of
-    windows gathered.
+def _add_map(dst: np.ndarray, win: np.ndarray, offs: np.ndarray, counts: list[int],
+             room: int, center: np.ndarray | None, repeats: int) -> int:
+    """dst[:counts[t]] += the windows of read slot t, for each slot in turn,
+    then dst += the windows at `center`, `repeats` times: one chunk's live
+    reads of one map, in canonical order.  Returns the number of windows
+    gathered.
 
     Each fancy-index call gathers as many whole read slots as fit in `room`
     elements, and at least one, into a numpy temporary; the adds still run
     one slot at a time, so the result does not depend on the group size.
-    The center windows are gathered once and added `repeats` times.
+    The center windows are gathered once.
     """
-    counts = table.counts
-    dst = rows[table.dst]
+    if 0 in counts:
+        counts = counts[:counts.index(0)]
+    at = 0
     if counts:
         per = max(1, room // (counts[0] * win.shape[1] * win.shape[2]))
-        start = 0
         for j in range(0, len(counts), per):
             group = counts[j:j + per]
-            block = win[table.offs[start:start + sum(group)]]
-            at = 0
+            block = win[offs[at:at + sum(group)]]
+            i = 0
             for n in group:
-                dst[:n] += block[at:at + n]
-                at += n
-            start += at
-    if table.center is not None:
-        center = win[table.center]
+                dst[:n] += block[i:i + n]
+                i += n
+            at += i
+    if repeats:
+        block = win[center]
         for _e in range(repeats):
-            dst += center
-    return table.offs.size + (0 if table.center is None else table.center.size)
+            dst += block
+        at += center.size
+    return at
+
+
+@functools.lru_cache(maxsize=4)
+def _bench_input(seed: int, shape: tuple[int, int, int], np_dtype) -> np.ndarray:
+    """The input of every runner with this seed, shape and dtype, drawn once
+    and read-only: the layers of one stage of a network share it, and the
+    cache holds one input for each of the four stages of sw_tiny."""
+    x = CounterRng(seed, "bench-x").uniform_array(shape, -0.5, 0.5, np_dtype)
+    x.flags.writeable = False
+    return x
+
+
+def _channel_index(sel: np.ndarray):
+    """A slice when the channel ids are contiguous, else the ids themselves."""
+    if sel[-1] - sel[0] + 1 == sel.size:
+        return slice(int(sel[0]), int(sel[-1]) + 1)
+    return sel
 
 
 class _Runner:
@@ -257,8 +278,7 @@ class _Runner:
             raise ShapeError("bench variants add the shared center block k0; "
                              "center_independent is not supported")
         self.bank = weights.merged_bank().astype(self.np_dtype)
-        self.x = CounterRng(cfg.seed, "bench-x").uniform_array(
-            (cfg.channels, h, w), -0.5, 0.5, self.np_dtype)
+        self.x = _bench_input(cfg.seed, (cfg.channels, h, w), self.np_dtype)
         pads, (oy, ox) = _grid_geometry(cfg, h, w)
         (pt, pb), (pl, pr) = pads
         self.pads = (pt, pb, pl, pr)
@@ -279,23 +299,23 @@ class _Runner:
         self.slot = (gh + max(mt, mb)) * p
         self.lead = mt * p + ml
         # reads, for a map in staging slot 0: the window offset of each read
-        # [k, c, r] (the H edges, then the W edges, clipped into the margins)
+        # [r, k, c] (the H edges, then the W edges, clipped into the margins)
         # and whether it is live (touches the grid), the unshifted center
         # window and the map k the center branch reads (None when it is off);
         # moved[k, c] counts the in-grid elements that all reads of (c, k) add
-        ry = oy + self.plan.disp_h.T   # first map row each H read needs
-        cx = ox + self.plan.disp_w.T   # first map column each W read needs
-        reads, hits = [ry[..., :0]], [ry[..., :0]]   # no edges when neither shift branch is on
+        ry = oy + self.plan.disp_h.transpose(0, 2, 1)   # first map row each H read needs
+        cx = ox + self.plan.disp_w.transpose(0, 2, 1)   # first map column each W read needs
+        reads, hits = [ry[:0]], [ry[:0]]   # no edges when neither shift branch is on
         if on_h:
             hits.append((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w)
             reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
         if on_w:
             hits.append((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h)
             reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
-        self.reads = np.concatenate(reads, axis=-1, dtype=np.int32)
-        hits = np.concatenate(hits, axis=-1)
+        self.reads = np.concatenate(reads)
+        hits = np.concatenate(hits)
         self.live = hits > 0
-        self.moved = hits.sum(-1)
+        self.moved = hits.sum(0)
         self.center = self.lead + oy * p + ox
         self.center_map = None
         if BRANCH_CENTER in cfg.branch_types:
@@ -310,88 +330,54 @@ class _Runner:
                  // (self.slot + gh * wp + cfg.n * (gh + cfg.n - 1) * wp))
         self.taps_only = chunk == 0
         self.chunk = max(chunk, 1)
-        self.fused = self._read_tables(np.logical_or.reduce(weights.masks), self.chunk)
+        keep = np.logical_or.reduce(weights.masks).T     # [k, c]: channel c keeps map k
+        self.kept = [np.flatnonzero(row) for row in keep]
+        self.fused = self._read_tables(keep, self.chunk)
 
-    @functools.cached_property
-    def naive(self) -> list[tuple[slice | np.ndarray, list[_ReadTable]]]:
-        """Naive's read tables, one chunk of all channels per map; built on
-        first use, so that a runner that only runs fused never pays for them."""
-        return self._read_tables(np.ones((self.cfg.sw_channels, self.cfg.g), bool),
-                                 self.cfg.sw_channels)
-
-    def _read_tables(self, keep: np.ndarray,
-                     chunk: int) -> list[tuple[slice | np.ndarray, list[_ReadTable]]]:
-        """For every map k, its rows and the _ReadTable of each of its chunks:
-        the channels c with keep[c, k], in order, `chunk` staging slots at a
-        time.  The rows are those channels, each chunk's sorted by live reads
-        (a slice when they count up by one)."""
-        cfg = self.cfg
-        c_sw, r = cfg.sw_channels, self.reads.shape[-1]
-        live = self.live.reshape(-1, r)
-        nlive = live @ np.ones(r, dtype=np.int32)   # live reads of each (map, channel) pair
-        total = nlive.copy()                        # with the center map's E center reads
-        if self.center_map is not None:
-            total[self.center_map * c_sw:(self.center_map + 1) * c_sw] += cfg.edges
-        pairs = keep.T.ravel().nonzero()[0]         # k * C_sw + c, map by map
-        ks, cs = np.divmod(pairs, c_sw)
-        pos = (keep.T.cumsum(1).ravel()[pairs] - 1) % chunk   # staging slot in the chunk
-        new = pos == 0
-        first = new.nonzero()[0]                    # each chunk's first pair
-        gid = new.cumsum() - 1                      # each pair's chunk
-        # within each chunk, most reads first (stable; the key's smallest
-        # unsigned type lets numpy radix-sort it)
-        key = gid * (r + cfg.edges + 1) + (r + cfg.edges - total[pairs])
-        rank = key.astype(np.min_scalar_type(key.max(initial=0))).argsort(kind="stable")
-        order = pairs[rank]
-        # every pair's live reads in canonical order, moved to its staging
-        # slot: pair p's are vals[start[p]:start[p] + nlive[p]]
-        at = np.zeros(live.shape[0], dtype=np.int32)
-        at[pairs] = pos * self.slot
-        vals = (self.reads.reshape(-1, r) + at[:, None]).compress(live.ravel())
-        start = nlive.cumsum() - nlive
-        # (chunk, read slot, row of the chunk), padded to whole chunks
-        cell = gid * chunk + pos
-        grid = np.zeros((2, first.size * chunk), dtype=np.int32)
-        grid[0, cell] = start[order]
-        grid[1, cell] = nlive[order]
-        head, used = grid.reshape(2, -1, 1, chunk)
-        slots = np.arange(r)[:, None] < used
-        flat = vals.take((head + np.arange(r, dtype=np.int32)[:, None]).compress(slots.ravel()))
-        counts = slots.sum(2).tolist()
-        moved = (np.add.reduceat(self.moved.ravel()[pairs], first) if first.size else first).tolist()
-        # each map's rows, map by map; a slice stands for them when they
-        # count up by one
-        ids = order % c_sw
-        step = ids - np.arange(ids.size)
-        maps = np.flatnonzero(np.diff(ks, prepend=-1))  # each map's first pair
-        runs = ((np.maximum.reduceat(step, maps) == np.minimum.reduceat(step, maps)).tolist()
-                if maps.size else [])
-        tables = [(slice(0, 0), []) for _ in range(cfg.g)]
-        for k, a, n, run in zip(ks[maps].tolist(), maps.tolist(),
-                                np.diff(maps, append=ids.size).tolist(), runs):
-            c = int(ids[a])
-            tables[k] = (slice(c, c + n) if run else ids[a:a + n], [])
-        center = self.center + at[order]            # each pair's center window, in row order
-        chan = cs.tolist()
-        lo = 0
-        for k, a, m, n_slots, mv, cnt in zip(ks[first].tolist(), first.tolist(),
-                                             np.bincount(gid).tolist(),
-                                             used[:, 0, 0].tolist(), moved, counts):
-            chunks = tables[k][1]
-            if not chunks:
-                row = a                             # the map's first pair
-            # src is a slice when its channels count up by one; the center
-            # map adds to every row, other maps to those with a live read
-            c = chan[a]
-            n_dst = m if k == self.center_map else cnt[0]
-            hi = lo + sum(cnt)
-            chunks.append(_ReadTable(
-                slice(c, c + m) if chan[a + m - 1] - c == m - 1 else cs[a:a + m], m,
-                slice(a - row, a - row + n_dst), flat[lo:hi],
-                cnt if n_slots == r else cnt[:n_slots],
-                center[a:a + m] if k == self.center_map else None, mv))
-            lo = hi
-        return tables
+    def _read_tables(self, keep: np.ndarray, chunk: int) -> _Reads:
+        """The _Reads of a variant whose map k is written, for the channels c
+        with keep[k, c] in order, `chunk` channels to a staging buffer."""
+        r, g, c_sw = self.live.shape
+        live = (self.live & keep).astype(np.intp)
+        nlive = live.sum(0)                         # live reads of each (map, channel)
+        pos = keep.cumsum(1) - 1                    # place among the map's kept channels
+        # each map's rows: its kept channels chunk by chunk, most live reads
+        # first (stable; the key's smallest unsigned type lets numpy
+        # radix-sort it), then the other channels
+        nch = -(-c_sw // chunk)
+        key = np.where(keep, pos // chunk * (r + 1) + (r - nlive), nch * (r + 1))
+        order = key.astype(np.min_scalar_type(nch * (r + 1))).argsort(1, kind="stable")
+        row = np.empty_like(order)                  # each channel's place in its map's rows
+        np.put_along_axis(row, order, np.arange(c_sw), 1)
+        cell = np.arange(g)[:, None] * nch + row // chunk   # each channel's (map, chunk)
+        # counts[k, j, t]: the rows of chunk j of map k with a t-th live read
+        hist = np.bincount((cell * (r + 1) + nlive).ravel(), minlength=g * nch * (r + 1))
+        counts = hist.reshape(g, nch, r + 1)[..., :0:-1].cumsum(-1)[..., ::-1]
+        # offs holds read slot (k, j, t) from first[(k * nch + j) * r + t] on;
+        # each live read goes to its slot at its row, each dead one to a
+        # spill cell past the end
+        first = np.append(counts.cumsum(None) - counts.ravel(), counts.sum())
+        spill = first.size - 1
+        rank = np.zeros((r + 1, g, c_sw), dtype=np.intp)   # [q + 1]: live reads up to q
+        for q in range(r):
+            np.add(rank[q], live[q], out=rank[q + 1])
+        slot = rank[1:]                             # index in first of each read's slot
+        slot += cell * r - 1 - spill
+        slot *= live
+        slot += spill
+        at = first.take(slot)
+        at += live * (row % chunk)
+        offs = np.empty(first[-1] + 1, dtype=np.intp)
+        offs[at] = self.reads + pos % chunk * self.slot
+        tot = counts.sum(-1).ravel()
+        n = keep.sum(1).tolist()
+        same = (order == np.arange(c_sw)).all(1).tolist()
+        cm = self.center_map
+        return _Reads([slice(0, n[k]) if same[k] else order[k, :n[k]] for k in range(g)],
+                      offs[:-1], (tot.cumsum() - tot).reshape(g, nch).tolist(),
+                      counts.tolist(),
+                      None if cm is None else self.center + pos[cm, order[cm]] % chunk * self.slot,
+                      (self.moved * keep).sum(1).tolist())
 
     def padded_input(self) -> np.ndarray:
         cg = self.cfg.ghost_channels
@@ -455,38 +441,42 @@ class _Runner:
         for k in ks:
             _conv_slice(view, self.bank[:, k], acc, wide, grid[k * c_sw:(k + 1) * c_sw])
         instr.macs += len(ks) * c_sw * cfg.n * cfg.n * self.gh * self.gw
+        t = self._read_tables(np.ones((cfg.g, c_sw), dtype=bool), c_sw)
         for k in ks:
-            perm, chunks = self.naive[k]
-            dst = out[perm]
-            for table in chunks:
-                instr.reads += _add_map(dst, table, win[k * c_sw * self.slot:], maps.size,
-                                        cfg.edges)
-                instr.moves += table.moved
-            if not isinstance(perm, slice):
-                out[perm] = dst
+            dst = out[t.rows[k]]
+            instr.reads += _add_map(dst, win[k * c_sw * self.slot:], t.offs[t.starts[k][0]:],
+                                    t.counts[k][0], maps.size, t.center,
+                                    cfg.edges if k == self.center_map else 0)
+            instr.moves += t.moved[k]
+            if not isinstance(t.rows[k], slice):
+                out[t.rows[k]] = dst
 
     def _run_fused(self, out, xpad, ks, instr):
-        cfg = self.cfg
-        buf, grid, win = self._staging(self.chunk, instr)
-        acc, wide = self._acc(self.chunk, xpad.shape[2], instr)
-        rows, view, shifted = self._rows(xpad, 0 if self.taps_only else self.chunk, instr)
+        cfg, t, chunk = self.cfg, self.fused, self.chunk
+        buf, grid, win = self._staging(chunk, instr)
+        acc, wide = self._acc(chunk, xpad.shape[2], instr)
+        rows, view, shifted = self._rows(xpad, 0 if self.taps_only else chunk, instr)
         macs = cfg.n * cfg.n * self.gh * self.gw
         for k in ks:
             bank = self.bank[:, k]
-            perm, chunks = self.fused[k]
-            dst = out[perm]                 # the map's rows: a view, or a copy when sorted
-            for table in chunks:
-                src, m = table.src, table.size
+            kept = self.kept[k]
+            dst = out[t.rows[k]]            # the map's rows: a view, or a copy when sorted
+            repeats = cfg.edges if k == self.center_map else 0
+            for j, a in enumerate(range(0, kept.size, chunk)):
+                src = _channel_index(kept[a:a + chunk])
+                m = min(chunk, kept.size - a)
                 if self.taps_only:
                     _conv_taps(xpad[src], bank[src], acc, wide, grid)
                 else:
                     _shift_rows(shifted, src, rows[:m])
                     _conv_slice(view[:m], bank[src], acc[:m], wide[:m], grid[:m])
-                instr.reads += _add_map(dst, table, win, buf.size, cfg.edges)
-                instr.macs += m * macs
-                instr.moves += table.moved
-            if not isinstance(perm, slice):
-                out[perm] = dst
+                instr.reads += _add_map(dst[a:a + m], win, t.offs[t.starts[k][j]:],
+                                        t.counts[k][j], buf.size,
+                                        t.center[a:a + m] if repeats else None, repeats)
+            instr.macs += kept.size * macs
+            instr.moves += t.moved[k]
+            if not isinstance(t.rows[k], slice):
+                out[t.rows[k]] = dst
 
 
 def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,

@@ -139,8 +139,9 @@ def _small_grids(n):
     return ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4))
 
 
-# H or W alone leaves one axis without margins; ("H", "W") drops the center
-BRANCH_SETS = (("H",), ("W",), ("H", "W"), ALL_BRANCHES)
+# H or W alone leaves one axis without margins; ("H", "W") drops the center;
+# the center alone makes no shift read
+BRANCH_SETS = (("H",), ("W",), ("H", "W"), ("center",), ALL_BRANCHES)
 
 
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
@@ -171,48 +172,50 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
                     assert np.max(np.abs(fused - oracle)) <= 1e-10, case
 
 
-def _table_reads(runner, tables, slots, base):
-    """Check every read table of one variant against the canonical reads: for
-    each channel of each chunk, the windows the table gathers are its reads
-    (the H edges, then the W edges) that touch the grid, in that order, then
-    its center window E times on the center map.  A window touches the grid
-    when it holds a cell of a staging buffer whose grid is all ones."""
+def _table_reads(runner, t, kept, chunk, slots, base):
+    """Check one variant's read tables against the canonical reads: for each
+    channel of each chunk, the windows the tables gather are its reads (the
+    H edges, then the W edges) that touch the grid, in that order, then its
+    center window E times on the center map.  A window touches the grid when
+    it holds a cell of a staging buffer whose grid is all ones.  kept[k] are
+    the channels that map k writes, `chunk` to a staging buffer, map k's
+    first at slot base(k)."""
     _, grid, win = runner._staging(slots, bn._Instr())
     grid[:] = 1
-    for k, (perm, chunks) in enumerate(tables):
-        view = win[base(k):]
-        rows = (np.arange(perm.start, perm.stop) if isinstance(perm, slice) else perm).tolist()
-        assert len(rows) == sum(t.size for t in chunks)
-        start = 0
-        for t in chunks:
-            src = (np.arange(t.src.start, t.src.stop) if isinstance(t.src, slice) else t.src).tolist()
-            block = rows[start:start + t.size]
-            assert t.dst.start == start and t.dst.stop <= start + t.size
-            assert sorted(src) == src == sorted(block)
-            start += t.size
-            dst = rows[t.dst]
-            assert t.counts == sorted(t.counts, reverse=True) and t.counts[-1:] != [0]
-            assert len(t.offs) == sum(t.counts) and t.counts[:1] <= [len(dst)]
+    slot, edges = runner.slot, runner.cfg.edges
+    entries = 0
+    for k, ids in enumerate(kept):
+        view = win[base(k) * slot:]
+        rows = t.rows[k]
+        rows = list(range(rows.start, rows.stop)) if isinstance(rows, slice) else rows.tolist()
+        ids = ids.tolist()
+        assert len(rows) == len(ids)
+        for j, a in enumerate(range(0, len(ids), chunk)):
+            src, block = ids[a:a + chunk], rows[a:a + chunk]
+            counts = t.counts[k][j]
+            assert counts == sorted(counts, reverse=True) and counts[:1] <= [len(block)]
             got = {c: [] for c in src}
-            at = 0
-            for n in t.counts:
-                for c, o in zip(dst[:n], t.offs[at:at + n]):
-                    got[c].append(int(o))
-                at += n
-            for c, o in zip(dst, [] if t.center is None else t.center):
-                got[c] += [int(o)] * runner.cfg.edges
+            at = t.starts[k][j]
+            for n in counts:
+                for c in block[:n]:
+                    got[c].append(int(t.offs[at]))
+                    at += 1
+            entries += at - t.starts[k][j]
+            if k == runner.center_map:
+                for c, o in zip(block, t.center[a:a + chunk]):
+                    got[c] += [int(o)] * edges
             for pos, c in enumerate(src):
-                every = runner.reads[k, c] + pos * runner.slot
+                every = runner.reads[:, k, c] + pos * slot
                 want = [int(o) for o in every if view[o].any()]
                 if k == runner.center_map:
-                    want += [runner.center + pos * runner.slot] * runner.cfg.edges
+                    want += [runner.center + pos * slot] * edges
                 assert got[c] == want, (k, c)
                 # the reads left out address all-zero windows
                 assert not any(view[o].any() for o in set(every) - set(want))
             # the chunk's rows: its channels sorted stably by their number of
-            # reads, most first; the map adds to the rows that have a read
+            # reads, most first
             assert block == sorted(src, key=lambda c: -len(got[c]))
-            assert dst == [c for c in block if got[c]]
+    assert entries == t.offs.size
 
 
 @settings(max_examples=40)
@@ -236,8 +239,9 @@ def test_read_tables_hold_exactly_the_live_reads(pad_mode, n, g, hw, ghost, chan
     h, w = hw
     runner = bn._Runner(cfg, h, w, dtype, weights=wts)
     c_sw = cfg.sw_channels
-    _table_reads(runner, runner.fused, runner.chunk, lambda k: 0)
-    _table_reads(runner, runner.naive, cfg.g * c_sw, lambda k: k * c_sw * runner.slot)
+    _table_reads(runner, runner.fused, runner.kept, runner.chunk, runner.chunk, lambda k: 0)
+    _table_reads(runner, runner._read_tables(np.ones((cfg.g, c_sw), bool), c_sw),
+                 [np.arange(c_sw)] * cfg.g, c_sw, cfg.g * c_sw, lambda k: k * c_sw)
     fused = runner.run("fused", bn._Instr())
     naive = runner.run("naive", bn._Instr())
     assert fused.tobytes() == naive.tobytes()
@@ -322,7 +326,8 @@ def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, g
     x = rng.uniform(-0.5, 0.5, (sel[-1] + 1, gh + n - 1, wp)).astype(dtype)
     bank = rng.uniform(-0.5, 0.5, (x.shape[0], 1, n, n)).astype(dtype)
     xpad = np.concatenate([x, np.zeros((x.shape[0], 1, wp), dtype)], axis=1)
-    idx = sel if gappy else slice(sel[0], sel[-1] + 1)
+    idx = bn._channel_index(sel)
+    assert isinstance(idx, slice) == (not gappy or size == 1)
     span = (gh + n - 1) * wp
     rows = np.full((size, n, span), np.nan, dtype)
     bn._shift_rows(bn._row_shifts(xpad.reshape(x.shape[0], -1), n, span), idx, rows)
@@ -592,9 +597,9 @@ def test_grouped_reads_match_one_read_at_a_time(c, h, w, slots, group, lead, rep
     item = buf.itemsize
     win = as_strided(buf, (buf.size - (h - 1) * pitch - w + 1, h, w),
                      (item, pitch * item, item), writeable=False)
-    counts = sorted(rng.integers(1, c + 1, slots).tolist(), reverse=True)
+    counts = sorted(rng.integers(0, c + 1, slots).tolist(), reverse=True)
     offs = rng.integers(0, len(win), sum(counts))
-    center = rng.integers(0, len(win), c) if repeats else None
+    center = rng.integers(0, len(win), c)
     rows = rng.uniform(-1, 1, (lead + c + 2, h, w)).astype(dtype)
     want = rows.copy()
     read = iter(offs)
@@ -605,9 +610,8 @@ def test_grouped_reads_match_one_read_at_a_time(c, h, w, slots, group, lead, rep
         want[lead:lead + c] += win[center]
     # `room` allows exactly `group` read slots per gather
     full = max(counts, default=1) * h * w
-    room = group * full + int(rng.integers(0, full))
-    table = bn._ReadTable(slice(0, c), c, slice(lead, lead + c), offs, counts, center, 0)
-    gathered = bn._add_map(rows, table, win, room, repeats)
+    room = group * full + int(rng.integers(0, max(full, 1)))
+    gathered = bn._add_map(rows[lead:lead + c], win, offs, counts, room, center, repeats)
     assert rows.tobytes() == want.tobytes()
     assert gathered == len(offs) + (c if repeats else 0)
 
@@ -639,9 +643,9 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
         rooms.append(got[0].size)
         return got
 
-    def add_map(out, table, win, *a):
-        calls.append((table, []))
-        return add(out, table, _GatherSpy(win, calls[-1][1]), *a)
+    def add_map(dst, win, offs, counts, room, center, repeats):
+        calls.append((len(dst), counts, repeats, []))
+        return add(dst, _GatherSpy(win, calls[-1][-1]), offs, counts, room, center, repeats)
 
     monkeypatch.setattr(bn._Runner, "_staging", staging)
     monkeypatch.setattr(bn, "_add_map", add_map)
@@ -652,11 +656,12 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
         runner = bn._Runner(cfg, h, w, dtype, weights=weights)
         runner.run("fused", bn._Instr())
         assert len(rooms) == 1, (cfg, h, w, dtype)
-        blocks = [b for _, got in calls for b in got]
+        blocks = [b for *_, got in calls for b in got]
         assert max((np.prod(b) for b in blocks), default=0) <= rooms[0], (cfg, h, w, dtype)
         # the windows of each gather of a full chunk that reads every channel
-        return [(t, [b[0] for b in got]) for t, got in calls
-                if t.size == runner.chunk and t.counts[:1] == [t.size]]
+        return [(m, [n for n in counts if n], repeats, [b[0] for b in got])
+                for m, counts, repeats, got in calls
+                if m == runner.chunk and counts[:1] == [m]]
 
     arch = ArchSpec.sw_tiny()
     for lid, name in enumerate(arch.layer_names()):
@@ -670,10 +675,10 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
             full = check(cfg, 56 >> st, 56 >> st, dtype, wts)
             if st == 2 and wts is None:
                 assert full, name
-                for t, got in full:
+                for m, counts, repeats, got in full:
                     # then, on the center map, the center windows in one gather
-                    assert got == ([sum(t.counts[j:j + 4]) for j in range(0, len(t.counts), 4)]
-                                   + [t.size] * (t.center is not None)), name
+                    assert got == ([sum(counts[j:j + 4]) for j in range(0, len(counts), 4)]
+                                   + [m] * (repeats > 0)), name
     for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
         for m, h, w in _small_grids(n):
             cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
