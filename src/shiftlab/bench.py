@@ -18,7 +18,7 @@ buffer every read is one flat offset.  A read is live when its window
 touches the grid; a dead read's window lies wholly in the margins and
 would add +0.0 to every element, which changes no bit, as the destination
 is never -0.0 (it starts at +0.0, and a sum is -0.0 only when both of its
-terms are).  So the engine gathers live windows only.  Each runner builds
+terms are).  So fused gathers live windows only.  Each runner builds
 fused's read tables once, with the plan and the bank, for every map and
 chunk in a few whole-array numpy calls.  A map's rows are the channels
 that keep it, chunk by chunk, each chunk's sorted stably by its number of
@@ -33,8 +33,9 @@ gathers as many whole read slots as fit in the chunk's own staging buffer
 (at least one), and slot t is added into the first counts[t] rows, one
 slot at a time, so each channel still adds its reads in canonical order.
 On the center map each row's center window is then gathered once and
-added E times.  Naive builds the same tables, one chunk of all channels
-per map, on each run.
+added E times.  Naive keeps no tables: for each map it gathers every read
+of every channel, live or dead, read slot by read slot, and adds each
+slot into all rows.
 
 The fan-out conv computes rows wide: the padded input (one spare zero row
 at the bottom) is viewed flat per channel, and tap (u, v) reads Hg whole
@@ -59,25 +60,25 @@ smaller than one channel's buffers, such as 8 channels of an m = 51
 operator at 24 x 24), fused runs one channel at a time through the tap
 loop, one contiguous multiply-add per tap, with no row-shift buffer.
 
-Both variants share one accumulation order per output element -- for
-each map k, the H edges, then the W edges, then the center, less the
-dead reads -- so checksums are bitwise identical in deterministic mode;
-the documented "relaxed" switch reverses the map order, which permits a
-1e-5 (f32) tolerance.  Instrumentation counts destination-accumulation
-events per fan-out (conv output) pixel, from in-grid reads only -- each
-conv-output pixel is moved at most once per edge by each shift branch plus
-once by the center branch, so the aggregate stays below 2E + 1 -- the (H, W)
-windows the shift-adds gather, and the peak bytes of variant-owned staging
-buffers (zero-gap buffer, conv accumulator, row-shift buffer), which
-excludes the shared padded input and the final output.  The peak is the
-sum of these buffers, as each one lives until the run ends.  It also
-leaves out numpy temporaries: the block of windows each gather holds, the
-center windows, the copy of a map's rows when the sort reorders them, the
-gathered planes of a gappy chunk before they land in the row-shift buffer,
-the product of every tap of the tap loop and naive's read tables.  With
-tracemalloc around one f32 fused run of the sw_tiny stage-0 layer (seed
-1), the traced peak less the output and padded input is 1179123 to
-1182587 B over three runs, against 718416 B reported.
+Both variants share one accumulation order per output element -- for each
+map k, the H edges, then the W edges, then the center; fused skips the
+dead reads, which change no bit -- so checksums are bitwise identical in
+deterministic mode; the documented "relaxed" switch reverses the map
+order, which permits a 1e-5 (f32) tolerance.  Instrumentation counts
+destination-accumulation events per fan-out (conv output) pixel, from
+in-grid reads only -- each conv-output pixel is moved at most once per
+edge by each shift branch plus once by the center branch, so the aggregate
+stays below 2E + 1 -- the (H, W) windows the shift-adds gather, and the
+peak bytes of variant-owned staging buffers (zero-gap buffer, conv
+accumulator, row-shift buffer), which excludes the shared padded input and
+the final output.  The peak is the sum of these buffers, as each one lives
+until the run ends.  It also leaves out numpy temporaries: the block of
+windows each gather holds, the center windows, the copy of a map's rows
+when the sort reorders them, the gathered planes of a gappy chunk before
+they land in the row-shift buffer, and the product of every tap of the tap
+loop.  With tracemalloc around one f32 fused run of the sw_tiny stage-0
+layer (seed 1), the traced peak less the output and padded input is
+1179123 to 1182587 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
 
 
 class _Reads(NamedTuple):
-    """One variant's live shift reads, for every map k.
+    """Fused's live shift reads, for every map k.
 
     A map's rows are the channels that keep it, chunk by chunk, each chunk's
     sorted stably by its number of live reads, most first: rows[k] holds
@@ -212,8 +213,8 @@ class _Reads(NamedTuple):
 def _add_map(dst: np.ndarray, win: np.ndarray, offs: np.ndarray, counts: list[int],
              room: int, center: np.ndarray | None, repeats: int) -> int:
     """dst[:counts[t]] += the windows of read slot t, for each slot in turn,
-    then dst += the windows at `center`, `repeats` times: one chunk's live
-    reads of one map, in canonical order.  Returns the number of windows
+    then dst += the windows at `center`, `repeats` times: one chunk's reads
+    of one map, in canonical order.  Returns the number of windows
     gathered.
 
     Each fancy-index call gathers as many whole read slots as fit in `room`
@@ -335,8 +336,8 @@ class _Runner:
         self.fused = self._read_tables(keep, self.chunk)
 
     def _read_tables(self, keep: np.ndarray, chunk: int) -> _Reads:
-        """The _Reads of a variant whose map k is written, for the channels c
-        with keep[k, c] in order, `chunk` channels to a staging buffer."""
+        """Fused's _Reads: map k is written for the channels c with
+        keep[k, c] in order, `chunk` channels to a staging buffer."""
         r, g, c_sw = self.live.shape
         live = (self.live & keep).astype(np.intp)
         nlive = live.sum(0)                         # live reads of each (map, channel)
@@ -441,15 +442,16 @@ class _Runner:
         for k in ks:
             _conv_slice(view, self.bank[:, k], acc, wide, grid[k * c_sw:(k + 1) * c_sw])
         instr.macs += len(ks) * c_sw * cfg.n * cfg.n * self.gh * self.gw
-        t = self._read_tables(np.ones((cfg.g, c_sw), dtype=bool), c_sw)
+        # every read of each channel, live or dead, at its channel's slot: a
+        # dead window lies in the zero margins and adds +0.0
+        at = np.arange(c_sw) * self.slot
+        counts = [c_sw] * len(self.reads)
+        moved = self.moved.sum(1).tolist()
         for k in ks:
-            dst = out[t.rows[k]]
-            instr.reads += _add_map(dst, win[k * c_sw * self.slot:], t.offs[t.starts[k][0]:],
-                                    t.counts[k][0], maps.size, t.center,
-                                    cfg.edges if k == self.center_map else 0)
-            instr.moves += t.moved[k]
-            if not isinstance(t.rows[k], slice):
-                out[t.rows[k]] = dst
+            instr.reads += _add_map(out, win[k * c_sw * self.slot:],
+                                    (self.reads[:, k] + at).ravel(), counts, maps.size,
+                                    self.center + at, cfg.edges if k == self.center_map else 0)
+            instr.moves += moved[k]
 
     def _run_fused(self, out, xpad, ks, instr):
         cfg, t, chunk = self.cfg, self.fused, self.chunk
@@ -531,14 +533,6 @@ def run_variant(variant: str, cfg: SwConfig, h: int, w: int, reps: int = 5,
                 weights: SwWeights | None = None) -> BenchReport:
     """Time one variant; wall-clock samples exclude the warmup reps."""
     return measure(cfg, h, w, (variant,), reps, dtype, relaxed, warmup, weights)[0]
-
-
-def compare_wallclock(cfg: SwConfig, h: int, w: int, variants=("naive", "fused"),
-                      reps: int = 9, dtype: str = "f32",
-                      warmup: int = 3) -> dict[str, float]:
-    """Median wall-clock per variant with reps interleaved round-robin."""
-    return {r.variant: r.median_ns
-            for r in measure(cfg, h, w, variants, reps, dtype, warmup=warmup)}
 
 
 def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,

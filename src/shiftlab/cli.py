@@ -415,7 +415,7 @@ def cmd_prune_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    _require_positive(args, "--h", "--w")
+    _require_positive(args, "--h", "--w", "--reps")
     out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)
@@ -437,8 +437,8 @@ def cmd_bench(args) -> int:
                       " fan-out (conv output) pixel; the shared-memory staging bound"
                       " is 2E+1",
                       "reads_per_pixel counts the window elements the shift-adds"
-                      " gather per fan-out pixel, in-grid or not; reads that miss"
-                      " the grid are not gathered"))
+                      " gather per fan-out pixel, in-grid or not; fused skips the"
+                      " reads that miss the grid, naive gathers them all"))
     if args.check:
         diffs = bench.verify_variants(cfg, trials=2, h=min(args.h, 24),
                                       w=min(args.w, 24), dtype="f64")

@@ -220,8 +220,8 @@ def test_a8_bench():
     assert rf.moves_per_pixel <= bound, rf.moves_per_pixel
     ratio_mem = rn.peak_intermediate_bytes / rf.peak_intermediate_bytes
     assert ratio_mem >= desk.g, ratio_mem
-    medians = bn.compare_wallclock(desk, h, w, ("naive", "fused"), reps=9)
-    ratio_time = medians["fused"] / medians["naive"]
+    tn, tf = bn.measure(desk, h, w, ("naive", "fused"), reps=9)
+    ratio_time = tf.median_ns / tn.median_ns
     assert ratio_time <= 1.10, f"fused/naive wall-clock ratio {ratio_time:.3f}"
     _report("A8 bench",
             f"variant diffs f64 <= {max(diffs.values()):.1e}, relaxed f32 <= "

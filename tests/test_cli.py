@@ -509,6 +509,7 @@ def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
     (["prune-sim", "--gap", "0"], "--gap"),
     (["params", "--input-size", "0"], "--input-size"),
     (["params", "--input-size", "-224"], "--input-size"),
+    (["bench", "--reps", "0"], "--reps"),
 ])
 def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shiftlab import (ConvParams, ShapeError, Tensor, conv2d_ref, fanout_conv,
                       from_array, max_abs_diff, strip_conv_ref)
 from shiftlab.rng import CounterRng
-from conftest import naive_conv2d, naive_depthwise
+from loop_oracles import naive_conv2d, naive_depthwise
 
 
 def test_identity_kernel(rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import shiftlab as sl
 import shiftlab.analysis as an
 from shiftlab.sw_op import PAD_MODES
-from conftest import naive_depthwise
+from loop_oracles import naive_depthwise
 
 
 # ---------------------------------------------------------------------------
