@@ -23,15 +23,27 @@ fused's read tables once, with the plan and the bank, for every map and
 chunk in a few whole-array numpy calls.  A map's rows are the channels
 that keep it, chunk by chunk, each chunk's sorted stably by its number of
 live reads, most first.  One flat offset array holds the live windows of
-each chunk read slot by read slot: slot t is the t-th live read, in
-canonical order, of every row that has one, and these rows are the
-chunk's first counts[t].  The conv still writes a chunk's channels to its
-staging slots in channel order, and each offset names its channel's slot.
-A map's rows are copied out of the output before its adds and back after
-them when the sort reorders any, else they are a view.  A fancy-index call
-gathers as many whole read slots as fit in the chunk's own staging buffer
-(at least one), and slot t is added into the first counts[t] rows, one
-slot at a time, so each channel still adds its reads in canonical order.
+each (map, chunk) pair read slot by read slot: slot t is the t-th live
+read, in canonical order, of every row that has one, and these rows are
+the chunk's first counts[t].  The conv still writes a chunk's channels to
+its staging slots in channel order, and each offset names its channel's
+slot.  From the tables the runner also builds fused's work list once: one
+step per (map, chunk) pair with its taps, its offsets, its counts, its
+center windows and the gather index that puts the chunk's output rows in
+the map's order.  When every map keeps the same channels (dense weights)
+the list is chunk-major: a chunk's channels are row-shifted once for all
+g maps, and its output rows move from one map's order to the next with
+one gather per step (none where the orders agree, so a chunk whose maps
+never reorder works on a view of the output) and go back to the output
+once, after its last map.  Otherwise (masked weights, where a chunk is
+another set of channels on each map) the list is map-major: a map's rows
+are gathered from the output on its first chunk, as one copy in the map's
+order (a view when the sort keeps the order), each step works on its
+chunk's slice of them, and they go back after the map's last chunk.  A
+fancy-index call gathers as many whole read slots as fit in the chunk's
+own staging buffer (at least one), and slot t is added into the first
+counts[t] rows, one slot at a time, so each channel still adds its reads
+in canonical order.
 On the center map each row's center window is then gathered once and
 added E times.  Naive keeps no tables: for each map it gathers every read
 of every channel, live or dead, read slot by read slot, and adds each
@@ -64,21 +76,24 @@ Both variants share one accumulation order per output element -- for each
 map k, the H edges, then the W edges, then the center; fused skips the
 dead reads, which change no bit -- so checksums are bitwise identical in
 deterministic mode; the documented "relaxed" switch reverses the map
-order, which permits a 1e-5 (f32) tolerance.  Instrumentation counts
-destination-accumulation events per fan-out (conv output) pixel, from
-in-grid reads only -- each conv-output pixel is moved at most once per
-edge by each shift branch plus once by the center branch, so the aggregate
-stays below 2E + 1 -- the (H, W) windows the shift-adds gather, and the
-peak bytes of variant-owned staging buffers (zero-gap buffer, conv
-accumulator, row-shift buffer), which excludes the shared padded input and
-the final output.  The peak is the sum of these buffers, as each one lives
-until the run ends.  It also leaves out numpy temporaries: the block of
-windows each gather holds, the center windows, the copy of a map's rows
-when the sort reorders them, the gathered planes of a gappy chunk before
-they land in the row-shift buffer, and the product of every tap of the tap
-loop.  With tracemalloc around one f32 fused run of the sw_tiny stage-0
-layer (seed 1), the traced peak less the output and padded input is
-1179123 to 1182587 B over three runs, against 718416 B reported.
+order (fused walks each chunk's maps in reverse), which permits a 1e-5
+(f32) tolerance against the oracle; relaxed fused and naive still agree
+bit for bit.  Instrumentation counts destination-accumulation events per
+fan-out (conv output) pixel, from in-grid reads only -- each conv-output
+pixel is moved at most once per edge by each shift branch plus once by
+the center branch, so the aggregate stays below 2E + 1 -- the (H, W)
+windows the shift-adds gather, and the peak bytes of variant-owned staging
+buffers (zero-gap buffer, conv accumulator, row-shift buffer), which
+excludes the shared padded input and the final output.  The peak is the
+sum of these buffers, as each one lives until the run ends.  It also
+leaves out numpy temporaries: the block of windows each gather holds, the
+center windows, the output rows each time a step gathers them into a
+map's order (a chunk's rows, or a whole map's when map-major), the
+gathered planes of a gappy chunk before they land
+in the row-shift buffer, and the product of every tap of the tap loop.
+With tracemalloc around one f32 fused run of the sw_tiny stage-0 layer
+(seed 1), the traced peak less the output and padded input is 1178603 to
+1178771 B over three runs, against 718416 B reported.
 """
 
 from __future__ import annotations
@@ -188,26 +203,37 @@ def _conv_taps(xpad: np.ndarray, taps: np.ndarray, acc: np.ndarray,
 
 
 class _Reads(NamedTuple):
-    """Fused's live shift reads, for every map k.
+    """Fused's live shift reads, for every (map k, chunk j) pair.
 
-    A map's rows are the channels that keep it, chunk by chunk, each chunk's
-    sorted stably by its number of live reads, most first: rows[k] holds
-    them (a slice when they count up from channel 0).  offs holds the
-    window offset of every live read, map by map, chunk by chunk and read
-    slot by read slot: slot t of chunk j is the t-th live read, in canonical
-    order, of each of the chunk's first counts[k][j][t] rows (counts run
-    down to zeros), and the chunk's reads start at offs[starts[k][j]].  A
-    read addresses the staging slot where its channel's map was written.
-    center holds the center window of each row of the center map (None when
-    the center branch is off); moved[k] the in-grid elements that map k's
-    reads add.
+    Map k's rows, order[k], are the channels that keep it, chunk by chunk,
+    each chunk's sorted stably by its number of live reads, most first,
+    then the channels that do not keep it; row[k, c] is channel c's place
+    in order[k].  offs holds the window offset of every live read, pair by
+    pair (map-major) and read slot by read slot: slot t of pair (k, j) is
+    the t-th live read, in canonical order, of each of the chunk's first
+    counts[k, j, t] rows (counts run down to zeros), and the pair's reads
+    are offs[bounds[i]:bounds[i + 1]], i = k * nch + j.  A read addresses
+    the staging slot where its channel's map was written.  center holds
+    the center window of each row of the center map (None when the center
+    branch is off).
     """
-    rows: list
+    order: np.ndarray
+    row: np.ndarray
     offs: np.ndarray
-    starts: list[list[int]]
-    counts: list[list[list[int]]]
+    bounds: np.ndarray
+    counts: np.ndarray
     center: np.ndarray | None
-    moved: list[int]
+
+
+def _windows(x: np.ndarray, at: np.ndarray, size: np.ndarray):
+    """x[a:a + s] for each a, s of at, size, and whether its values count up
+    by one: then it is a slice of the values, so that indexing with it makes
+    a view, else a view of x."""
+    bad = np.zeros(x.size, dtype=np.intp)          # [i]: steps other than +1 up to x[i]
+    np.cumsum(np.diff(x) != 1, out=bad[1:])
+    unit = bad[at + size - 1] == bad[at]
+    return [slice(f, f + n) if u else x[a:a + n] for a, n, f, u in
+            zip(at.tolist(), size.tolist(), x[at].tolist(), unit.tolist())], unit
 
 
 def _add_map(dst: np.ndarray, win: np.ndarray, offs: np.ndarray, counts: list[int],
@@ -251,13 +277,6 @@ def _bench_input(seed: int, shape: tuple[int, int, int], np_dtype) -> np.ndarray
     x = CounterRng(seed, "bench-x").uniform_array(shape, -0.5, 0.5, np_dtype)
     x.flags.writeable = False
     return x
-
-
-def _channel_index(sel: np.ndarray):
-    """A slice when the channel ids are contiguous, else the ids themselves."""
-    if sel[-1] - sel[0] + 1 == sel.size:
-        return slice(int(sel[0]), int(sel[-1]) + 1)
-    return sel
 
 
 class _Runner:
@@ -331,9 +350,10 @@ class _Runner:
                  // (self.slot + gh * wp + cfg.n * (gh + cfg.n - 1) * wp))
         self.taps_only = chunk == 0
         self.chunk = max(chunk, 1)
-        keep = np.logical_or.reduce(weights.masks).T     # [k, c]: channel c keeps map k
-        self.kept = [np.flatnonzero(row) for row in keep]
-        self.fused = self._read_tables(keep, self.chunk)
+        self.keep = np.logical_or.reduce(weights.masks).T   # [k, c]: channel c keeps map k
+        self.chunk_major = bool((self.keep == self.keep[0]).all())
+        self.fused = self._read_tables(self.keep, self.chunk)
+        self.walks = {False: self._work(False)}     # fused's work lists, by `relaxed`
 
     def _read_tables(self, keep: np.ndarray, chunk: int) -> _Reads:
         """Fused's _Reads: map k is written for the channels c with
@@ -370,15 +390,97 @@ class _Runner:
         at += live * (row % chunk)
         offs = np.empty(first[-1] + 1, dtype=np.intp)
         offs[at] = self.reads + pos % chunk * self.slot
-        tot = counts.sum(-1).ravel()
-        n = keep.sum(1).tolist()
-        same = (order == np.arange(c_sw)).all(1).tolist()
         cm = self.center_map
-        return _Reads([slice(0, n[k]) if same[k] else order[k, :n[k]] for k in range(g)],
-                      offs[:-1], (tot.cumsum() - tot).reshape(g, nch).tolist(),
-                      counts.tolist(),
-                      None if cm is None else self.center + pos[cm, order[cm]] % chunk * self.slot,
-                      (self.moved * keep).sum(1).tolist())
+        return _Reads(order, row, offs[:-1], np.append(0, counts.sum(-1).cumsum()), counts,
+                      None if cm is None else self.center + pos[cm, order[cm]] % chunk * self.slot)
+
+    def _work(self, relaxed: bool) -> list[tuple]:
+        """Fused's work list: one step per (map, chunk) pair, in run order,
+        each chunk's maps in reverse when relaxed.
+
+        A step is (src, taps, offs, counts, center, load, move, back): the
+        chunk's channels, on its first step only; their (m, N, N) filters of
+        the map; the pair's live reads and its rows per read slot, down to
+        the last nonzero (see _Reads); the rows' center windows, on the
+        center map only; the rows of out to hold from this step on, in the
+        map's order (None: keep the held rows); the step's rows among the
+        held ones; and the rows of out the held rows go back to after the
+        step (None: they need not).  An index that counts up by one is a
+        slice, so that a load or move that keeps the order makes a view.
+
+        When every map keeps the same channels (chunk_major), the list runs
+        chunk by chunk: a chunk's channels are row-shifted once for all g
+        maps, its rows are loaded on its first map, each map's move gathers
+        them into that map's order (a view when the orders agree) and holds
+        the result in their place, and they go back after its last map
+        unless every load and move was a view.  Otherwise a chunk is another
+        set of channels on each map, and the list runs map by map: a map's
+        rows are loaded on its first chunk, each step moves to its chunk's
+        slice of them, and they go back after its last chunk unless the load
+        was a view.  Either way each output element adds map by map in walk
+        order.  Built in whole-array calls, but for the views each step
+        holds.
+        """
+        t, chunk, keep = self.fused, self.chunk, self.keep
+        g, c_sw = keep.shape
+        _, nch, r = t.counts.shape
+        n = keep.sum(1)
+        ks = np.arange(g)[::-1] if relaxed else np.arange(g)
+        if self.chunk_major:
+            steps = g                               # per chunk of channels
+            runs = -(-n[0] // chunk)
+            kw, jw = np.tile(ks, runs), np.repeat(np.arange(runs), g)
+            a = jw * chunk
+            m = np.minimum(chunk, n[0] - a)
+            # each row's place among the chunk's rows of the map before
+            prev = (np.arange(g) + (1 if relaxed else -1)) % g * c_sw
+            mv = t.row.ravel().take(t.order + prev[:, None])
+            mv -= np.arange(c_sw) // chunk * chunk
+            moves, unit = _windows(mv.ravel(), kw * c_sw + a, m)
+            moves[::g] = [slice(None)] * runs
+            held, whole = _windows(t.order.ravel(), ks[0] * c_sw + a[::g], m[::g])
+            unit[::g] = whole
+            loads = [None] * kw.size
+            loads[::g] = held
+            backs = [None] * kw.size
+            last = np.flatnonzero(~unit.reshape(-1, g).all(1))
+            for j, w in zip(last.tolist(), _windows(t.order[ks[-1]], last * chunk,
+                                                    m[last * g])[0]):
+                backs[j * g + g - 1] = w
+        else:
+            steps = 1
+            runs = -(-n[ks] // chunk)
+            kw = np.repeat(ks, runs)
+            jw = np.arange(kw.size) - np.repeat(runs.cumsum() - runs, runs)
+            a = jw * chunk
+            m = np.minimum(chunk, n[kw] - a)
+            moves = [slice(x, x + s) for x, s in zip(a.tolist(), m.tolist())]
+            km, runs = ks[runs > 0], runs[runs > 0]
+            held, unit = _windows(t.order.ravel(), km * c_sw, n[km])
+            loads = [None] * kw.size
+            backs = [None] * kw.size
+            for i, j, w, u in zip((runs.cumsum() - runs).tolist(), (runs.cumsum() - 1).tolist(),
+                                  held, unit.tolist()):
+                loads[i] = w
+                backs[j] = None if u else w
+        kept = np.flatnonzero(keep)                 # (map, channel) pairs kept, map by map
+        kc = kept % c_sw
+        taps = self.bank.reshape(c_sw * g, *self.bank.shape[2:]).take(kc * g + kept // c_sw, 0)
+        at = (n.cumsum() - n)[kw] + a
+        srcs = [None] * kw.size
+        srcs[::steps] = _windows(kc, at[::steps], m[::steps])[0]
+        cell = kw * nch + jw
+        counts = t.counts.reshape(g * nch, r)[cell]
+        centers = [None] * kw.size
+        a, m = a.tolist(), m.tolist()
+        if self.center_map is not None:
+            for i in np.flatnonzero(kw == self.center_map).tolist():
+                centers[i] = t.center[a[i]:a[i] + m[i]]
+        return list(zip(srcs, [taps[b:b + s] for b, s in zip(at.tolist(), m)],
+                        [t.offs[o:e] for o, e in zip(t.bounds[cell].tolist(),
+                                                     t.bounds[cell + 1].tolist())],
+                        [c[:z] for c, z in zip(counts.tolist(), (counts > 0).sum(1).tolist())],
+                        centers, loads, moves, backs))
 
     def padded_input(self) -> np.ndarray:
         cg = self.cfg.ghost_channels
@@ -409,11 +511,8 @@ class _Runner:
         out_full = np.zeros_like(self.x)
         out_full[:cg] = self.x[:cg]
         xpad = self.padded_input()
-        ks = list(range(self.cfg.g))
-        if relaxed:
-            ks = ks[::-1]
         run = self._run_naive if variant == "naive" else self._run_fused
-        run(out_full[cg:], xpad, ks, instr)
+        run(out_full[cg:], xpad, relaxed, instr)
         return out_full
 
     def _rows(self, xpad, chunk, instr):
@@ -431,9 +530,10 @@ class _Runner:
         acc = instr.take(np.empty((chunk, self.gh * wp), dtype=self.np_dtype))
         return acc, acc.reshape(chunk, self.gh, wp)[:, :, :self.gw]
 
-    def _run_naive(self, out, xpad, ks, instr):
+    def _run_naive(self, out, xpad, relaxed, instr):
         cfg = self.cfg
         c_sw = cfg.sw_channels
+        ks = range(cfg.g)[::-1] if relaxed else range(cfg.g)
         # map k of channel c sits in slot k * c_sw + c
         maps, grid, win = self._staging(cfg.g * c_sw, instr)
         acc, wide = self._acc(c_sw, xpad.shape[2], instr)
@@ -453,32 +553,37 @@ class _Runner:
                                     self.center + at, cfg.edges if k == self.center_map else 0)
             instr.moves += moved[k]
 
-    def _run_fused(self, out, xpad, ks, instr):
-        cfg, t, chunk = self.cfg, self.fused, self.chunk
+    def _run_fused(self, out, xpad, relaxed, instr):
+        cfg, chunk = self.cfg, self.chunk
         buf, grid, win = self._staging(chunk, instr)
         acc, wide = self._acc(chunk, xpad.shape[2], instr)
         rows, view, shifted = self._rows(xpad, 0 if self.taps_only else chunk, instr)
-        macs = cfg.n * cfg.n * self.gh * self.gw
-        for k in ks:
-            bank = self.bank[:, k]
-            kept = self.kept[k]
-            dst = out[t.rows[k]]            # the map's rows: a view, or a copy when sorted
-            repeats = cfg.edges if k == self.center_map else 0
-            for j, a in enumerate(range(0, kept.size, chunk)):
-                src = _channel_index(kept[a:a + chunk])
-                m = min(chunk, kept.size - a)
+        if relaxed not in self.walks:
+            self.walks[relaxed] = self._work(relaxed)
+        conv = _conv_taps if self.taps_only else _conv_slice
+        cut = {}                                    # the buffers cut to m channels
+        for src, taps, offs, counts, center, load, move, back in self.walks[relaxed]:
+            if load is not None:
+                held = out[load]
+            dst = held[move]
+            if self.chunk_major:
+                held = dst
+            if src is not None:                     # a new chunk: its input
+                m = len(taps)
+                if m not in cut:
+                    cut[m] = rows[:m], view[:m], acc[:m], wide[:m], grid[:m]
+                rows_m, part, *bufs = cut[m]
                 if self.taps_only:
-                    _conv_taps(xpad[src], bank[src], acc, wide, grid)
+                    part = xpad[src]
                 else:
-                    _shift_rows(shifted, src, rows[:m])
-                    _conv_slice(view[:m], bank[src], acc[:m], wide[:m], grid[:m])
-                instr.reads += _add_map(dst[a:a + m], win, t.offs[t.starts[k][j]:],
-                                        t.counts[k][j], buf.size,
-                                        t.center[a:a + m] if repeats else None, repeats)
-            instr.macs += kept.size * macs
-            instr.moves += t.moved[k]
-            if not isinstance(t.rows[k], slice):
-                out[t.rows[k]] = dst
+                    _shift_rows(shifted, src, rows_m)
+            conv(part, taps, *bufs)
+            instr.reads += _add_map(dst, win, offs, counts, buf.size, center,
+                                    0 if center is None else cfg.edges)
+            if back is not None:
+                out[back] = held
+        instr.macs += int(self.keep.sum()) * cfg.n * cfg.n * self.gh * self.gw
+        instr.moves += int((self.moved * self.keep).sum())
 
 
 def measure(cfg: SwConfig, h: int, w: int, variants, reps: int = 5,

@@ -441,7 +441,7 @@ def cmd_bench(args) -> int:
                       " reads that miss the grid, naive gathers them all"))
     if args.check:
         diffs = bench.verify_variants(cfg, trials=2, h=min(args.h, 24),
-                                      w=min(args.w, 24), dtype="f64")
+                                      w=min(args.w, 24), dtype="f64", relaxed=args.relaxed)
         tol = args.tol if args.tol is not None else 1e-10
         bad = {v: d for v, d in diffs.items() if d > tol}
         print(f"bench check vs reference: {diffs}")

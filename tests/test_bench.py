@@ -40,15 +40,57 @@ def test_variants_match_reference_f32_relaxed(monkeypatch):
         assert min(calls[fused_conv]) < cfg.sw_channels, (cfg.channels, calls)
 
 
+def _stage2_cfg():
+    """The sw_tiny stage-2 operator; at 14 x 14 it skips 44 % of its shift
+    reads, so its maps sort their rows differently."""
+    return SwConfig(m=47, n=3, channels=320, ghost=0.23, edges=4, rep_branches=2,
+                    pad_mode="half", order_policy="per_edge_shuffled", seed=1)
+
+
+def _subset_weights(cfg):
+    """Weights with 60 % of filters kept by subset masks."""
+    wts = random_weights(cfg)
+    wts.masks = init_sparsity("subset", {"op": wts.rep}, 0.4, seed=1)["op"]
+    return wts
+
+
 def test_checksums_bitwise_equal_in_deterministic_mode():
-    cfg = SwConfig(**SMALL)
-    reports = {v: bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f64")
-               for v in bn.VARIANTS}
-    checks = {r.checksum for r in reports.values()}
-    assert len(checks) == 1
-    f32 = {bn.run_variant(v, cfg, 18, 20, reps=1, dtype="f32").checksum
-           for v in bn.VARIANTS}
-    assert len(f32) == 1
+    """fused == naive bitwise in f32 and f64, in the deterministic order and
+    in the relaxed one (each chunk's maps in reverse): on SMALL (the tap
+    loop), on the dense stage-2 operator (a chunk-major walk over several
+    chunks, with gathers between the maps' row orders) and on it at 60 %
+    kept (map-major)."""
+    stage2 = _stage2_cfg()
+    walk = bn._Runner(stage2, 14, 14, "f32").walks[False]
+    assert sum(src is not None for src, *_ in walk) > 1
+    assert any(not isinstance(move, slice) for *_, move, _back in walk)
+    cases = ((SwConfig(**SMALL), 18, 20, None), (stage2, 14, 14, None),
+             (stage2, 14, 14, _subset_weights(stage2)))
+    for (cfg, h, w, wts), dtype, relaxed in itertools.product(cases, ("f32", "f64"),
+                                                              (False, True)):
+        sums = {bn.run_variant(v, cfg, h, w, reps=1, warmup=0, dtype=dtype, relaxed=relaxed,
+                               weights=wts).checksum for v in bn.VARIANTS}
+        assert len(sums) == 1, (cfg.channels, dtype, relaxed, wts is None)
+
+
+def test_fused_row_shifts_a_dense_chunk_once_for_all_maps(monkeypatch):
+    """Dense weights: one row-shift copy per chunk, for all g maps; masked
+    weights, where a chunk is other channels on each map: one per (map,
+    chunk).  Both work lists walk as _walk_rows says."""
+    calls, shift = [], bn._shift_rows
+    monkeypatch.setattr(bn, "_shift_rows", lambda *a: calls.append(a[1]) or shift(*a))
+    cfg = _stage2_cfg()
+    for wts in (None, _subset_weights(cfg)):
+        runner = bn._Runner(cfg, 14, 14, "f32", weights=wts)
+        for relaxed in (False, True):
+            _walk_rows(runner, relaxed)
+        per_map = [-(-n // runner.chunk) for n in runner.keep.sum(1)]
+        calls.clear()
+        runner.run("fused", bn._Instr())
+        if wts is None:
+            assert len(calls) == per_map[0] > 1
+        else:
+            assert len(set(per_map)) > 1 and len(calls) == sum(per_map)
 
 
 def test_relaxed_changes_accumulation_order():
@@ -177,28 +219,29 @@ def _table_reads(runner):
     channel of each chunk, the windows the tables gather are its reads (the
     H edges, then the W edges) that touch the grid, in that order, then its
     center window E times on the center map.  A window touches the grid when
-    it holds a cell of a staging buffer whose grid is all ones."""
+    it holds a cell of a staging buffer whose grid is all ones.  Then check
+    both work lists (see _walk_rows)."""
     t, chunk = runner.fused, runner.chunk
     _, grid, view = runner._staging(chunk, bn._Instr())
     grid[:] = 1
     slot, edges = runner.slot, runner.cfg.edges
+    nch = t.counts.shape[1]
     entries = 0
-    for k, ids in enumerate(runner.kept):
-        rows = t.rows[k]
-        rows = list(range(rows.start, rows.stop)) if isinstance(rows, slice) else rows.tolist()
-        ids = ids.tolist()
-        assert len(rows) == len(ids)
+    for k, keeps in enumerate(runner.keep):
+        ids = np.flatnonzero(keeps).tolist()
+        rows = t.order[k, :len(ids)].tolist()
         for j, a in enumerate(range(0, len(ids), chunk)):
             src, block = ids[a:a + chunk], rows[a:a + chunk]
-            counts = t.counts[k][j]
+            counts = t.counts[k, j].tolist()
             assert counts == sorted(counts, reverse=True) and counts[:1] <= [len(block)]
             got = {c: [] for c in src}
-            at = t.starts[k][j]
+            at = t.bounds[k * nch + j]
             for n in counts:
                 for c in block[:n]:
                     got[c].append(int(t.offs[at]))
                     at += 1
-            entries += at - t.starts[k][j]
+            assert at == t.bounds[k * nch + j + 1]
+            entries += at - t.bounds[k * nch + j]
             if k == runner.center_map:
                 for c, o in zip(block, t.center[a:a + chunk]):
                     got[c] += [int(o)] * edges
@@ -214,6 +257,57 @@ def _table_reads(runner):
             # reads, most first
             assert block == sorted(src, key=lambda c: -len(got[c]))
     assert entries == t.offs.size
+    for relaxed in (False, True):
+        _walk_rows(runner, relaxed)
+
+
+def _walk_rows(runner, relaxed):
+    """Fused's work list walks its (map, chunk) pairs chunk-major when every
+    map keeps the same channels, else map-major, with each chunk's maps in
+    reverse when relaxed.  Each step carries its pair's tables and taps, and
+    the chunk's channels on the chunk's first step only.  Rows are loaded
+    from out on a chunk's first map (chunk-major) or a map's first chunk
+    (map-major), each step's rows stand in its map's order, and every row,
+    a view of out or not, reaches out once for each map its channel keeps."""
+    t, chunk, keep = runner.fused, runner.chunk, runner.keep
+    g, c_sw = keep.shape
+    nch = t.counts.shape[1]
+    n = keep.sum(1)
+    ks = range(g)[::-1] if relaxed else range(g)
+    major = (keep == keep[0]).all()
+    assert runner.chunk_major == major
+    if major:
+        pairs = [(k, j) for j in range(-(-n[0] // chunk)) for k in ks]
+    else:
+        pairs = [(k, j) for k in ks for j in range(-(-n[k] // chunk))]
+    walk = runner.walks[False] if not relaxed else runner._work(True)
+    assert len(walk) == len(pairs)
+    out = np.stack([np.arange(c_sw), np.zeros(c_sw)], 1)   # [c]: (channel, maps added)
+    for (k, j), (src, taps, offs, counts, center, load, move, back) in zip(pairs, walk):
+        a = j * chunk
+        ids = np.flatnonzero(keep[k])[a:a + chunk]
+        assert (src is not None) == (not major or k == ks[0]), (k, j)
+        if src is not None:
+            assert np.arange(c_sw)[src].tolist() == ids.tolist()
+        assert (load is not None) == (k == ks[0] if major else j == 0), (k, j)
+        if load is not None:
+            held = out[load]
+        dst = held[move]
+        if major:
+            held = dst
+        assert dst[:, 0].tolist() == t.order[k, a:a + ids.size].tolist(), (k, j)
+        assert taps.tobytes() == runner.bank[ids, k].tobytes()
+        assert offs.tolist() == t.offs[t.bounds[k * nch + j]:t.bounds[k * nch + j + 1]].tolist()
+        assert counts == [c for c in t.counts[k, j].tolist() if c]
+        if k == runner.center_map:
+            assert center.tolist() == t.center[a:a + ids.size].tolist()
+        else:
+            assert center is None
+        dst[:, 1] += 1
+        if back is not None:
+            out[back] = held
+    assert out[:, 0].tolist() == list(range(c_sw))
+    assert out[:, 1].tolist() == keep.sum(0).tolist()
 
 
 @settings(max_examples=40)
@@ -321,7 +415,7 @@ def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, g
     x = rng.uniform(-0.5, 0.5, (sel[-1] + 1, gh + n - 1, wp)).astype(dtype)
     bank = rng.uniform(-0.5, 0.5, (x.shape[0], 1, n, n)).astype(dtype)
     xpad = np.concatenate([x, np.zeros((x.shape[0], 1, wp), dtype)], axis=1)
-    idx = bn._channel_index(sel)
+    (idx,), _ = bn._windows(sel, np.zeros(1, np.intp), np.array([size]))
     assert isinstance(idx, slice) == (not gappy or size == 1)
     span = (gh + n - 1) * wp
     rows = np.full((size, n, span), np.nan, dtype)

@@ -442,6 +442,17 @@ def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
     assert calls == ["naive", "fused"] * 5    # 3 warmup + 2 measured rounds
 
 
+@pytest.mark.parametrize("relaxed", (False, True))
+def test_bench_check_verifies_the_order_it_timed(tmp_path, monkeypatch, relaxed):
+    seen, verify = [], bench.verify_variants
+    monkeypatch.setattr(bench, "verify_variants",
+                        lambda *a, **k: seen.append(k.get("relaxed")) or verify(*a, **k))
+    rc = main(["bench", "--out", str(tmp_path), "--reps", "1", "--h", "12", "--w", "12",
+               "--check"] + ["--relaxed"] * relaxed)
+    assert rc == 0
+    assert seen == [relaxed]
+
+
 @pytest.mark.parametrize("variants", ("fused,fused", "naive,fused,naive", "fused,warp"))
 def test_bench_rejects_repeated_or_unknown_variant(tmp_path, monkeypatch, capsys, variants):
     def no_runner(*a, **k):
