@@ -11,6 +11,9 @@ Because an output depends on nothing but (key, counter), many streams can
 also be computed at once as uint64 arrays: :func:`permutations` derives a
 key per broadcast label and takes every Fisher-Yates draw in one array
 op.  Each batched row is bitwise equal to the scalar stream it stands for.
+A draw whose result is known in advance is not taken: ``sample`` of all n
+of n elements returns the population as it is, and the counter still
+moves n - 1 on, as the draw would have moved it.
 
 We deliberately do not use numpy's Generator API here: its method-level
 streams are allowed to change between numpy versions, which would break
@@ -36,16 +39,23 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, wrapping like _mix."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer over uint64, wrapping like _mix: in place on an
+    array, which callers pass fresh (a numpy scalar is rebound)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start + count - 1 of each key's stream, on a new last axis."""
-    ctrs = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _mix_array(np.asarray(keys, dtype=np.uint64)[..., None] + ctrs)
+    """Outputs start .. start + count - 1 of each key's stream, on a new first axis."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    z = np.arange(start, start + count, dtype=np.uint64).reshape((count,) + (1,) * keys.ndim)
+    z *= np.uint64(_GOLDEN)
+    # one key adds in place; an array of keys broadcasts to a new array
+    return _mix_array(z + keys if keys.ndim else np.add(z, keys, out=z))
 
 
 def _key_part(part) -> int:
@@ -87,8 +97,12 @@ def _mul_hi(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     With u split into 32-bit halves this is (hi * m + ((lo * m) >> 32)) >> 32,
     whose terms cannot wrap while m < 2**32.
     """
-    hi, lo = u >> np.uint64(32), u & np.uint64(0xFFFFFFFF)
-    return (hi * m + ((lo * m) >> np.uint64(32))) >> np.uint64(32)
+    lo = np.multiply(u & np.uint64(0xFFFFFFFF), m)
+    lo >>= np.uint64(32)
+    hi = np.multiply(u >> np.uint64(32), m)
+    hi += lo
+    hi >>= np.uint64(32)
+    return hi
 
 
 def permutations(seed: int, *stream, n: int) -> np.ndarray:
@@ -101,16 +115,20 @@ def permutations(seed: int, *stream, n: int) -> np.ndarray:
     """
     bounds = _draw_bounds(n)
     keys = _stream_keys(seed, stream)
-    draws = _mul_hi(_words(keys, 0, bounds.size), bounds)
-    draws = draws.reshape(keys.size, bounds.size).astype(np.intp)
-    perm = np.tile(np.arange(n, dtype=np.int64), (draws.shape[0], 1))
-    rows = np.arange(draws.shape[0])
+    rows = keys.size
+    # perm[i] holds slot i of every row, so draw t of all rows gathers with
+    # one take at flat index j * rows + row and swaps with one contiguous row
+    at = _mul_hi(_words(keys.reshape(-1), 0, bounds.size), bounds[:, None])
+    at *= np.uint64(rows)
+    at += np.arange(rows, dtype=np.uint64)
+    at = at.view(np.int64)                  # every index < n * rows < 2**63
+    perm = np.repeat(np.arange(n, dtype=np.int64), rows)
     for t, i in enumerate(range(n - 1, 0, -1)):
-        j = draws[:, t]
-        held = perm[:, i].copy()
-        perm[:, i] = perm[rows, j]
-        perm[rows, j] = held
-    return perm.reshape(keys.shape + (n,))
+        row = perm[i * rows:(i + 1) * rows]
+        picked = perm.take(at[t])
+        perm[at[t]] = row                   # j <= i: row i changes only where j == i
+        row[...] = picked
+    return perm.reshape(n, rows).T.reshape(keys.shape + (n,))
 
 
 class CounterRng:
@@ -172,11 +190,17 @@ class CounterRng:
         The kept set is the first k slots of permutation(len(population)).
         Swaps at i < k only reorder those slots, so only the n - k swaps
         for i = n - 1 .. k are drawn; the stream still advances by n - 1.
+        With k == n nothing is drawn: the population comes back as it is.
         """
-        if not 0 <= k <= len(population):
-            raise ValueError(f"sample size {k} outside [0, {len(population)}]")
-        kept = self._fisher_yates(len(population), k)[:k]
-        return [population[i] for i in sorted(kept)]
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError(f"sample size {k} outside [0, {n}]")
+        if k == n:
+            self._ctr += max(n - 1, 0)
+            return list(population)
+        kept = np.ones(n, dtype=bool)
+        kept[self._fisher_yates(n, k)[k:]] = False
+        return [population[i] for i in np.flatnonzero(kept).tolist()]
 
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
         """Array of uniforms in [lo, hi), identical to repeated uniform() calls.
@@ -187,5 +211,8 @@ class CounterRng:
         n = int(np.prod(shape)) if shape else 1
         z = _words(self._key, self._ctr, n)
         self._ctr += n
-        u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return (lo + (hi - lo) * u).reshape(shape).astype(dtype)
+        z >>= np.uint64(11)
+        u = np.multiply(z, 2.0 ** -53, dtype=np.float64)
+        u *= hi - lo
+        u += lo
+        return u.reshape(shape).astype(dtype, copy=False)

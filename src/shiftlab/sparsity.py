@@ -28,12 +28,31 @@ STEP_POLICIES = ("shared", "subset")
 PRUNE_FRACTION0 = 0.5   # share of the kept filters churned before annealing
 
 
+def _filter_shape(bank: np.ndarray) -> tuple[int, int]:
+    """(C, g) of a bank; ShapeError unless it is a non-empty (C, g, N, N) array."""
+    shape = np.shape(bank)
+    if len(shape) != 4 or 0 in shape:
+        raise ShapeError(f"expected a non-empty (C, g, N, N) bank, got {shape}")
+    return shape[:2]
+
+
 def score_filters(bank: np.ndarray) -> np.ndarray:
     """Magnitude-sum score per (c, k) filter: sum of |taps|."""
-    ba = np.asarray(bank)
-    if ba.ndim != 4 or ba.size == 0:
-        raise ShapeError(f"expected a non-empty (C, g, N, N) bank, got {ba.shape}")
-    return np.abs(ba).sum(axis=(2, 3))
+    _filter_shape(bank)
+    return np.abs(np.asarray(bank)).sum(axis=(2, 3))
+
+
+def _prune_banks(banks: list[np.ndarray], s: float) -> np.ndarray:
+    """prune_to_target of the banks' summed filter scores.  When floor(s * n)
+    is 0 the mask is all True and no score is computed; the shape gate
+    still runs."""
+    shapes = {_filter_shape(b) for b in banks}
+    if len(shapes) != 1:
+        raise ShapeError(f"branch banks disagree on (C, g): {sorted(shapes)}")
+    (shape,) = shapes
+    if int(s * math.prod(shape)) == 0:
+        return np.ones(shape, dtype=bool)
+    return prune_to_target(np.add.reduce([score_filters(b) for b in banks]), s)
 
 
 def _rank_lowest(scores_flat: np.ndarray, count: int) -> np.ndarray:
@@ -128,21 +147,28 @@ def init_sparsity(policy: str, branch_banks: dict[str, list[np.ndarray]],
                       branch 0, then sample each further branch's kept
                       set as a nested random subset (sparsity ladder
                       s_r = s * (1 + r / (2 (b-1)))).
+
+    Where the pruned count floor(s * n) is 0 (per branch, per layer for
+    subset, over the whole pool for the joint policies) the masks are all
+    True, and no filter score is computed and no stream drawn; every bank
+    still passes the (C, g, N, N) shape gate.
     """
     if policy not in INIT_POLICIES:
         raise ShapeError(f"unknown init policy {policy!r}")
     if not 0.0 <= s < 1.0:
         raise ShapeError(f"target sparsity {s} outside [0, 1)")
     layers = list(branch_banks)
-    scores = {name: [score_filters(b) for b in branch_banks[name]] for name in layers}
-
     if policy == "per_branch":
-        return {name: [prune_to_target(sc, s) for sc in scores[name]] for name in layers}
+        return {name: [_prune_banks([b], s) for b in branch_banks[name]] for name in layers}
     if policy == "subset":
-        return {name: _nested_subsets(prune_to_target(np.add.reduce(scores[name]), s),
-                                      len(scores[name]), s, seed, "subset-init", name)
+        return {name: _nested_subsets(_prune_banks(branch_banks[name], s),
+                                      len(branch_banks[name]), s, seed, "subset-init", name)
                 for name in layers}
 
+    shapes = {name: [_filter_shape(b) for b in branch_banks[name]] for name in layers}
+    if int(s * sum(math.prod(sh) for name in layers for sh in shapes[name])) == 0:
+        return {name: [np.ones(sh, dtype=bool) for sh in shapes[name]] for name in layers}
+    scores = {name: [score_filters(b) for b in branch_banks[name]] for name in layers}
     # joint pool across layers and branches
     pool = np.concatenate([scores[name][r].reshape(-1)
                            for name in layers for r in range(len(scores[name]))])
@@ -176,15 +202,20 @@ def _nested_subsets(base: np.ndarray, nb: int, s: float, seed: int,
 
     Branch r keeps size - floor(s_r * size) filters, s_r = min(0.95,
     s (1 + r / (2 (nb - 1)))); its sample is drawn from the counter stream
-    (seed, *labels, r).
+    (seed, *labels, r).  A branch that would keep at least as many filters
+    as the one before keeps that set, with no draw: the sample of all n of
+    n is the population itself.
     """
     masks = [base]
     kept_idx = np.flatnonzero(base.reshape(-1))
     for r in range(1, nb):
         s_r = min(0.95, s * (1.0 + r / (2.0 * max(1, nb - 1))))
         keep_r = base.size - int(s_r * base.size)
+        if keep_r >= kept_idx.size:         # sample would keep all: no draw
+            masks.append(masks[-1].copy())
+            continue
         rng = CounterRng(seed, *labels, r)
-        kept_idx = kept_idx[rng.sample(range(kept_idx.size), min(keep_r, kept_idx.size))]
+        kept_idx = kept_idx[np.array(rng.sample(range(kept_idx.size), keep_r), dtype=np.intp)]
         m = np.zeros(base.size, dtype=bool)
         m[kept_idx] = True
         masks.append(m.reshape(base.shape))

@@ -163,17 +163,18 @@ def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
     else:  # per_edge_shuffled
         sig_h = sig_w = permutations(cfg.seed, "plan", cfg.layer_id,
                                      np.arange(e_cnt)[:, None], channels, n=g)
+    same = sig_w is sig_h
+    sig_h = _read_only(np.array(np.broadcast_to(sig_h, shape)))
+    sig_w = sig_h if same else _read_only(np.array(np.broadcast_to(sig_w, shape)))
     d = np.asarray(cfg.displacements(), dtype=np.int64)
-    sig_h, sig_w, disp_h, disp_w = (
-        _read_only(np.broadcast_to(a, shape))
-        for a in (sig_h, sig_w, d[sig_h], d[::-1][sig_w]))
-    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2, disp_h, disp_w)
+    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2,
+                     _read_only(d.take(sig_h)), _read_only(d[::-1].take(sig_w)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+    """a, a fresh array that nothing else holds, with writes turned off."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass

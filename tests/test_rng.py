@@ -230,3 +230,15 @@ def test_subset_masks_and_prune_sim_pinned():
         "c3ec8e3710548fd5a93d8b1c1388ba5eca972b00d8909d026e5dc11f613dbd9c")
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "48dd4c2533a62d03aa86d498f44fb84056c49686ea5ddcc20311d12420016829")
+
+
+@pytest.mark.parametrize("dtype,digest", [
+    (np.float32, "18475dc483227927185a8d103b349d822e2fd23c3a3ed7c29f856b71c2e4de2c"),
+    (np.float64, "6af56b7a484f1aae855f433ec4bd0e511b8e96b28508f1f739e805736753dbbb"),
+])
+def test_sw_tiny_weight_banks_pinned(dtype, digest):
+    """Frozen sha256 of the random_weights banks of all 27 sw_tiny operators,
+    so a change to the uniform draw shows in every bit, not only in the
+    score ranks that the s = 0.4 masks pin."""
+    banks = (b for _, cfg in _tiny_configs("ordered") for b in random_weights(cfg, dtype).rep)
+    assert _sha256(banks) == digest

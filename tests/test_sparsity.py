@@ -176,6 +176,41 @@ def test_init_s_zero_all_dense(rng):
                 assert m.all()
 
 
+def test_init_prunes_nothing_without_scores_or_draws(rng, monkeypatch):
+    """A layer or branch that prunes nothing gets all-True masks (or its
+    parent's kept set) without scoring a filter or drawing from a stream."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("scored or drew where nothing is pruned")
+
+    monkeypatch.setattr(CounterRng, "sample", refuse)
+    monkeypatch.setattr(sp, "score_filters", refuse)
+    banks = _banks_for_init(rng)
+    for policy in sp.INIT_POLICIES:
+        masks = sp.init_sparsity(policy, banks, 0.0)
+        assert list(masks) == list(banks)
+        for branch_masks in masks.values():
+            assert len(branch_masks) == 2
+            for m in branch_masks:
+                assert m.dtype == bool and m.shape == (6, 17) and m.all()
+    # 102 filters at s = 0.01 and s_1 = 0.015 both prune int(1.x) = 1: branch
+    # 1 keeps what branch 0 keeps, with no draw
+    base = np.ones((6, 17), dtype=bool)
+    base[2, 5] = False
+    nested = sp._nested_subsets(base, 2, 0.01, 51, "subset-init", "layer0")
+    assert all(np.array_equal(m, base) for m in nested) and nested[1] is not base
+
+
+@pytest.mark.parametrize("bad", [np.zeros((6, 17, 3)), np.zeros((0, 17, 3, 3))],
+                         ids=["3-D", "empty"])
+def test_init_gates_bank_shapes_when_nothing_is_pruned(rng, bad):
+    """Skipping the scores at s = 0 does not skip the bank shape gate."""
+    for policy in sp.INIT_POLICIES:
+        banks = _banks_for_init(rng)
+        banks["layer1"][1] = bad
+        with pytest.raises(ShapeError):
+            sp.init_sparsity(policy, banks, 0.0)
+
+
 def test_init_policies_differ_on_disjoint_score_ranges(rng):
     lo = rng.uniform(0.0, 0.1, (6, 17, 3, 3))
     hi = rng.uniform(10.0, 11.0, (6, 17, 3, 3))
