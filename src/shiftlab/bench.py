@@ -39,9 +39,7 @@ once, after its last map.  Otherwise (masked weights, where a chunk is
 another set of channels on each map) the list is map-major: a map's rows
 are gathered from the output on its first chunk, as one copy in the map's
 order (a view when the sort keeps the order), each step works on its
-chunk's slice of them, and they go back after the map's last chunk.
-Rows that no map has added to yet (a chunk's on its first map, the first
-map's) start as fresh zeros where loading them would gather.  A
+chunk's slice of them, and they go back after the map's last chunk.  A
 fancy-index call gathers as many whole read slots as fit in the chunk's
 own staging buffer (at least one), and slot t is added into the first
 counts[t] rows, one slot at a time, so each channel still adds its reads
@@ -90,8 +88,8 @@ excludes the shared padded input and the final output.  The peak is the
 sum of these buffers, as each one lives until the run ends.  It also
 leaves out numpy temporaries: the block of windows each gather holds, the
 center windows, the output rows each time a step gathers them into a
-map's order (a chunk's rows, or a whole map's when map-major) or starts
-them from zeros, the gathered planes of a gappy chunk before they land
+map's order (a chunk's rows, or a whole map's when map-major), the
+gathered planes of a gappy chunk before they land
 in the row-shift buffer, and the product of every tap of the tap loop.
 With tracemalloc around one f32 fused run of the sw_tiny stage-0 layer
 (seed 1), the traced peak less the output and padded input is 1178603 to
@@ -405,12 +403,10 @@ class _Runner:
         the map; the pair's live reads and its rows per read slot, down to
         the last nonzero (see _Reads); the rows' center windows, on the
         center map only; the rows of out to hold from this step on, in the
-        map's order (None: keep the held rows; an int: that many zero rows,
-        for rows nothing has added to yet whose load would gather); the
-        step's rows among the held ones; and the rows of out the held rows
-        go back to after the step (None: they need not).  An index that
-        counts up by one is a slice, so that a load or move that keeps the
-        order makes a view.
+        map's order (None: keep the held rows); the step's rows among the
+        held ones; and the rows of out the held rows go back to after the
+        step (None: they need not).  An index that counts up by one is a
+        slice, so that a load or move that keeps the order makes a view.
 
         When every map keeps the same channels (chunk_major), the list runs
         chunk by chunk: a chunk's channels are row-shifted once for all g
@@ -445,7 +441,7 @@ class _Runner:
             held, whole = _windows(t.order.ravel(), ks[0] * c_sw + a[::g], m[::g])
             unit[::g] = whole
             loads = [None] * kw.size
-            loads[::g] = [w if u else z for w, u, z in zip(held, whole.tolist(), m[::g].tolist())]
+            loads[::g] = held
             backs = [None] * kw.size
             last = np.flatnonzero(~unit.reshape(-1, g).all(1))
             for j, w in zip(last.tolist(), _windows(t.order[ks[-1]], last * chunk,
@@ -465,7 +461,7 @@ class _Runner:
             backs = [None] * kw.size
             for i, j, w, u in zip((runs.cumsum() - runs).tolist(), (runs.cumsum() - 1).tolist(),
                                   held, unit.tolist()):
-                loads[i] = w if u or i else len(w)   # the first map's rows are zero
+                loads[i] = w
                 backs[j] = None if u else w
         kept = np.flatnonzero(keep)                 # (map, channel) pairs kept, map by map
         kc = kept % c_sw
@@ -567,9 +563,7 @@ class _Runner:
         conv = _conv_taps if self.taps_only else _conv_slice
         cut = {}                                    # the buffers cut to m channels
         for src, taps, offs, counts, center, load, move, back in self.walks[relaxed]:
-            if type(load) is int:                   # rows nothing has added to yet
-                held = np.zeros((load,) + out.shape[1:], out.dtype)
-            elif load is not None:
+            if load is not None:
                 held = out[load]
             dst = held[move]
             if self.chunk_major:

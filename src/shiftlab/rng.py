@@ -39,23 +39,17 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over uint64, wrapping like _mix: in place on an
-    array, which callers pass fresh (a numpy scalar is rebound)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    """SplitMix64 finalizer over a uint64 array, wrapping like _mix."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Outputs start .. start + count - 1 of each key's stream, on a new first axis."""
     keys = np.asarray(keys, dtype=np.uint64)
-    z = np.arange(start, start + count, dtype=np.uint64).reshape((count,) + (1,) * keys.ndim)
-    z *= np.uint64(_GOLDEN)
-    # one key adds in place; an array of keys broadcasts to a new array
-    return _mix_array(z + keys if keys.ndim else np.add(z, keys, out=z))
+    ctrs = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix_array(ctrs.reshape((count,) + (1,) * keys.ndim) + keys)
 
 
 def _key_part(part) -> int:
@@ -97,12 +91,8 @@ def _mul_hi(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     With u split into 32-bit halves this is (hi * m + ((lo * m) >> 32)) >> 32,
     whose terms cannot wrap while m < 2**32.
     """
-    lo = np.multiply(u & np.uint64(0xFFFFFFFF), m)
-    lo >>= np.uint64(32)
-    hi = np.multiply(u >> np.uint64(32), m)
-    hi += lo
-    hi >>= np.uint64(32)
-    return hi
+    hi, lo = u >> np.uint64(32), u & np.uint64(0xFFFFFFFF)
+    return (hi * m + ((lo * m) >> np.uint64(32))) >> np.uint64(32)
 
 
 def permutations(seed: int, *stream, n: int) -> np.ndarray:
@@ -211,8 +201,5 @@ class CounterRng:
         n = int(np.prod(shape)) if shape else 1
         z = _words(self._key, self._ctr, n)
         self._ctr += n
-        z >>= np.uint64(11)
-        u = np.multiply(z, 2.0 ** -53, dtype=np.float64)
-        u *= hi - lo
-        u += lo
-        return u.reshape(shape).astype(dtype, copy=False)
+        u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return (lo + (hi - lo) * u).reshape(shape).astype(dtype, copy=False)

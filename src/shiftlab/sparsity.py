@@ -148,27 +148,24 @@ def init_sparsity(policy: str, branch_banks: dict[str, list[np.ndarray]],
                       set as a nested random subset (sparsity ladder
                       s_r = s * (1 + r / (2 (b-1)))).
 
-    Where the pruned count floor(s * n) is 0 (per branch, per layer for
-    subset, over the whole pool for the joint policies) the masks are all
-    True, and no filter score is computed and no stream drawn; every bank
-    still passes the (C, g, N, N) shape gate.
+    Under subset, a layer whose pruned count floor(s * n) is 0 gets an
+    all-True mask per branch with no filter score computed and no stream
+    drawn; its banks still pass the (C, g, N, N) shape gate.
     """
     if policy not in INIT_POLICIES:
         raise ShapeError(f"unknown init policy {policy!r}")
     if not 0.0 <= s < 1.0:
         raise ShapeError(f"target sparsity {s} outside [0, 1)")
     layers = list(branch_banks)
-    if policy == "per_branch":
-        return {name: [_prune_banks([b], s) for b in branch_banks[name]] for name in layers}
     if policy == "subset":
         return {name: _nested_subsets(_prune_banks(branch_banks[name], s),
                                       len(branch_banks[name]), s, seed, "subset-init", name)
                 for name in layers}
-
-    shapes = {name: [_filter_shape(b) for b in branch_banks[name]] for name in layers}
-    if int(s * sum(math.prod(sh) for name in layers for sh in shapes[name])) == 0:
-        return {name: [np.ones(sh, dtype=bool) for sh in shapes[name]] for name in layers}
     scores = {name: [score_filters(b) for b in branch_banks[name]] for name in layers}
+
+    if policy == "per_branch":
+        return {name: [prune_to_target(sc, s) for sc in scores[name]] for name in layers}
+
     # joint pool across layers and branches
     pool = np.concatenate([scores[name][r].reshape(-1)
                            for name in layers for r in range(len(scores[name]))])

@@ -164,17 +164,13 @@ def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
         sig_h = sig_w = permutations(cfg.seed, "plan", cfg.layer_id,
                                      np.arange(e_cnt)[:, None], channels, n=g)
     same = sig_w is sig_h
-    sig_h = _read_only(np.array(np.broadcast_to(sig_h, shape)))
-    sig_w = sig_h if same else _read_only(np.array(np.broadcast_to(sig_w, shape)))
+    sig_h = np.array(np.broadcast_to(sig_h, shape))
+    sig_w = sig_h if same else np.array(np.broadcast_to(sig_w, shape))
     d = np.asarray(cfg.displacements(), dtype=np.int64)
-    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2,
-                     _read_only(d.take(sig_h)), _read_only(d[::-1].take(sig_w)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, a fresh array that nothing else holds, with writes turned off."""
-    a.setflags(write=False)
-    return a
+    disp_h, disp_w = d.take(sig_h), d[::-1].take(sig_w)
+    for a in (sig_h, sig_w, disp_h, disp_w):    # fresh arrays, frozen in place
+        a.setflags(write=False)
+    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2, disp_h, disp_w)
 
 
 @dataclass

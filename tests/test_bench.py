@@ -267,11 +267,8 @@ def _walk_rows(runner, relaxed):
     reverse when relaxed.  Each step carries its pair's tables and taps, and
     the chunk's channels on the chunk's first step only.  Rows are loaded
     from out on a chunk's first map (chunk-major) or a map's first chunk
-    (map-major); a load of rows that no map has added to yet (each
-    chunk-major load, the first map-major one) is a view of out, or else a
-    count of zero rows to start from, as gathering them would copy zeros.
-    Each step's rows stand in its map's order, and every row, a view of out
-    or not, reaches out once for each map its channel keeps."""
+    (map-major), each step's rows stand in its map's order, and every row,
+    a view of out or not, reaches out once for each map its channel keeps."""
     t, chunk, keep = runner.fused, runner.chunk, runner.keep
     g, c_sw = keep.shape
     nch = t.counts.shape[1]
@@ -294,14 +291,6 @@ def _walk_rows(runner, relaxed):
             assert np.arange(c_sw)[src].tolist() == ids.tolist()
         assert (load is not None) == (k == ks[0] if major else j == 0), (k, j)
         if load is not None:
-            fresh = major or (k, j) == pairs[0]     # no map has added to these rows yet
-            if type(load) is int:
-                assert fresh, (k, j)
-                load = t.order[k, a:a + load]
-                assert (np.diff(load) != 1).any(), (k, j)
-            else:
-                assert not fresh or isinstance(load, slice), (k, j)
-            assert not fresh or not out[load, 1].any(), (k, j)
             held = out[load]
         dst = held[move]
         if major:

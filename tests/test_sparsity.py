@@ -177,21 +177,21 @@ def test_init_s_zero_all_dense(rng):
 
 
 def test_init_prunes_nothing_without_scores_or_draws(rng, monkeypatch):
-    """A layer or branch that prunes nothing gets all-True masks (or its
-    parent's kept set) without scoring a filter or drawing from a stream."""
+    """Under subset, a layer or branch that prunes nothing gets all-True
+    masks (or its parent's kept set) without scoring a filter or drawing
+    from a stream."""
     def refuse(*_args, **_kwargs):
         raise AssertionError("scored or drew where nothing is pruned")
 
     monkeypatch.setattr(CounterRng, "sample", refuse)
     monkeypatch.setattr(sp, "score_filters", refuse)
     banks = _banks_for_init(rng)
-    for policy in sp.INIT_POLICIES:
-        masks = sp.init_sparsity(policy, banks, 0.0)
-        assert list(masks) == list(banks)
-        for branch_masks in masks.values():
-            assert len(branch_masks) == 2
-            for m in branch_masks:
-                assert m.dtype == bool and m.shape == (6, 17) and m.all()
+    masks = sp.init_sparsity("subset", banks, 0.0)
+    assert list(masks) == list(banks)
+    for branch_masks in masks.values():
+        assert len(branch_masks) == 2
+        for m in branch_masks:
+            assert m.dtype == bool and m.shape == (6, 17) and m.all()
     # 102 filters at s = 0.01 and s_1 = 0.015 both prune int(1.x) = 1: branch
     # 1 keeps what branch 0 keeps, with no draw
     base = np.ones((6, 17), dtype=bool)
