@@ -7,12 +7,10 @@ single band, so adding edges changes nothing; shuffled assignments make
 the union grow with the edge count.
 
 ERF maps are computed for stacks of linear depthwise components via the
-adjoint pass.  A plain conv's adjoint is correlation with the flipped
-kernel; the exact-mode operator's adjoint is one FFT convolution with its
-`densify` kernel, with cells inside the transform's rounding floor set to
-exactly zero.  A dot-product test checks that adjoint against the forward
-pass, and a brute-force impulse-response path is the independent
-cross-check of whole maps.
+adjoint pass: correlation with the flipped kernel, which for the
+exact-mode operator is its `densify` kernel.  A dot-product test checks
+that adjoint against the forward pass, and a brute-force impulse-response
+path is the independent cross-check of whole maps.
 
 The budget walker counts parameters and multiply-accumulates for the
 four-stage architecture; per-experiment closed forms are evaluated next
@@ -24,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conv_ref import strip_conv_ref
 from .reparam import densify
@@ -116,37 +114,36 @@ def _adjoint_conv(z: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return strip_conv_ref(Tensor(z), kernel[:, ::-1, ::-1]).data
 
 
-# multiple of eps * log2(size) * |z_c|_2 * |K_c|_2 below which an FFT
-# adjoint cell is rounding noise (measured noise: under 0.03 of that unit)
-_FFT_ROUNDING = 8
+def _strip_corr(z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Depthwise "same" correlation of (C, h, w) z with an odd (C, L, N)
+    strip as one (C, h, N*h) @ (C, N*h, w) matmul, in O(C*N*h^2*w): block v
+    of the left factor is the Toeplitz T_v[i, i'] = k[i' - i + L//2, v], a
+    window view of the strip zero-padded and clipped to 2h - 1 rows."""
+    (c, h, w), (ln, n) = z.shape, k.shape[1:]
+    band = np.pad(k, ((0, 0), (h - 1, h - 1), (0, 0)))[:, ln // 2:ln // 2 + 2 * h - 1]
+    # row i of every T_v is the window that starts at band row h - 1 - i
+    toeplitz = sliding_window_view(band, h, axis=1)[:, ::-1].transpose(0, 1, 3, 2)
+    shifts = sliding_window_view(np.pad(z, ((0, 0), (0, 0), (n // 2, n // 2))), w, axis=2)
+    return toeplitz.reshape(c, h, h * n) @ shifts.reshape(c, h * n, w)
 
 
 def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
-    """Adjoint of the exact-mode operator: ghosts pass through, and the
-    rest is one FFT convolution with the `densify` kernel.
-
-    Exact mode equals a depthwise "same" correlation with that kernel, so
-    its adjoint is the full convolution cropped at (kh//2, kw//2).  A
-    circular length of h + kh//2 (at least kh, to hold the kernel) already
-    keeps the wrapped terms out of the crop.  The transform turns the
-    kernel's structural zeros into rounding noise, so a cell within
-    _FFT_ROUNDING * eps * log2(size) * |z_c|_2 * |K_c|_2 of zero, per
-    channel, is set to exactly zero and the map keeps its support.
-    """
+    """Adjoint of the exact-mode operator: ghosts pass through, and the rest
+    is the "same" correlation with the flipped `densify` kernel, whose
+    nonzeros lie in its middle N columns and rows: one `_strip_corr` per
+    strip, the horizontal one on transposed arrays and without the center
+    block, which the vertical one holds.  Structural zeros stay exact."""
     cfg = layer.cfg
     if cfg.pad_mode != "exact":
         raise ShapeError("ERF adjoint is defined for exact pad mode")
-    cg = cfg.ghost_channels
-    kernel = densify(layer.weights, layer.plan, cfg).astype(z.dtype, copy=False)
-    zs = z[cg:]
-    (h, w), (kh, kw) = zs.shape[1:], kernel.shape[1:]
-    shape = tuple(next_fast_len(max(e + k // 2, k), real=True)
-                  for e, k in ((h, kh), (w, kw)))
-    full = irfft2(rfft2(zs, shape) * rfft2(kernel, shape), shape)
-    adj = full[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w]
-    floor = (_FFT_ROUNDING * np.finfo(z.dtype).eps * np.log2(shape[0] * shape[1])
-             * np.linalg.norm(zs, axis=(1, 2)) * np.linalg.norm(kernel, axis=(1, 2)))
-    adj[np.abs(adj) <= floor[:, None, None]] = 0
+    cg, n = cfg.ghost_channels, cfg.n
+    kernel = densify(layer.weights, layer.plan, cfg)[:, ::-1, ::-1].astype(z.dtype)
+    s_v, s_h = (e // 2 - n // 2 for e in kernel.shape[1:])
+    cols = kernel[:, :, s_h:s_h + n].copy()
+    kernel[:, s_v:s_v + n, s_h:s_h + n] = 0
+    zs, rows = z[cg:], kernel[:, s_v:s_v + n]
+    adj = (_strip_corr(zs, cols)
+           + _strip_corr(zs.swapaxes(1, 2), rows.swapaxes(1, 2)).swapaxes(1, 2))
     return np.concatenate((z[:cg], adj))
 
 
@@ -156,6 +153,16 @@ def _forward_layer(x: Tensor, layer) -> Tensor:
     return sw_forward(x, layer.weights, layer.cfg, layer.plan)
 
 
+def _erf_channels(stack, probe_size: int) -> int:
+    if probe_size % 2 == 0 or probe_size < 1:
+        raise ShapeError("probe size must be odd and positive")
+    if not stack:
+        raise ShapeError("empty component stack")
+    if any(layer.channels != stack[0].channels for layer in stack):
+        raise ShapeError("component channel counts disagree")
+    return stack[0].channels
+
+
 def erf_map(stack, probe_size: int = 63) -> np.ndarray:
     """|d y_center / d x[p]| for a stack of linear components, max-normalized.
 
@@ -163,17 +170,11 @@ def erf_map(stack, probe_size: int = 63) -> np.ndarray:
     output center; per-channel sensitivities are averaged before
     normalization.
     """
-    if probe_size % 2 == 0 or probe_size < 1:
-        raise ShapeError("probe size must be odd and positive")
-    if not stack:
-        raise ShapeError("empty component stack")
-    channels = stack[0].channels
+    channels = _erf_channels(stack, probe_size)
     mid = probe_size // 2
     z = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
     z[:, mid, mid] = 1.0
     for layer in reversed(stack):
-        if layer.channels != channels:
-            raise ShapeError("component channel counts disagree")
         z = _adjoint_conv(z, layer.kernel) if isinstance(layer, ConvLayer) \
             else _adjoint_sw(z, layer)
     field_abs = np.abs(z).mean(axis=0)
@@ -183,9 +184,7 @@ def erf_map(stack, probe_size: int = 63) -> np.ndarray:
 
 def erf_map_impulse(stack, probe_size: int = 15) -> np.ndarray:
     """Brute-force ERF: one forward pass per probe pixel."""
-    if probe_size % 2 == 0 or probe_size < 1:
-        raise ShapeError("probe size must be odd and positive")
-    channels = stack[0].channels
+    channels = _erf_channels(stack, probe_size)
     mid = probe_size // 2
     out = np.zeros((probe_size, probe_size), dtype=np.float64)
     for i in range(probe_size):

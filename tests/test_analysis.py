@@ -96,6 +96,20 @@ def test_erf_adjoint_independent_center(rng):
     assert d <= 1e-10
 
 
+@pytest.mark.parametrize("n", (1, 3, 5))
+def test_strip_corr_matches_reference(rng, n):
+    """The Toeplitz-matmul strip correlation against the tap loop, on grids
+    shorter and taller than the strip."""
+    worst = 0.0
+    for length, (h, w) in itertools.product(
+            (1, 3, 9, 51), ((1, 1), (2, 7), (15, 11), (70, 9), (130, 3))):
+        z = rng.uniform(-1, 1, (3, h, w))
+        k = rng.uniform(-1, 1, (3, length, n))
+        want = sl.strip_conv_ref(sl.Tensor(z), k).data
+        worst = max(worst, float(np.max(np.abs(an._strip_corr(z, k) - want))))
+    assert worst <= 1e-12, worst
+
+
 _BRANCH_SUBSETS = (("H",), ("W",), ("center",), ("H", "W"), ("H", "center"),
                    ("W", "center"), ("H", "W", "center"))
 
@@ -176,6 +190,12 @@ def test_erf_rejects_non_identity_norm(rng):
 def test_erf_even_probe_rejected():
     with pytest.raises(sl.ShapeError):
         an.erf_map([an.ConvLayer(np.ones((1, 3, 3)))], probe_size=8)
+
+
+@pytest.mark.parametrize("erf", (an.erf_map, an.erf_map_impulse))
+def test_erf_rejects_empty_stack(erf):
+    with pytest.raises(sl.ShapeError, match="empty component stack"):
+        erf([], probe_size=5)
 
 
 # ---------------------------------------------------------------------------

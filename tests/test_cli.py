@@ -291,8 +291,8 @@ def test_erf_strip_writes_artifacts(tmp_path):
 @pytest.mark.parametrize("s", (0.0, 0.4))
 def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
     """The stage-0 sw_tiny operator's ERF against the tap-loop ERF of its
-    densified kernel (ghosts as a centred delta): FFT rounding noise must
-    not turn the kernel's structural zeros into support."""
+    densified kernel (ghosts as a centred delta): rounding in the adjoint
+    must not turn the kernel's structural zeros into support."""
     cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
                       order_policy="per_edge_shuffled", seed=11)
     wts = sl.random_weights(cfg)

@@ -416,6 +416,27 @@ def test_operator_spec_rejects_config_invalid_value(tmp_path):
             sl.read_operator_spec(p)
 
 
+@pytest.mark.parametrize("text, message", (
+    ("M=9\nN 3\nC=2\n", "bad line 'N 3'"),
+    ("M=9\nC=2\n", "missing key 'N'"),
+), ids=("no-equals", "missing-key"))
+def test_operator_spec_rejects_malformed_text(tmp_path, text, message):
+    p = tmp_path / "case.spec"
+    p.write_text(text)
+    with pytest.raises(sl.FormatError, match=rf"case\.spec: {message}"):
+        sl.read_operator_spec(p)
+
+
+def test_operator_spec_skips_comments_and_blank_lines(tmp_path):
+    cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
+                      order_policy="per_edge_shuffled", seed=11)
+    p = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, p)
+    lines = p.read_text().splitlines()
+    p.write_text("# stage-0 operator\n\n" + "\n   \n# next key\n".join(lines) + "\n\n")
+    assert sl.read_operator_spec(p) == cfg
+
+
 def test_weights_round_trip(tmp_path, rng):
     cfg = sl.SwConfig(m=15, n=3, channels=6, ghost=0.2, rep_branches=2, seed=1)
     wts = sl.random_weights(cfg)

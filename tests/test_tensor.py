@@ -89,6 +89,25 @@ def test_container_excess_rank(tmp_path):
         tc.read_container(p)
 
 
+def _header(code=0, rank=1, reserved=bytes(6)):
+    return tc.MAGIC + bytes([code, rank]) + reserved
+
+
+@pytest.mark.parametrize("blob, message", (
+    (tc.MAGIC + bytes(7), "truncated header"),
+    (_header(code=7) + (1).to_bytes(8, "little") + bytes(4), "unknown dtype code 7"),
+    (_header(reserved=bytes([0, 0, 1, 0, 0, 0])) + (1).to_bytes(8, "little") + bytes(4),
+     "nonzero reserved bytes"),
+    (_header(rank=2) + (1).to_bytes(8, "little") + bytes(3), "truncated extents"),
+    (_header() + (0).to_bytes(8, "little"), r"non-positive extent in \(0,\)"),
+), ids=("short-header", "dtype-code", "reserved", "extents", "zero-extent"))
+def test_container_rejects_malformed_header(tmp_path, blob, message):
+    p = tmp_path / "case.swt"
+    p.write_bytes(blob)
+    with pytest.raises(tc.FormatError, match=rf"case\.swt: {message}"):
+        tc.read_container(p)
+
+
 def test_container_trailing_garbage(tmp_path):
     t = tc.from_array(np.ones((2, 2)), "f64")
     p = tmp_path / "trail.swt"
