@@ -426,12 +426,13 @@ def cmd_bench(args) -> int:
     for rep in reports:
         print(f"bench[{rep.variant}]: median {rep.median_ns / 1e6:.2f} ms, "
               f"moves/px {rep.moves_per_pixel:.2f}, reads/px {rep.reads_per_pixel:.2f}, "
-              f"peak {rep.peak_intermediate_bytes} B")
+              f"peak {rep.peak_intermediate_bytes} B, config {rep.config_digest}")
     _write_csv(os.path.join(out, "bench.csv"),
                ("variant", "median_ns", "mad_ns", "moves_per_pixel", "peak_bytes",
-                "checksum", "reads_per_pixel"),
+                "checksum", "config_digest", "reads_per_pixel"),
                [(r.variant, round(r.median_ns), round(r.mad_ns), r.moves_per_pixel,
-                 r.peak_intermediate_bytes, r.checksum, r.reads_per_pixel) for r in reports],
+                 r.peak_intermediate_bytes, r.checksum, r.config_digest, r.reads_per_pixel)
+                for r in reports],
                args.force,
                notes=("moves_per_pixel counts destination-accumulation events per"
                       " fan-out (conv output) pixel; the shared-memory staging bound"
@@ -599,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int, default=56)
     sp.add_argument("--w", type=int, default=56)
     sp.add_argument("--relaxed", action="store_true",
-                    help="unordered accumulation (tolerance 1e-5 f32)")
+                    help="reverse each map's shift reads (tolerance 1e-5 f32)")
     sp.add_argument("--check", action="store_true",
                     help="also compare variants against the reference path")
     sp.set_defaults(func=cmd_bench)

@@ -89,9 +89,8 @@ def grow_filters(mask: np.ndarray, grow_scores: np.ndarray, count: int):
     clipped = count > pruned_idx.size
     count = min(count, pruned_idx.size)
     if count > 0:
-        # stable sort on negated scores keeps ascending-index tie-break
-        order = np.argsort(-gs.reshape(-1)[pruned_idx], kind="stable")
-        flat[pruned_idx[order[:count]]] = True
+        # the lowest negated scores keep the ascending-index tie-break
+        flat[pruned_idx[_rank_lowest(-gs.reshape(-1)[pruned_idx], count)]] = True
     return m, clipped
 
 
@@ -255,6 +254,9 @@ def sparsity_step(state: SparsityState, weight_banks: dict[str, list[np.ndarray]
         return state
     state.updates_done += 1
     frac = state.prune_fraction()
+    sync = state.updates_done % state.share_gap == 0
+    if sync:
+        state.events.append((state.updates_done, "sync"))
     for name, banks in weight_banks.items():
         masks = state.masks[name]
         if len(banks) != len(masks):
@@ -267,13 +269,11 @@ def sparsity_step(state: SparsityState, weight_banks: dict[str, list[np.ndarray]
             kept_idx = np.flatnonzero(mask)
             churn = int(frac * kept_idx.size)
             if churn > 0:
-                order = np.argsort(sc.reshape(-1)[kept_idx], kind="stable")
-                mask[kept_idx[order[:churn]]] = False
+                mask[kept_idx[_rank_lowest(sc.reshape(-1)[kept_idx], churn)]] = False
                 grown, _ = grow_filters(mask.reshape(sc.shape),
                                         grow_scores[name][r], churn)
                 masks[r][...] = grown
-        if state.updates_done % state.share_gap == 0:
-            state.events.append((state.updates_done, "sync"))
+        if sync:
             unified = _unify_shared(masks, banks, int(state.target * masks[0].size))
             if state.policy == "subset":
                 unified = _nested_subsets(unified[0], len(masks), state.target, state.seed,

@@ -56,12 +56,12 @@ def _subset_weights(cfg):
 
 def test_checksums_bitwise_equal_in_deterministic_mode():
     """fused == naive bitwise in f32 and f64, in the deterministic order and
-    in the relaxed one (each chunk's maps in reverse): on SMALL (the tap
+    in the relaxed one (each map's shift reads in reverse): on SMALL (the tap
     loop), on the dense stage-2 operator (a chunk-major walk over several
     chunks, with gathers between the maps' row orders) and on it at 60 %
     kept (map-major)."""
     stage2 = _stage2_cfg()
-    walk = bn._Runner(stage2, 14, 14, "f32").walks[False]
+    walk = bn._Runner(stage2, 14, 14, "f32").walk
     assert sum(src is not None for src, *_ in walk) > 1
     assert any(not isinstance(move, slice) for *_, move, _back in walk)
     cases = ((SwConfig(**SMALL), 18, 20, None), (stage2, 14, 14, None),
@@ -82,8 +82,7 @@ def test_fused_row_shifts_a_dense_chunk_once_for_all_maps(monkeypatch):
     cfg = _stage2_cfg()
     for wts in (None, _subset_weights(cfg)):
         runner = bn._Runner(cfg, 14, 14, "f32", weights=wts)
-        for relaxed in (False, True):
-            _walk_rows(runner, relaxed)
+        _walk_rows(runner)
         per_map = [-(-n // runner.chunk) for n in runner.keep.sum(1)]
         calls.clear()
         runner.run("fused", bn._Instr())
@@ -94,10 +93,23 @@ def test_fused_row_shifts_a_dense_chunk_once_for_all_maps(monkeypatch):
 
 
 def test_relaxed_changes_accumulation_order():
-    cfg = SwConfig(**SMALL)
-    a = bn.run_variant("fused", cfg, 18, 20, reps=1, dtype="f32")
-    b = bn.run_variant("fused", cfg, 18, 20, reps=1, dtype="f32", relaxed=True)
-    assert a.checksum != b.checksum
+    """A relaxed runner reverses each map's shift reads: the same moves,
+    reads, MACs and staging peak as the deterministic runner, other bits.
+    On SMALL (the tap loop), the dense stage-2 operator (chunk-major) and
+    it at 60 % kept (map-major)."""
+    stage2 = _stage2_cfg()
+    cases = ((SwConfig(**SMALL), 18, 20, None), (stage2, 14, 14, None),
+             (stage2, 14, 14, _subset_weights(stage2)))
+    for (cfg, h, w, wts), v in itertools.product(cases, bn.VARIANTS):
+        got = []
+        for relaxed in (False, True):
+            instr = bn._Instr()
+            out = bn._Runner(cfg, h, w, "f32", weights=wts, relaxed=relaxed).run(v, instr)
+            got.append((instr.moves, instr.reads, instr.macs, instr.peak, out.tobytes()))
+        (*det, det_out), (*rel, rel_out) = got
+        case = (cfg.channels, wts is None, v)
+        assert det == rel, case
+        assert det_out != rel_out, case
 
 
 def test_fused_moves_bound():
@@ -215,12 +227,12 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
 
 
 def _table_reads(runner):
-    """Check fused's read tables against the canonical reads: for each
+    """Check fused's read tables against the runner's read table: for each
     channel of each chunk, the windows the tables gather are its reads (the
-    H edges, then the W edges) that touch the grid, in that order, then its
-    center window E times on the center map.  A window touches the grid when
-    it holds a cell of a staging buffer whose grid is all ones.  Then check
-    both work lists (see _walk_rows)."""
+    H edges, then the W edges; the reverse when relaxed) that touch the
+    grid, in that order, then its center window E times on the center map.
+    A window touches the grid when it holds a cell of a staging buffer whose
+    grid is all ones.  Then check the work list (see _walk_rows)."""
     t, chunk = runner.fused, runner.chunk
     _, grid, view = runner._staging(chunk, bn._Instr())
     grid[:] = 1
@@ -257,14 +269,13 @@ def _table_reads(runner):
             # reads, most first
             assert block == sorted(src, key=lambda c: -len(got[c]))
     assert entries == t.offs.size
-    for relaxed in (False, True):
-        _walk_rows(runner, relaxed)
+    _walk_rows(runner)
 
 
-def _walk_rows(runner, relaxed):
+def _walk_rows(runner):
     """Fused's work list walks its (map, chunk) pairs chunk-major when every
-    map keeps the same channels, else map-major, with each chunk's maps in
-    reverse when relaxed.  Each step carries its pair's tables and taps, and
+    map keeps the same channels, else map-major.  Each step carries its
+    pair's tables and taps, and
     the chunk's channels on the chunk's first step only.  Rows are loaded
     from out on a chunk's first map (chunk-major) or a map's first chunk
     (map-major), each step's rows stand in its map's order, and every row,
@@ -273,23 +284,22 @@ def _walk_rows(runner, relaxed):
     g, c_sw = keep.shape
     nch = t.counts.shape[1]
     n = keep.sum(1)
-    ks = range(g)[::-1] if relaxed else range(g)
     major = (keep == keep[0]).all()
     assert runner.chunk_major == major
     if major:
-        pairs = [(k, j) for j in range(-(-n[0] // chunk)) for k in ks]
+        pairs = [(k, j) for j in range(-(-n[0] // chunk)) for k in range(g)]
     else:
-        pairs = [(k, j) for k in ks for j in range(-(-n[k] // chunk))]
-    walk = runner.walks[False] if not relaxed else runner._work(True)
+        pairs = [(k, j) for k in range(g) for j in range(-(-n[k] // chunk))]
+    walk = runner.walk
     assert len(walk) == len(pairs)
     out = np.stack([np.arange(c_sw), np.zeros(c_sw)], 1)   # [c]: (channel, maps added)
     for (k, j), (src, taps, offs, counts, center, load, move, back) in zip(pairs, walk):
         a = j * chunk
         ids = np.flatnonzero(keep[k])[a:a + chunk]
-        assert (src is not None) == (not major or k == ks[0]), (k, j)
+        assert (src is not None) == (not major or k == 0), (k, j)
         if src is not None:
             assert np.arange(c_sw)[src].tolist() == ids.tolist()
-        assert (load is not None) == (k == ks[0] if major else j == 0), (k, j)
+        assert (load is not None) == (k == 0 if major else j == 0), (k, j)
         if load is not None:
             held = out[load]
         dst = held[move]
@@ -315,21 +325,26 @@ def _walk_rows(runner, relaxed):
        g=st.sampled_from((1, 2, 5)), hw=st.sampled_from(((1, 1), (2, 3), (5, 4), (9, 13))),
        ghost=st.sampled_from((0.0, 0.3)), channels=st.integers(3, 9),
        branches=st.sampled_from(BRANCH_SETS), masked=st.booleans(),
-       dtype=st.sampled_from(("f32", "f64")), seed=st.integers(0, 2**16))
+       dtype=st.sampled_from(("f32", "f64")), relaxed=st.booleans(),
+       seed=st.integers(0, 2**16))
 def test_read_tables_hold_exactly_the_live_reads(pad_mode, n, g, hw, ghost, channels,
-                                                 branches, masked, dtype, seed):
+                                                 branches, masked, dtype, relaxed, seed):
     """Fused's read tables keep exactly the reads that touch the grid, in
-    canonical order per channel, over pad modes, N, g = 1, 1 x 1 grids and
-    grids smaller than the shift margin, ghosts, masks and both dtypes;
-    fused == naive, which gathers every read, bitwise, and both are within
-    1e-10 of sw_forward in f64."""
+    the read table's order per channel (canonical, or reversed when
+    relaxed), over pad modes, N, g = 1, 1 x 1 grids and grids smaller than
+    the shift margin, ghosts, masks and both dtypes; fused == naive, which
+    gathers every read, bitwise, and both are within 1e-10 of sw_forward in
+    f64."""
     cfg = SwConfig(m=g * n, n=n, channels=channels, ghost=ghost, pad_mode=pad_mode,
                    edges=2, order_policy="per_edge_shuffled", seed=seed, branch_types=branches)
     wts = random_weights(cfg, dtype=np.float64 if dtype == "f64" else np.float32)
     if masked:
         wts.masks[0][:] = np.random.default_rng(seed).uniform(size=wts.masks[0].shape) > 0.5
     h, w = hw
-    runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+    runner = bn._Runner(cfg, h, w, dtype, weights=wts, relaxed=relaxed)
+    if relaxed:
+        canonical = bn._Runner(cfg, h, w, dtype, weights=wts).reads
+        assert runner.reads.tolist() == canonical[::-1].tolist()
     _table_reads(runner)
     fused = runner.run("fused", bn._Instr())
     naive = runner.run("naive", bn._Instr())

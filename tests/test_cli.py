@@ -432,6 +432,27 @@ def test_bench_csv(tmp_path):
     assert all(float(r[-1]) >= float(r[3]) for r in rows[1:])
 
 
+def test_bench_csv_names_the_config_it_ran(tmp_path, capsys):
+    """bench.csv's config_digest column is measure's digest for the same
+    flags, on every row and every bench[...] line; --relaxed writes another."""
+    cfg = sl.SwConfig(**bench.DESK_CONFIG, seed=5)
+    digests = []
+    for relaxed in (False, True):
+        out = tmp_path / str(relaxed)
+        rc = main(["bench", "--out", str(out), "--variants", "naive,fused", "--reps", "1",
+                   "--h", "12", "--w", "12", "--seed", "5"] + ["--relaxed"] * relaxed)
+        assert rc == 0
+        rows = _read_csv(out / "bench.csv")
+        col = rows[0].index("config_digest")
+        assert col == rows[0].index("checksum") + 1
+        want = bench.measure(cfg, 12, 12, ("fused",), reps=1, warmup=0, dtype="f64",
+                             relaxed=relaxed)[0].config_digest
+        assert [r[col] for r in rows[1:]] == [want, want]
+        assert capsys.readouterr().out.count(f"config {want}") == 2
+        digests.append(want)
+    assert digests[0] != digests[1]
+
+
 def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
     calls, run = [], bench._Runner.run
     monkeypatch.setattr(bench._Runner, "run",

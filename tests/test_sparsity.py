@@ -108,6 +108,16 @@ def test_sync_schedule_gap3():
     assert state.updates_done == 10
 
 
+def test_sync_logged_once_per_update():
+    """A sync update on 4 layers logs one event, not one per layer."""
+    state, banks, names = _sim_state(gap=1, layers=4)
+    state.step = 100
+    sp.sparsity_step(state, banks, _uniform_scores(banks, 2, 100))
+    assert state.events == [(1, "sync")]
+    sim, _rows = run_prune_sim(300, 100, 1, 0.4, "shared", "uniform", n_layers=4)
+    assert sim.events == [(1, "sync"), (2, "sync"), (3, "sync")]
+
+
 def test_sparsity_conserved_and_masks_shared():
     state, banks, names = _sim_state(s=0.4, gap=2)
     n = state.masks[names[0]][0].size
