@@ -330,9 +330,7 @@ def count_macs(arch: ArchSpec, input_size: int = 224, masks=None) -> CountReport
             name = f"stage{i}.block{j}"
             kept = c_sw * g
             if masks is not None and name in masks:
-                merged = np.logical_or.reduce(masks[name]) if len(masks[name]) > 1 \
-                    else masks[name][0]
-                kept = int(merged.sum())
+                kept = int(np.logical_or.reduce(masks[name]).sum())
             sw_params = kept * arch.n * arch.n + 3 * 2 * c_sw
             sw_macs = kept * arch.n * arch.n * size * size
             closed = float(c_sw * g * arch.n * arch.n * size * size)

@@ -110,9 +110,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .rng import CounterRng
-from .sw_op import (BRANCH_CENTER, BRANCH_H, BRANCH_W, SwConfig, SwWeights,
-                    build_shift_plan, random_weights, sw_forward,
-                    _grid_geometry)
+from .sw_op import (BRANCH_CENTER, SwConfig, SwWeights, build_shift_plan,
+                    random_weights, sw_forward, _grid_geometry)
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("naive", "fused")
@@ -305,36 +304,28 @@ class _Runner:
         self.pads = (pt, pb, pl, pr)
         gh = self.gh = h + pt + pb - cfg.n + 1
         gw = self.gw = w + pl + pr - cfg.n + 1
-        on_h, on_w = BRANCH_H in cfg.branch_types, BRANCH_W in cfg.branch_types
-        d = self.plan.displacements
-        dys = d if on_h else (0,)
-        dxs = d if on_w else (0,)
+        # the first map row and column of each read [r, k, c] of plan.shifts:
+        # the H edges, then the W edges
+        dy, dx = self.plan.shifts(cfg.branch_types)
+        ry, cx = oy + dy.transpose(0, 2, 1), ox + dx.transpose(0, 2, 1)
         # zero rows/columns (top, bottom, left, right) around the working grid:
         # each side covers the reads past that grid edge, at most h (w)
-        self.margins = mt, mb, ml, mr = (min(h, max(0, -(oy + min(dys)))),
-                                         min(h, max(0, oy + max(dys) + h - gh)),
-                                         min(w, max(0, -(ox + min(dxs)))),
-                                         min(w, max(0, ox + max(dxs) + w - gw)))
+        self.margins = mt, mb, ml, mr = tuple(np.clip(
+            [-ry.min(initial=oy), ry.max(initial=oy) + h - gh,
+             -cx.min(initial=ox), cx.max(initial=ox) + w - gw], 0, [h, h, w, w]).tolist())
         # staging layout: row pitch, elements per map and zeros before map 0
         p = self.pitch = gw + max(ml, mr)
         self.slot = (gh + max(mt, mb)) * p
         self.lead = mt * p + ml
-        # reads, for a map in staging slot 0: the window offset of each read
-        # [r, k, c] (the H edges, then the W edges, clipped into the margins)
-        # and whether it is live (touches the grid), the unshifted center
-        # window and the map k the center branch reads (None when it is off);
-        # moved[k, c] counts the in-grid elements that all reads of (c, k) add
-        ry = oy + self.plan.disp_h.transpose(0, 2, 1)   # first map row each H read needs
-        cx = ox + self.plan.disp_w.transpose(0, 2, 1)   # first map column each W read needs
-        reads, hits = [ry[:0]], [ry[:0]]   # no edges when neither shift branch is on
-        if on_h:
-            hits.append((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0) * w)
-            reads.append(self.lead + np.clip(ry, -mt, gh + mb - h) * p + ox)
-        if on_w:
-            hits.append((np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0) * h)
-            reads.append(self.lead + oy * p + np.clip(cx, -ml, gw + mr - w))
-        self.reads = np.concatenate(reads)
-        hits = np.concatenate(hits)
+        # the read table, for a map in staging slot 0, one formula for every
+        # read: its window offset, lead + ry * pitch + cx with ry and cx
+        # clipped into the margins, and its hits, in-grid rows times in-grid
+        # columns (live when nonzero); then the unshifted center window and
+        # the map k the center branch reads (None when it is off); moved[k, c]
+        # counts the in-grid elements that all reads of (c, k) add
+        self.reads = self.lead + np.clip(ry, -mt, gh + mb - h) * p + np.clip(cx, -ml, gw + mr - w)
+        hits = ((np.minimum(ry + h, gh) - np.maximum(ry, 0)).clip(0)
+                * (np.minimum(cx + w, gw) - np.maximum(cx, 0)).clip(0))
         if relaxed:                                 # every map's reads last to first
             self.reads, hits = self.reads[::-1], hits[::-1]
         self.live = hits > 0

@@ -90,7 +90,7 @@ def _check_rows_verify(args):
             w = (load_sw_weights(args.weights, cfg) if args.weights
                  else random_weights(cfg, dtype=dt))
             yield ("load-weights", args.weights or "<random>", 0.0, 0.0, True)
-        except Exception as exc:  # named failing check for corrupt inputs
+        except (OSError, ValueError) as exc:  # named failing check for bad weights
             yield ("load-weights", f"{type(exc).__name__}: {exc}", float("inf"),
                    0.0, False)
             return

@@ -136,27 +136,24 @@ def densify(w, plan, cfg) -> np.ndarray:
     per-branch-type norm would scale contributions that share one bank,
     so the caller must fold first (or clear the norms).
 
+    Each tap sums the H edges, then the W edges, then the center (E
+    times), whatever the order of cfg.branch_types: sw_forward's order.
+
     Returns a (C_sw, 2*S_v + N, 2*S_h + N) array, where S_v and S_h are
-    the largest absolute displacements used by the active vertical and
-    horizontal branches.
+    the largest |dy| and |dx| of `plan.shifts(cfg.branch_types)`.
     """
     w.validate_linear(cfg, plan)
-    n, s = cfg.n, cfg.shift_margin()
-    s_v = s if "H" in cfg.branch_types else 0
-    s_h = s if "W" in cfg.branch_types else 0
+    n = cfg.n
+    dy, dx = plan.shifts(cfg.branch_types)
+    s_v, s_h = int(np.abs(dy).max(initial=0)), int(np.abs(dx).max(initial=0))
     bank = w.merged_bank()
     c_cnt = bank.shape[0]
     out = np.zeros((c_cnt, 2 * s_v + n, 2 * s_h + n), dtype=bank.dtype)
     # blocks[c, i, j] is the (N, N) block of channel c at offset (i, j)
     blocks = sliding_window_view(out, (n, n), axis=(1, 2), writeable=True)
-    ci = np.arange(c_cnt)[:, None]
-    for branch in cfg.branch_types:
-        for e in range(cfg.edges):
-            if branch == "H":
-                np.add.at(blocks, (ci, s_v + plan.disp_h[e], s_h), bank)
-            elif branch == "W":
-                np.add.at(blocks, (ci, s_v, s_h + plan.disp_w[e]), bank)
-            else:
-                blocks[:, s_v, s_h] += (w.center if cfg.center_independent
-                                        else bank[:, plan.center_block])
+    np.add.at(blocks, (np.arange(c_cnt)[:, None], s_v + dy, s_h + dx), bank)
+    if "center" in cfg.branch_types:
+        center = w.center if cfg.center_independent else bank[:, plan.center_block]
+        for _e in range(cfg.edges):
+            blocks[:, s_v, s_h] += center
     return out

@@ -48,6 +48,15 @@ class PlanError(ValueError):
     """Shift plan inconsistent with the grid or configuration."""
 
 
+class WeightsError(ShapeError):
+    """A part of SwWeights that does not fit the config.  `part` is its file
+    stem: rep<r>, mask<r>, center or bn_<branch>."""
+
+    def __init__(self, part: str, message: str):
+        super().__init__(message)
+        self.part = part
+
+
 @dataclass(frozen=True)
 class SwConfig:
     """Full description of one operator instance."""
@@ -141,6 +150,15 @@ class ShiftPlan:
                 or self.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g)):
             raise PlanError("plan does not match the configuration")
 
+    def shifts(self, branch_types) -> tuple[np.ndarray, np.ndarray]:
+        """(dy, dx) of every shift read, int arrays of shape (R, C_sw, g):
+        the H edges (rows move by disp_h, dx = 0), then the W edges (columns
+        move by disp_w, dy = 0); R = 0 when neither branch is on."""
+        on_h, on_w = BRANCH_H in branch_types, BRANCH_W in branch_types
+        zero = np.zeros_like(self.disp_h)
+        return (np.concatenate([zero[:0]] + [self.disp_h] * on_h + [zero] * on_w),
+                np.concatenate([zero[:0]] + [zero] * on_h + [self.disp_w] * on_w))
+
 
 def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
     """Deterministic displacement table for one operator instance.
@@ -190,22 +208,24 @@ class SwWeights:
     center: np.ndarray | None = None
 
     def validate(self, cfg: SwConfig) -> None:
-        """ShapeError unless banks, masks, center bank and present norms fit cfg."""
+        """ShapeError unless there is one bank and one mask per Rep branch,
+        and WeightsError, naming the part, unless each bank, mask, the
+        center bank and every present norm fit cfg."""
         want = (cfg.sw_channels, cfg.g, cfg.n, cfg.n)
         if len(self.rep) != cfg.rep_branches or len(self.masks) != cfg.rep_branches:
             raise ShapeError("branch count disagrees with config")
-        for bank, mask in zip(self.rep, self.masks):
+        for r, (bank, mask) in enumerate(zip(self.rep, self.masks)):
             if bank.shape != want:
-                raise ShapeError(f"bank shape {bank.shape} != {want}")
+                raise WeightsError(f"rep{r}", f"bank shape {bank.shape} != {want}")
             if mask.shape != want[:2]:
-                raise ShapeError(f"mask shape {mask.shape} != {want[:2]}")
+                raise WeightsError(f"mask{r}", f"mask shape {mask.shape} != {want[:2]}")
         if cfg.center_independent:
             if self.center is None or self.center.shape != (cfg.sw_channels, cfg.n, cfg.n):
-                raise ShapeError("independent center bank missing or misshapen")
+                raise WeightsError("center", "independent center bank missing or misshapen")
         for branch, norm in self.norms.items():
             if norm is not None and norm.channels != cfg.sw_channels:
-                raise ShapeError(f"norm {branch!r} has {norm.channels} channels, "
-                                 f"config wants {cfg.sw_channels}")
+                raise WeightsError(f"bn_{branch}", f"norm {branch!r} has {norm.channels} "
+                                   f"channels, config wants {cfg.sw_channels}")
 
     def identity_norms(self, cfg: SwConfig) -> bool:
         """Every active branch's norm is absent or identity."""
@@ -437,20 +457,24 @@ def write_operator_spec(cfg: SwConfig, path, force: bool = True) -> None:
 
 def read_operator_spec(path) -> SwConfig:
     kv = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: bad line {line!r}")
-            key, val = line.split("=", 1)
-            key = key.strip()
-            if key not in _SPEC:
-                raise FormatError(f"{path}: unknown key {key!r}")
-            if key in kv:
-                raise FormatError(f"{path}: duplicate key {key!r}")
-            kv[key] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: bad line {line!r}")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if key not in _SPEC:
+            raise FormatError(f"{path}: unknown key {key!r}")
+        if key in kv:
+            raise FormatError(f"{path}: duplicate key {key!r}")
+        kv[key] = val.strip()
 
     required = {f.name for f in fields(SwConfig) if f.default is MISSING}
     values = {}
@@ -498,11 +522,17 @@ def load_sw_weights(dirpath, cfg: SwConfig) -> SwWeights:
     for branch in ALL_BRANCHES:
         p = os.path.join(dirpath, f"bn_{branch}.swt")
         if os.path.exists(p):
-            norms[branch] = AffineNorm.from_rows(read_container(p).data)
+            try:
+                norms[branch] = AffineNorm.from_rows(read_container(p).data)
+            except ShapeError as exc:
+                raise FormatError(f"{p}: {exc}") from None
     center = None
     cp = os.path.join(dirpath, "center.swt")
     if os.path.exists(cp):
         center = read_container(cp).data.copy()
     w = SwWeights(rep=rep, masks=masks, norms=norms, center=center)
-    w.validate(cfg)
+    try:
+        w.validate(cfg)
+    except WeightsError as exc:
+        raise FormatError(f"{os.path.join(dirpath, exc.part)}.swt: {exc}") from None
     return w

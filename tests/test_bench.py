@@ -226,6 +226,38 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
                     assert np.max(np.abs(fused - oracle)) <= 1e-10, case
 
 
+# (margins, pitch, slot, lead) of the m = 13, n = 5 operator (displacements
+# -4, 1 and 6) on a 5 x 11 grid; half mode's bottom margin of 6 rows is cut
+# to h = 5, full mode enlarges the grid by one row and one column
+_STAGING_GEOMETRY = {
+    ("half", ("H",)): ((4, 5, 0, 0), 11, 110, 44),
+    ("half", ("W",)): ((0, 0, 4, 6), 17, 85, 4),
+    ("half", ("H", "W")): ((4, 5, 4, 6), 17, 170, 72),
+    ("half", ("center",)): ((0, 0, 0, 0), 11, 55, 0),
+    ("half", ALL_BRANCHES): ((4, 5, 4, 6), 17, 170, 72),
+    ("full", ("H",)): ((4, 5, 0, 0), 12, 132, 48),
+    ("full", ("W",)): ((0, 0, 4, 5), 17, 102, 4),
+    ("full", ("H", "W")): ((4, 5, 4, 5), 17, 187, 72),
+    ("full", ("center",)): ((0, 0, 0, 0), 12, 72, 0),
+    ("full", ALL_BRANCHES): ((4, 5, 4, 5), 17, 187, 72),
+    ("exact", ("H",)): ((0, 0, 0, 0), 11, 187, 0),
+    ("exact", ("W",)): ((0, 0, 0, 0), 23, 115, 0),
+    ("exact", ("H", "W")): ((0, 0, 0, 0), 23, 391, 0),
+    ("exact", ("center",)): ((0, 0, 0, 0), 11, 55, 0),
+    ("exact", ALL_BRANCHES): ((0, 0, 0, 0), 23, 391, 0),
+}
+
+
+@pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
+@pytest.mark.parametrize("branches", BRANCH_SETS)
+def test_staging_geometry_pinned(pad_mode, branches):
+    cfg = SwConfig(m=13, n=5, channels=4, edges=2, pad_mode=pad_mode,
+                   order_policy="per_edge_shuffled", seed=9, branch_types=branches)
+    runner = bn._Runner(cfg, 5, 11)
+    got = (runner.margins, runner.pitch, runner.slot, runner.lead)
+    assert got == _STAGING_GEOMETRY[pad_mode, branches]
+
+
 def _table_reads(runner):
     """Check fused's read tables against the runner's read table: for each
     channel of each chunk, the windows the tables gather are its reads (the

@@ -217,6 +217,33 @@ def test_verify_spec_with_misshapen_norm_fails_load_weights(tmp_path, capsys):
     assert "norm 'W' has 3 channels, config wants 4" in rows[1][1]
 
 
+def test_verify_names_the_misshapen_bank_file(tmp_path):
+    cfg = sl.SwConfig(m=51, n=3, channels=4, seed=3)
+    args = _spec_with_weights(tmp_path, cfg, sl.random_weights(cfg))
+    sl.write_container(sl.from_array(np.zeros((4, 17, 3, 2))), tmp_path / "weights" / "rep0.swt")
+    rc = main(["verify", "--out", str(tmp_path / "o")] + args)
+    assert rc == 1
+    rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights"]
+    assert rows[1][4] == "FAIL"
+    assert str(tmp_path / "weights" / "rep0.swt") + ": bank shape" in rows[1][1]
+
+
+@pytest.mark.parametrize("cmd", (["erf", "--probe", "31"], ["bench", "--reps", "1"],
+                                 ["verify"]), ids=("erf", "bench", "verify"))
+def test_non_utf8_spec_is_named(tmp_path, capsys, cmd):
+    spec = tmp_path / "op.spec"
+    spec.write_bytes(b"\xffM=9\nN=3\nC=4\n")
+    rc = main([cmd[0], "--out", str(tmp_path / "o"), "--spec", str(spec)] + cmd[1:])
+    assert rc != 0
+    if cmd[0] == "verify":
+        rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+        assert rows[0][0] == "load-spec" and rows[0][4] == "FAIL"
+        assert f"{spec}: not UTF-8 text" in rows[0][1]
+    else:
+        assert f"error: {spec}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_center_bank_weights_round_trip_and_verify(tmp_path, capsys):
     cfg = sl.SwConfig(m=9, n=3, channels=4, edges=2, rep_branches=2,
                       center_independent=True, pad_mode="exact", seed=3)

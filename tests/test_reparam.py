@@ -184,6 +184,21 @@ def test_densify_equals_block_placement_loop():
                                           _densify_loop(wts, plan, cfg))
 
 
+def test_densify_sums_h_then_w_then_center_in_any_tuple_order():
+    # the H reads with dy = 0, the W reads with dx = 0 and the center all
+    # land on the middle block, so another summation order changes its bits
+    base = dict(m=51, n=3, channels=4, edges=3, rep_branches=2, pad_mode="exact",
+                order_policy="per_edge_shuffled", seed=13)
+    for center_indep in (False, True):
+        kernels = []
+        for order in (("H", "W", "center"), ("W", "H", "center"),
+                      ("center", "H", "W"), ("H", "center", "W")):
+            cfg = sl.SwConfig(**base, branch_types=order, center_independent=center_indep)
+            wts = sl.random_weights(cfg)
+            kernels.append(sl.densify(wts, sl.build_shift_plan(cfg), cfg))
+        assert all(k.tobytes() == kernels[0].tobytes() for k in kernels[1:]), center_indep
+
+
 def test_densify_requires_identity_norm(rng):
     cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
     plan = sl.build_shift_plan(cfg)

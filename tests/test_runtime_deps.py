@@ -1,6 +1,8 @@
 """The package runs on numpy alone: every import under src/shiftlab, at
 module level or inside a function, names the standard library, numpy or
-the package itself, so a new third-party dependency fails here."""
+the package itself, so a new third-party dependency fails here.  And the
+rule that turns a plan's displacement tables into shift reads has one
+owner, ShiftPlan.shifts."""
 
 import ast
 import pathlib
@@ -24,4 +26,17 @@ def test_package_imports_only_stdlib_and_numpy():
     bad = sorted((f.name, root) for f in files
                  for root in _import_roots(ast.parse(f.read_text(), str(f)))
                  if root not in ALLOWED)
+    assert not bad, bad
+
+
+# sw_op owns the tables (ShiftPlan.shifts, and the oracle sw_forward);
+# analysis.coverage_ratio paints the vertical branch by definition
+DISP_READERS = {"sw_op.py", "analysis.py"}
+
+
+def test_only_sw_op_and_analysis_read_displacement_tables():
+    bad = sorted((f.name, node.lineno) for f in sorted(SRC.glob("*.py"))
+                 if f.name not in DISP_READERS
+                 for node in ast.walk(ast.parse(f.read_text(), str(f)))
+                 if isinstance(node, ast.Attribute) and node.attr in ("disp_h", "disp_w"))
     assert not bad, bad

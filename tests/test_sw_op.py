@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,25 @@ def test_plan_with_other_fanout_raises(rng):
                       sl.random_weights(cfg), cfg, plan)
 
 
+def test_plan_shifts_list_the_h_edges_then_the_w_edges():
+    # disordered shuffles the H branch only, so disp_h and disp_w differ
+    cfg = sl.SwConfig(m=13, n=3, channels=4, edges=2, order_policy="disordered", seed=5)
+    plan = sl.build_shift_plan(cfg)
+    assert not np.array_equal(plan.disp_h, plan.disp_w)
+    zero = np.zeros_like(plan.disp_h)
+    for branches, want_dy, want_dx in (
+            (("H", "W", "center"), [plan.disp_h, zero], [zero, plan.disp_w]),
+            (("center", "W", "H"), [plan.disp_h, zero], [zero, plan.disp_w]),
+            (("H",), [plan.disp_h], [zero]),
+            (("W", "center"), [zero], [plan.disp_w])):
+        dy, dx = plan.shifts(branches)
+        assert dy.dtype.kind == dx.dtype.kind == "i", branches
+        assert np.array_equal(dy, np.concatenate(want_dy)), branches
+        assert np.array_equal(dx, np.concatenate(want_dx)), branches
+    dy, dx = plan.shifts(("center",))
+    assert dy.shape == dx.shape == (0, 4, 5) and dy.dtype.kind == dx.dtype.kind == "i"
+
+
 @pytest.mark.parametrize("route", ("densify", "SwLayer"))
 @pytest.mark.parametrize("other, error", (
     (dict(rep_branches=2), sl.ShapeError),   # a second Rep bank
@@ -427,6 +447,13 @@ def test_operator_spec_rejects_malformed_text(tmp_path, text, message):
         sl.read_operator_spec(p)
 
 
+def test_operator_spec_rejects_non_utf8_bytes(tmp_path):
+    p = tmp_path / "bin.spec"
+    p.write_bytes(b"\xffM=9\nN=3\nC=2\n")
+    with pytest.raises(sl.FormatError, match=r"bin\.spec: not UTF-8 text"):
+        sl.read_operator_spec(p)
+
+
 def test_operator_spec_skips_comments_and_blank_lines(tmp_path):
     cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
                       order_policy="per_edge_shuffled", seed=11)
@@ -455,6 +482,27 @@ def test_weights_round_trip(tmp_path, rng):
     assert back.norms["H"] is None
     assert np.array_equal(back.norms["W"].gamma, wts.norms["W"].gamma)
     assert back.norms["W"].eps == wts.norms["W"].eps
+
+
+@pytest.mark.parametrize("name, rows, message", (
+    ("rep0.swt", np.zeros((4, 17, 3, 2)), r"bank shape \(4, 17, 3, 2\) != \(4, 17, 3, 3\)"),
+    ("mask0.swt", np.ones((4, 16)), r"mask shape \(4, 16\) != \(4, 17\)"),
+    ("center.swt", np.zeros((4, 3, 5)), "independent center bank"),
+    ("center.swt", None, "independent center bank missing"),
+    ("bn_H.swt", np.ones((3, 4)), r"expected \(5, C\) norm rows, got \(3, 4\)"),
+    ("bn_W.swt", sl.AffineNorm.identity(3).as_rows(), "norm 'W' has 3 channels"),
+    ("bn_center.swt", -np.ones((5, 4)), "running variance must be non-negative"),
+), ids=("bank", "mask", "center", "no-center", "norm-rows", "norm-channels", "norm-values"))
+def test_weights_rejections_name_the_file(tmp_path, name, rows, message):
+    from shiftlab.sw_op import load_sw_weights, save_sw_weights
+    cfg = sl.SwConfig(m=51, n=3, channels=4, center_independent=True, seed=3)
+    save_sw_weights(sl.random_weights(cfg), tmp_path)
+    if rows is None:
+        (tmp_path / name).unlink()
+    else:
+        sl.write_container(sl.from_array(rows), tmp_path / name)
+    with pytest.raises(sl.FormatError, match=re.escape(f"{tmp_path / name}: ") + message):
+        load_sw_weights(tmp_path, cfg)
 
 
 def test_tiny_ghost_ratio_ghosts_nobody(rng):
