@@ -219,10 +219,9 @@ def cmd_coverage(args) -> int:
     if args.spec:
         cfg = read_operator_spec(args.spec)
         args.m, args.n = cfg.m, cfg.n
-    edges = [int(e) for e in args.edges.split(",")]
     seeds = [args.seed + i for i in range(args.n_seeds)]
     rows = []
-    for e in edges:
+    for e in args.edges:
         res = analysis.coverage_ratio(args.m, args.n, args.h, args.w, e,
                                       args.policy, seeds, channels=args.channels)
         rows += [(e, args.policy) + row for row in res.rows]
@@ -257,7 +256,7 @@ def cmd_erf(args) -> int:
         stack = [analysis.SwLayer(cfg, w, build_shift_plan(cfg))]
         label = f"sw_{cfg.m}x{cfg.n}"
     else:
-        m, n = (int(v) for v in args.strip.split(","))
+        m, n = args.strip
         k = CounterRng(args.seed, "erf-strip").uniform_array((1, m, n), -0.5, 0.5)
         stack = [analysis.ConvLayer(k)]
         label = f"strip_{m}x{n}"
@@ -522,6 +521,17 @@ def _common(sp, seed=True, checks=False):
                     help="overwrite existing output files")
 
 
+def _int_list(count=None):
+    """argparse type of comma-separated integers, `count` of them if set; a bad
+    value is a usage error that names its flag ("invalid int_list value")."""
+    def int_list(text: str) -> list[int]:
+        values = [int(v) for v in text.split(",")]
+        if count not in (None, len(values)):
+            raise ValueError(f"want {count} integers")
+        return values
+    return int_list
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="shiftlab",
@@ -545,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--h", type=int, default=56)
     sp.add_argument("--w", type=int, default=56)
-    sp.add_argument("--edges", default="1,2,4,8")
+    sp.add_argument("--edges", type=_int_list(), default="1,2,4,8")
     sp.add_argument("--policy", default="per_edge_shuffled",
                     choices=("ordered", "disordered", "per_edge_shuffled"))
     sp.add_argument("--n-seeds", type=int, default=20)
@@ -556,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sp)
     sp.add_argument("--spec", default=None, help="operator spec file")
     sp.add_argument("--weights", default=None)
-    sp.add_argument("--strip", default="51,3", help="M,N strip fallback")
+    sp.add_argument("--strip", type=_int_list(2), default="51,3", help="M,N strip fallback")
     sp.add_argument("--probe", type=int, default=63)
     sp.add_argument("--pgm", action="store_true", help="emit grayscale map")
     sp.set_defaults(func=cmd_erf)

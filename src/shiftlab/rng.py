@@ -11,9 +11,9 @@ Because an output depends on nothing but (key, counter), many streams can
 also be computed at once as uint64 arrays: :func:`permutations` derives a
 key per broadcast label and takes every Fisher-Yates draw in one array
 op.  Each batched row is bitwise equal to the scalar stream it stands for.
-A draw whose result is known in advance is not taken: ``sample`` of all n
-of n elements returns the population as it is, and the counter still
-moves n - 1 on, as the draw would have moved it.
+A draw whose result is known in advance is not taken: ``sample_slots``
+(and so ``sample``) of all n of n slots keeps them all, and the counter
+still moves n - 1 on, as the draw would have moved it.
 
 We deliberately do not use numpy's Generator API here: its method-level
 streams are allowed to change between numpy versions, which would break
@@ -174,23 +174,23 @@ class CounterRng:
         for i = n - 1 .. 1, swapping slots i and j."""
         return self._fisher_yates(n, 1)
 
-    def sample(self, population, k: int) -> list:
-        """k distinct elements, order-stable in the population's order.
-
-        The kept set is the first k slots of permutation(len(population)).
-        Swaps at i < k only reorder those slots, so only the n - k swaps
-        for i = n - 1 .. k are drawn; the stream still advances by n - 1.
-        With k == n nothing is drawn: the population comes back as it is.
-        """
-        n = len(population)
+    def sample_slots(self, n: int, k: int) -> np.ndarray:
+        """Ascending int array of the k slots of range(n) that a k-of-n
+        sample keeps: the first k slots of permutation(n).  Swaps at i < k
+        only reorder those slots, so only the n - k swaps for i = n - 1 .. k
+        are drawn (none for k == n); the stream still advances by n - 1."""
         if not 0 <= k <= n:
             raise ValueError(f"sample size {k} outside [0, {n}]")
         if k == n:
             self._ctr += max(n - 1, 0)
-            return list(population)
+            return np.arange(n)
         kept = np.ones(n, dtype=bool)
         kept[self._fisher_yates(n, k)[k:]] = False
-        return [population[i] for i in np.flatnonzero(kept).tolist()]
+        return np.flatnonzero(kept)
+
+    def sample(self, population, k: int) -> list:
+        """k distinct elements in the population's order: those at sample_slots."""
+        return [population[i] for i in self.sample_slots(len(population), k).tolist()]
 
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
         """Array of uniforms in [lo, hi), identical to repeated uniform() calls.

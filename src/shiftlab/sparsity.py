@@ -37,9 +37,24 @@ def _filter_shape(bank: np.ndarray) -> tuple[int, int]:
 
 
 def score_filters(bank: np.ndarray) -> np.ndarray:
-    """Magnitude-sum score per (c, k) filter: sum of |taps|."""
-    _filter_shape(bank)
-    return np.abs(np.asarray(bank)).sum(axis=(2, 3))
+    """Magnitude-sum score per (c, k) filter: sum of |taps|, bitwise what
+    ``np.abs(bank).sum(axis=(2, 3))`` gives on a C-ordered bank.  For 8 <= N * N
+    <= 128 numpy's pairwise order is 8 lanes (lane j sums taps j, j + 8, ...) added
+    as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then the last N * N % 8
+    taps in turn: here column adds over all filters, not a reduction per filter."""
+    c, g = _filter_shape(bank)
+    taps = np.abs(np.asarray(bank)).reshape(c * g, -1)
+    n = taps.shape[1]
+    if not 8 <= n <= 128:
+        return taps.sum(axis=1).reshape(c, g)
+    lanes = [taps[:, j] for j in range(8)]
+    for i in range(8, n - n % 8, 8):
+        lanes = [lane + taps[:, i + j] for j, lane in enumerate(lanes)]
+    while len(lanes) > 1:
+        lanes = [a + b for a, b in zip(lanes[0::2], lanes[1::2])]
+    for i in range(n - n % 8, n):
+        lanes[0] += taps[:, i]
+    return lanes[0].reshape(c, g)
 
 
 def _prune_banks(banks: list[np.ndarray], s: float) -> np.ndarray:
@@ -56,9 +71,15 @@ def _prune_banks(banks: list[np.ndarray], s: float) -> np.ndarray:
 
 
 def _rank_lowest(scores_flat: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` lowest scores, ties by ascending index."""
-    order = np.argsort(scores_flat, kind="stable")
-    return order[:count]
+    """The set of ``np.argsort(scores_flat, kind="stable")[:count]`` (the lowest
+    scores, ties by ascending index, NaN last) in no particular order: every index
+    below the count-th lowest value v, found by a partition, and the first ties at v."""
+    if not 0 < count < scores_flat.size:
+        return np.arange(min(count, scores_flat.size))
+    v = np.partition(scores_flat, count - 1)[count - 1]
+    tied = np.isnan(scores_flat) if np.isnan(v) else scores_flat == v
+    below = np.flatnonzero(~tied if np.isnan(v) else scores_flat < v)   # NaN sorts last
+    return np.concatenate([below, np.flatnonzero(tied)[:count - below.size]])
 
 
 def prune_to_target(scores: np.ndarray, s: float) -> np.ndarray:
@@ -66,11 +87,8 @@ def prune_to_target(scores: np.ndarray, s: float) -> np.ndarray:
     if not 0.0 <= s < 1.0:
         raise ShapeError(f"target sparsity {s} outside [0, 1)")
     sc = np.asarray(scores, dtype=np.float64)
-    n = sc.size
-    count = int(s * n)
-    mask = np.ones(n, dtype=bool)
-    if count:
-        mask[_rank_lowest(sc.reshape(-1), count)] = False
+    mask = np.ones(sc.size, dtype=bool)
+    mask[_rank_lowest(sc.reshape(-1), int(s * sc.size))] = False
     return mask.reshape(sc.shape)
 
 
@@ -87,10 +105,8 @@ def grow_filters(mask: np.ndarray, grow_scores: np.ndarray, count: int):
     flat = m.reshape(-1)
     pruned_idx = np.flatnonzero(~flat)
     clipped = count > pruned_idx.size
-    count = min(count, pruned_idx.size)
-    if count > 0:
-        # the lowest negated scores keep the ascending-index tie-break
-        flat[pruned_idx[_rank_lowest(-gs.reshape(-1)[pruned_idx], count)]] = True
+    # the lowest negated scores keep the ascending-index tie-break
+    flat[pruned_idx[_rank_lowest(-gs.reshape(-1)[pruned_idx], count)]] = True
     return m, clipped
 
 
@@ -210,8 +226,7 @@ def _nested_subsets(base: np.ndarray, nb: int, s: float, seed: int,
         if keep_r >= kept_idx.size:         # sample would keep all: no draw
             masks.append(masks[-1].copy())
             continue
-        rng = CounterRng(seed, *labels, r)
-        kept_idx = kept_idx[np.array(rng.sample(range(kept_idx.size), keep_r), dtype=np.intp)]
+        kept_idx = kept_idx[CounterRng(seed, *labels, r).sample_slots(kept_idx.size, keep_r)]
         m = np.zeros(base.size, dtype=bool)
         m[kept_idx] = True
         masks.append(m.reshape(base.shape))
@@ -226,9 +241,8 @@ def _unify_shared(masks: list[np.ndarray], banks: list[np.ndarray],
     # kept filters outrank everything pruned everywhere; within each class
     # rank by joint magnitude, ties by ascending index
     keyed = joint + union_kept * (joint.max() + 1.0)
-    kill = _rank_lowest(keyed, target_pruned)
     unified = np.ones(joint.size, dtype=bool)
-    unified[kill] = False
+    unified[_rank_lowest(keyed, target_pruned)] = False
     return [unified.reshape(masks[0].shape).copy() for _ in masks]
 
 

@@ -210,7 +210,8 @@ class SwWeights:
     def validate(self, cfg: SwConfig) -> None:
         """ShapeError unless there is one bank and one mask per Rep branch,
         and WeightsError, naming the part, unless each bank, mask, the
-        center bank and every present norm fit cfg."""
+        center bank and every present norm fit cfg and every bank, center
+        and norm row is finite."""
         want = (cfg.sw_channels, cfg.g, cfg.n, cfg.n)
         if len(self.rep) != cfg.rep_branches or len(self.masks) != cfg.rep_branches:
             raise ShapeError("branch count disagrees with config")
@@ -226,6 +227,11 @@ class SwWeights:
             if norm is not None and norm.channels != cfg.sw_channels:
                 raise WeightsError(f"bn_{branch}", f"norm {branch!r} has {norm.channels} "
                                    f"channels, config wants {cfg.sw_channels}")
+        values = {f"rep{r}": bank for r, bank in enumerate(self.rep)} | {"center": self.center}
+        values |= {f"bn_{b}": norm.as_rows() for b, norm in self.norms.items() if norm is not None}
+        for part, a in values.items():
+            if a is not None and not np.isfinite(a).all():
+                raise WeightsError(part, "non-finite value (NaN or inf)")
 
     def identity_norms(self, cfg: SwConfig) -> bool:
         """Every active branch's norm is absent or identity."""

@@ -229,6 +229,47 @@ def test_verify_names_the_misshapen_bank_file(tmp_path):
     assert str(tmp_path / "weights" / "rep0.swt") + ": bank shape" in rows[1][1]
 
 
+@pytest.mark.parametrize("part", ("rep0", "center", "bn_H"))
+def test_non_finite_weights_are_refused_by_name(tmp_path, capsys, part):
+    """One NaN tap (or norm row entry) fails verify's load-weights row and
+    makes erf exit 2, naming the file, instead of a nan ERF or a densify
+    mismatch."""
+    cfg = sl.SwConfig(m=9, n=3, channels=4, pad_mode="exact", seed=3,
+                      center_independent=True)
+    wts = sl.random_weights(cfg)
+    wts.norms["H"] = sl.AffineNorm.identity(cfg.sw_channels)
+    args = _spec_with_weights(tmp_path, cfg, wts)
+    bad = sl.read_container(tmp_path / "weights" / f"{part}.swt").data.copy()
+    bad.reshape(-1)[1] = np.nan
+    sl.write_container(sl.from_array(bad), tmp_path / "weights" / f"{part}.swt")
+    path = str(tmp_path / "weights" / f"{part}.swt")
+
+    assert main(["verify", "--out", str(tmp_path / "v")] + args) == 1
+    rows = _read_csv(tmp_path / "v" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights"]
+    assert rows[1][4] == "FAIL" and f"{path}: non-finite value" in rows[1][1]
+
+    capsys.readouterr()
+    assert main(["erf", "--out", str(tmp_path / "e"), "--probe", "31"] + args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: non-finite value")
+    assert not (tmp_path / "e" / "erf_sw_9x3.csv").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["erf", "--strip", "3"], "--strip"),
+    (["erf", "--strip", "21,3,3"], "--strip"),
+    (["erf", "--strip", "a,b"], "--strip"),
+    (["coverage", "--edges", "x"], "--edges"),
+    (["coverage", "--edges", "1,,2"], "--edges"),
+])
+def test_bad_comma_list_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("cmd", (["erf", "--probe", "31"], ["bench", "--reps", "1"],
                                  ["verify"]), ids=("erf", "bench", "verify"))
 def test_non_utf8_spec_is_named(tmp_path, capsys, cmd):

@@ -163,6 +163,21 @@ def test_sample_matches_full_loop(seed, label, population):
         assert rng.next_u64() == after
 
 
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+def test_sample_slots_match_full_loop(seed, n):
+    """sample_slots(n, k) is the ascending array of the slots that
+    _loop_sample keeps, and leaves the stream where that loop does."""
+    ref = CounterRng(seed, "slots", n)
+    _loop_permutation(ref, n)
+    after = ref.next_u64()
+    for k in range(n + 1):
+        rng = CounterRng(seed, "slots", n)
+        got = rng.sample_slots(n, k)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == _loop_sample(CounterRng(seed, "slots", n), list(range(n)), k)
+        assert rng.next_u64() == after
+
+
 def _loop_nested_subsets(base, nb, s, seed, *labels):
     """_nested_subsets spelled out over _loop_sample on Python lists."""
     masks, kept = [base], np.flatnonzero(base.reshape(-1)).tolist()

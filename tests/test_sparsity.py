@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import shiftlab.sparsity as sp
 from shiftlab import ShapeError
@@ -17,6 +19,32 @@ def test_score_examples():
 def test_score_sign_invariance(rng):
     bank = rng.uniform(-1, 1, (3, 4, 3, 3))
     assert np.array_equal(sp.score_filters(bank), sp.score_filters(-bank))
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("n", range(1, 12))
+def test_score_sum_order_is_numpys(rng, n, dtype):
+    """Bitwise numpy's own reduction, whose pairwise order score_filters
+    spells out: a change to numpy's summation order shows here."""
+    bank = (rng.standard_normal((7, 5, n, n))
+            * np.exp(rng.uniform(-30, 30, (7, 5, n, n)))).astype(dtype)
+    got, want = sp.score_filters(bank), np.abs(bank).sum(axis=(2, 3))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# few distinct values, so that most counts cut through a run of ties
+_TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@given(st.sampled_from((np.float32, np.float64)).flatmap(
+    lambda dt: arrays(dt, st.integers(0, 40), elements=_TIE_VALUES)))
+def test_rank_lowest_is_the_stable_argsort_prefix(scores):
+    order = np.argsort(scores, kind="stable")
+    for count in range(scores.size + 1):
+        got = sp._rank_lowest(scores, count)
+        assert got.size == count
+        assert set(got.tolist()) == set(order[:count].tolist())
 
 
 def test_prune_examples(rng):
@@ -193,7 +221,7 @@ def test_init_prunes_nothing_without_scores_or_draws(rng, monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("scored or drew where nothing is pruned")
 
-    monkeypatch.setattr(CounterRng, "sample", refuse)
+    monkeypatch.setattr(CounterRng, "sample_slots", refuse)
     monkeypatch.setattr(sp, "score_filters", refuse)
     banks = _banks_for_init(rng)
     masks = sp.init_sparsity("subset", banks, 0.0)
