@@ -351,9 +351,8 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
     outputs), "inference" pre-merges the masked banks.
 
     This reference path is single-threaded and run-to-run deterministic;
-    the bench module provides fused implementations of the same contract,
-    and a relaxed order that reverses each map's shift reads (tolerance
-    1e-5 in f32).
+    the bench module provides fused implementations of the same contract
+    (tolerance 1e-5 in f32).
     """
     if mode not in ("train_shape", "inference"):
         raise ShapeError(f"unknown mode {mode!r}")

@@ -207,8 +207,7 @@ def test_a8_bench():
                             order_policy="per_edge_shuffled", seed=7)
     diffs = bn.verify_variants(cfg_small, trials=2, h=18, w=20, dtype="f64")
     assert all(d <= 1e-10 for d in diffs.values()), diffs
-    diffs32 = bn.verify_variants(cfg_small, trials=2, h=18, w=20,
-                                 dtype="f32", relaxed=True)
+    diffs32 = bn.verify_variants(cfg_small, trials=2, h=18, w=20, dtype="f32")
     assert all(d <= 1e-5 for d in diffs32.values()), diffs32
 
     desk = sl.SwConfig(**bn.DESK_CONFIG)
@@ -224,7 +223,7 @@ def test_a8_bench():
     ratio_time = tf.median_ns / tn.median_ns
     assert ratio_time <= 1.10, f"fused/naive wall-clock ratio {ratio_time:.3f}"
     _report("A8 bench",
-            f"variant diffs f64 <= {max(diffs.values()):.1e}, relaxed f32 <= "
+            f"variant diffs f64 <= {max(diffs.values()):.1e}, f32 <= "
             f"{max(diffs32.values()):.1e}; moves/px {rf.moves_per_pixel:.2f} "
             f"<= {bound}; mem ratio {ratio_mem:.0f}x >= g={desk.g}; "
             f"time ratio {ratio_time:.2f} <= 1.10")

@@ -383,6 +383,9 @@ def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
     assert np.all(got[ref == 0] == 0)
     rows = _read_csv(tmp_path / "o" / "erf_sw_51x3.csv")
     assert int(rows[1][2]) == np.count_nonzero(ref)
+    notes = (tmp_path / "o" / "erf_sw_51x3.csv").read_text().splitlines()[:2]
+    assert notes[1] == ("# the spec's pad_mode is half; this is the ERF of the"
+                        " exact-mode operator (pad_mode=exact) with the same weights")
 
 
 def test_prune_sim_schedule(tmp_path):
@@ -502,19 +505,20 @@ def test_bench_csv(tmp_path):
 
 def test_bench_csv_names_the_config_it_ran(tmp_path, capsys):
     """bench.csv's config_digest column is measure's digest for the same
-    flags, on every row and every bench[...] line; --relaxed writes another."""
+    flags, on every row and every bench[...] line; --dtype f32 writes
+    another."""
     cfg = sl.SwConfig(**bench.DESK_CONFIG, seed=5)
     digests = []
-    for relaxed in (False, True):
-        out = tmp_path / str(relaxed)
+    for dtype in ("f64", "f32"):
+        out = tmp_path / dtype
         rc = main(["bench", "--out", str(out), "--variants", "naive,fused", "--reps", "1",
-                   "--h", "12", "--w", "12", "--seed", "5"] + ["--relaxed"] * relaxed)
+                   "--h", "12", "--w", "12", "--seed", "5", "--dtype", dtype])
         assert rc == 0
         rows = _read_csv(out / "bench.csv")
         col = rows[0].index("config_digest")
         assert col == rows[0].index("checksum") + 1
-        want = bench.measure(cfg, 12, 12, ("fused",), reps=1, warmup=0, dtype="f64",
-                             relaxed=relaxed)[0].config_digest
+        want = bench.measure(cfg, 12, 12, ("fused",), reps=1, warmup=0,
+                             dtype=dtype)[0].config_digest
         assert [r[col] for r in rows[1:]] == [want, want]
         assert capsys.readouterr().out.count(f"config {want}") == 2
         digests.append(want)
@@ -531,15 +535,38 @@ def test_bench_interleaves_variant_reps(tmp_path, monkeypatch):
     assert calls == ["naive", "fused"] * 5    # 3 warmup + 2 measured rounds
 
 
-@pytest.mark.parametrize("relaxed", (False, True))
-def test_bench_check_verifies_the_order_it_timed(tmp_path, monkeypatch, relaxed):
+@pytest.mark.parametrize("dtype", ("f64", "f32"))
+def test_bench_check_verifies_the_dtype_it_timed(tmp_path, monkeypatch, capsys, dtype):
+    """--check always verifies in f64 and, after an f32 run, in f32 too, each
+    row against its own tolerance."""
     seen, verify = [], bench.verify_variants
     monkeypatch.setattr(bench, "verify_variants",
-                        lambda *a, **k: seen.append(k.get("relaxed")) or verify(*a, **k))
+                        lambda *a, **k: seen.append(k["dtype"]) or verify(*a, **k))
     rc = main(["bench", "--out", str(tmp_path), "--reps", "1", "--h", "12", "--w", "12",
-               "--check"] + ["--relaxed"] * relaxed)
+               "--dtype", dtype, "--check"])
     assert rc == 0
-    assert seen == [relaxed]
+    assert seen == (["f64", "f32"] if dtype == "f32" else ["f64"])
+    out = capsys.readouterr().out
+    assert "(f64, tol 1e-10)" in out
+    assert ("(f32, tol 1e-05)" in out) == (dtype == "f32")
+
+
+def test_bench_has_no_relaxed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--out", str(tmp_path), "--relaxed"])
+    assert exc.value.code == 2
+    assert "--relaxed" in capsys.readouterr().err
+
+
+def test_bench_check_fails_on_any_row_over_its_tolerance(tmp_path, monkeypatch):
+    """An f32 diff over 1e-5 fails the check though the f64 row passes."""
+    monkeypatch.setattr(bench, "verify_variants",
+                        lambda *a, **k: {"naive": 0.0, "fused": 2e-5 * (k["dtype"] == "f32")})
+    argv = ["bench", "--out", str(tmp_path), "--reps", "1", "--h", "12", "--w", "12",
+            "--check", "--force"]
+    assert main(argv) == 0
+    assert main(argv + ["--dtype", "f32"]) == 1
+    assert main(argv + ["--dtype", "f32", "--tol", "1e-4"]) == 0
 
 
 @pytest.mark.parametrize("variants", ("fused,fused", "naive,fused,naive", "fused,warp"))
@@ -610,6 +637,7 @@ def test_spec_that_is_a_directory_is_a_one_line_error(tmp_path, capsys):
     (["params", "--input-size", "0"], "--input-size"),
     (["params", "--input-size", "-224"], "--input-size"),
     (["bench", "--reps", "0"], "--reps"),
+    (["coverage", "--channels", "0"], "--channels"),
 ])
 def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--out", str(tmp_path)])
