@@ -8,9 +8,11 @@ the union grow with the edge count.
 
 ERF maps are computed for stacks of linear depthwise components via the
 adjoint pass: correlation with the flipped kernel, which for the
-exact-mode operator is its `densify` kernel.  A dot-product test checks
-that adjoint against the forward pass, and a brute-force impulse-response
-path is the independent cross-check of whole maps.
+exact-mode operator is its `densify` kernel.  On the centred delta that
+starts the pass, the last operator's adjoint is that kernel itself,
+centred.  A dot-product test checks the adjoint against the forward pass,
+and a brute-force impulse-response path is the independent cross-check
+of whole maps.
 
 The budget walker counts parameters and multiply-accumulates for the
 four-stage architecture; per-experiment closed forms are evaluated next
@@ -127,17 +129,23 @@ def _strip_corr(z: np.ndarray, k: np.ndarray) -> np.ndarray:
     return toeplitz.reshape(c, h, h * n) @ shifts.reshape(c, h * n, w)
 
 
+def _exact_kernel(layer: SwLayer) -> np.ndarray:
+    """The exact-mode operator's `densify` kernel; the ERF gate on pad mode."""
+    if layer.cfg.pad_mode != "exact":
+        raise ShapeError("ERF adjoint is defined for exact pad mode")
+    return densify(layer.weights, layer.plan, layer.cfg)
+
+
 def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     """Adjoint of the exact-mode operator: ghosts pass through, and the rest
     is the "same" correlation with the flipped `densify` kernel, whose
     nonzeros lie in its middle N columns and rows: one `_strip_corr` per
     strip, the horizontal one on transposed arrays and without the center
-    block, which the vertical one holds.  Structural zeros stay exact."""
-    cfg = layer.cfg
-    if cfg.pad_mode != "exact":
-        raise ShapeError("ERF adjoint is defined for exact pad mode")
-    cg, n = cfg.ghost_channels, cfg.n
-    kernel = densify(layer.weights, layer.plan, cfg)[:, ::-1, ::-1].astype(z.dtype)
+    block, which the vertical one holds.  Structural zeros stay exact.
+    `erf_map` runs it only for an operator that another component follows;
+    on a centred delta it is `_impulse_sw`."""
+    cg, n = layer.cfg.ghost_channels, layer.cfg.n
+    kernel = _exact_kernel(layer)[:, ::-1, ::-1].astype(z.dtype)
     s_v, s_h = (e // 2 - n // 2 for e in kernel.shape[1:])
     cols = kernel[:, :, s_h:s_h + n].copy()
     kernel[:, s_v:s_v + n, s_h:s_h + n] = 0
@@ -145,6 +153,20 @@ def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     adj = (_strip_corr(zs, cols)
            + _strip_corr(zs.swapaxes(1, 2), rows.swapaxes(1, 2)).swapaxes(1, 2))
     return np.concatenate((z[:cg], adj))
+
+
+def _impulse_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
+    """`_adjoint_sw` of the centred delta z, written into z in O(C*P^2): the
+    operator's impulse response, its `densify` kernel unflipped, centred on
+    the probe and cropped to it, while ghosts keep the delta.  Only values
+    are copied, so it is bitwise the adjoint's result (each of whose
+    outputs is one kernel value plus exact zeros)."""
+    kernel, cg = _exact_kernel(layer), layer.cfg.ghost_channels
+    (kh, kw), mid = kernel.shape[1:], z.shape[1] // 2
+    rv, rh = min(kh // 2, mid), min(kw // 2, mid)
+    z[cg:, mid - rv:mid + rv + 1, mid - rh:mid + rh + 1] = \
+        kernel[:, kh // 2 - rv:kh // 2 + rv + 1, kw // 2 - rh:kw // 2 + rh + 1]
+    return z
 
 
 def _forward_layer(x: Tensor, layer) -> Tensor:
@@ -168,12 +190,16 @@ def erf_map(stack, probe_size: int = 63) -> np.ndarray:
 
     One adjoint application of the composed operator to a delta at the
     output center; per-channel sensitivities are averaged before
-    normalization.
+    normalization.  A last `SwLayer` maps the delta to its centred
+    `densify` kernel (`_impulse_sw`), an O(C*P^2) copy, so a single
+    operator's ERF runs no matmul; earlier components run their adjoints.
     """
     channels = _erf_channels(stack, probe_size)
     mid = probe_size // 2
     z = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
     z[:, mid, mid] = 1.0
+    if isinstance(stack[-1], SwLayer):
+        z, stack = _impulse_sw(z, stack[-1]), stack[:-1]
     for layer in reversed(stack):
         z = _adjoint_conv(z, layer.kernel) if isinstance(layer, ConvLayer) \
             else _adjoint_sw(z, layer)

@@ -537,6 +537,18 @@ def _int_list(count=None):
     return int_list
 
 
+def _odd_size(text: str) -> int:
+    """argparse type of an odd positive integer; anything else is a usage
+    error that names its flag, raised before any output is created."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"want an odd positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="shiftlab",
@@ -572,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spec", default=None, help="operator spec file")
     sp.add_argument("--weights", default=None)
     sp.add_argument("--strip", type=_int_list(2), default="51,3", help="M,N strip fallback")
-    sp.add_argument("--probe", type=int, default=63)
+    sp.add_argument("--probe", type=_odd_size, default=63, help="odd probe size")
     sp.add_argument("--pgm", action="store_true", help="emit grayscale map")
     sp.set_defaults(func=cmd_erf)
 

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import shiftlab as sl
 import shiftlab.analysis as an
+from shiftlab.sparsity import init_sparsity
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,78 @@ def test_erf_stack_with_sw_layer_matches_impulse(rng, opts, probe, sw_first):
     a_adj = an.erf_map(stack, probe_size=probe)
     a_imp = an.erf_map_impulse(stack, probe_size=probe)
     assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
+
+
+def _erf_by_adjoint(layer, probe):
+    """erf_map's abs/mean/normalise on `_adjoint_sw` of the centred delta."""
+    mid = probe // 2
+    z = np.zeros((layer.channels, probe, probe))
+    z[:, mid, mid] = 1.0
+    field_abs = np.abs(an._adjoint_sw(z, layer)).mean(axis=0)
+    return field_abs / field_abs.max() if field_abs.max() > 0 else field_abs
+
+
+@pytest.mark.parametrize("probe", (15, 127))
+def test_single_operator_erf_is_bitwise_the_adjoint(probe):
+    """A last SwLayer's centred densify kernel is bitwise the adjoint of a
+    delta: ghosts, masks, g = 1, every branch kind, f32 weights, and probes
+    smaller (15) and larger (127) than the 51-tall kernel."""
+    cases = 0
+    for (m, n), branches, ghost, (kept, dtype) in itertools.product(
+            ((51, 3), (23, 5), (3, 3), (5, 5)),
+            (("H",), ("W",), ("H", "W"), ("H", "W", "center"), "independent"),
+            (0.0, 0.23), ((1.0, np.float64), (0.6, np.float64), (0.6, np.float32))):
+        cfg = sl.SwConfig(m=m, n=n, channels=6, ghost=ghost, edges=2, rep_branches=2,
+                          pad_mode="exact", order_policy="per_edge_shuffled",
+                          branch_types=("H", "W", "center") if branches == "independent"
+                          else branches,
+                          center_independent=branches == "independent", seed=cases)
+        wts = sl.random_weights(cfg, dtype)
+        if kept < 1:
+            wts.masks = init_sparsity("subset", {"op": wts.rep}, 1 - kept, seed=cases)["op"]
+        layer = an.SwLayer(cfg, wts, sl.build_shift_plan(cfg))
+        assert np.array_equal(an.erf_map([layer], probe), _erf_by_adjoint(layer, probe))
+        cases += 1
+    assert cases == 120
+
+
+@pytest.mark.parametrize("pad_mode", ("half", "full"))
+def test_erf_refuses_a_non_exact_operator(pad_mode):
+    cfg = sl.SwConfig(m=9, n=3, channels=4, pad_mode=pad_mode)
+    layer = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
+    with pytest.raises(sl.ShapeError, match="exact pad mode"):
+        an.erf_map([layer], probe_size=15)
+
+
+def test_erf_of_strip_kernels_stays_on_the_tap_loop(rng, monkeypatch):
+    """ConvLayer adjoints run through strip_conv_ref, the oracle that
+    checks the SwLayer route; only a last SwLayer skips its adjoint."""
+    calls = []
+    real = an.strip_conv_ref
+    monkeypatch.setattr(an, "strip_conv_ref", lambda *a: calls.append(1) or real(*a))
+    cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
+    sw = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
+    conv = an.ConvLayer(rng.uniform(-1, 1, (2, 5, 3)))
+    for stack, want in (([conv], 1), ([conv, conv], 2), ([conv, sw], 1),
+                        ([sw, conv], 1), ([sw], 0)):
+        calls.clear()
+        an.erf_map(stack, probe_size=15)
+        assert len(calls) == want, (stack, calls)
+
+
+def test_single_operator_erf_peak_memory():
+    """At probe 255 the stage-0 sw_tiny operator's ERF holds at most three
+    (C, P, P) f64 arrays: the adjoint's Toeplitz operands held about 5.7."""
+    cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
+                      pad_mode="exact", order_policy="per_edge_shuffled", seed=11)
+    layer = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
+    tracemalloc.start()
+    try:
+        an.erf_map([layer], probe_size=255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 80 * 255 * 255 * 8, peak
 
 
 def test_erf_symmetric_kernel_symmetric_map(rng):

@@ -356,20 +356,26 @@ def test_erf_strip_writes_artifacts(tmp_path):
     assert (tmp_path / "erf_strip_21x3.pgm").exists()
 
 
-@pytest.mark.parametrize("s", (0.0, 0.4))
-def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
-    """The stage-0 sw_tiny operator's ERF against the tap-loop ERF of its
-    densified kernel (ghosts as a centred delta): rounding in the adjoint
-    must not turn the kernel's structural zeros into support."""
+def _stage0_erf(tmp_path, s, probe):
+    """`erf --spec` of the stage-0 sw_tiny operator (half mode, seed 11) with
+    subset masks at sparsity s; returns its config and weights."""
     cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
                       order_policy="per_edge_shuffled", seed=11)
     wts = sl.random_weights(cfg)
     wts.masks = init_sparsity("subset", {"op": wts.rep}, s, seed=11)["op"]
     sl.write_operator_spec(cfg, tmp_path / "op.spec")
     save_sw_weights(wts, tmp_path / "op")
-    rc = main(["erf", "--out", str(tmp_path / "o"), "--spec", str(tmp_path / "op.spec"),
-               "--weights", str(tmp_path / "op"), "--probe", "63"])
-    assert rc == 0
+    assert main(["erf", "--out", str(tmp_path / "o"), "--spec", str(tmp_path / "op.spec"),
+                 "--weights", str(tmp_path / "op"), "--probe", str(probe)]) == 0
+    return cfg, wts
+
+
+@pytest.mark.parametrize("s", (0.0, 0.4))
+def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
+    """The stage-0 sw_tiny operator's ERF against the tap-loop ERF of its
+    densified kernel (ghosts as a centred delta): rounding in the adjoint
+    must not turn the kernel's structural zeros into support."""
+    cfg, wts = _stage0_erf(tmp_path, s, 63)
     got = sl.read_container(tmp_path / "o" / "erf_sw_51x3.swt").data
 
     ecfg = sl.SwConfig(**{**cfg.__dict__, "pad_mode": "exact"})
@@ -386,6 +392,38 @@ def test_erf_spec_keeps_exact_zeros_and_support(tmp_path, s):
     notes = (tmp_path / "o" / "erf_sw_51x3.csv").read_text().splitlines()[:2]
     assert notes[1] == ("# the spec's pad_mode is half; this is the ERF of the"
                         " exact-mode operator (pad_mode=exact) with the same weights")
+
+
+# sha256 of erf_sw_51x3.swt and .csv of `_stage0_erf` by (s, probe), taken
+# when the map still ran the Toeplitz adjoint: probe 15 crops the 51-tall
+# kernel, probe 63 holds all of it
+_ERF_SPEC_PINS = {
+    (0.0, 15): ("9f107aed7cd37522ce0db3edb760d0664814fbdabaa381efc611fd8bec2cbe07",
+                "bc1c895ad3c47094f8c880062e428a9aca19d8d2cc52661dd83b28b2f5843022"),
+    (0.0, 63): ("fa5640d6e24656faa2cc0cb6726d2f9867ad20e85d630d1444bad0950764cce2",
+                "1e1619b41810d71a0d759bfaa2192546fa794747b594f86abcb1b529b0b3f903"),
+    (0.4, 15): ("4594781b1a3d6c15dd2e49f65a49b33b63fa508b7d2c62d1c8611cef4b68632d",
+                "51cd91afeb4f3d624f3c31f4ed3e40001261d2aeb2991030ccd87fbc6ecb4d4f"),
+    (0.4, 63): ("5ebbb3ba5f6ca1f6a7822bc430bc4cb2d9c236803ae69088b5b4a44c42280dc3",
+                "e8dfb4cbc50a1625ba26fd5eb56d24c78c6bd9988f7834beba5c936c594f42e2"),
+}
+
+
+@pytest.mark.parametrize("s,probe", sorted(_ERF_SPEC_PINS))
+def test_erf_spec_bytes_pinned(tmp_path, s, probe):
+    _stage0_erf(tmp_path, s, probe)
+    got = tuple(_sha256(tmp_path / "o" / f"erf_sw_51x3.{ext}") for ext in ("swt", "csv"))
+    assert got == _ERF_SPEC_PINS[s, probe]
+
+
+@pytest.mark.parametrize("probe", ("0", "2", "-3"))
+def test_erf_probe_must_be_odd_and_positive(tmp_path, capsys, probe):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["erf", "--out", str(out), "--probe", probe])
+    assert exc.value.code == 2
+    assert "argument --probe: want an odd positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_prune_sim_schedule(tmp_path):
