@@ -22,7 +22,7 @@ from .rng import CounterRng
 from .sw_op import (DEFAULT_SEED, SwConfig, build_shift_plan, from_strip,
                     interior_band, load_sw_weights, random_weights,
                     read_operator_spec, sw_forward)
-from .conv_ref import ConvParams, conv2d_ref, strip_conv_ref
+from .conv_ref import conv2d_ref, strip_conv_ref
 from .tensor import Tensor, ensure_fresh, from_array, write_container
 
 _COVERAGE_HEADER = ("E", "policy", "seed", "mean_util", "min_util", "max_util")
@@ -169,10 +169,9 @@ def _check_rows_verify(args):
                           eps=1e-5)
         wb = r.uniform_array((c, 1, 3, 3), -1, 1)
         x = Tensor(r.uniform_array((c, 9, 9), -1, 1))
-        p = ConvParams(3, 3, 1, 1, 1, c)
-        y1 = norm.apply(conv2d_ref(x, wb, p).data)
+        y1 = norm.apply(conv2d_ref(x, wb).data)
         wf, bf = fold_norm(wb, None, norm)
-        y2 = conv2d_ref(x, wf, p).data + bf[:, None, None]
+        y2 = conv2d_ref(x, wf).data + bf[:, None, None]
         worst_f = max(worst_f, float(np.max(np.abs(y1 - y2))))
     yield ("fold-norm", f"{args.fold_trials} instances", worst_f, tol_rep,
            worst_f <= tol_rep)
@@ -183,11 +182,10 @@ def _check_rows_verify(args):
         c = 1 + r.randint(4)
         banks = [r.uniform_array((c, 1, 3, 3), -1, 1) for _ in range(4)]
         x = Tensor(r.uniform_array((c, 8, 8), -1, 1))
-        p = ConvParams(3, 3, 1, 1, 1, c)
         y_sum = np.zeros((c, 8, 8))
         for b in banks:
-            y_sum += conv2d_ref(x, b, p).data
-        y_merged = conv2d_ref(x, merge_rep(banks), p).data
+            y_sum += conv2d_ref(x, b).data
+        y_merged = conv2d_ref(x, merge_rep(banks)).data
         worst_m = max(worst_m, float(np.max(np.abs(y_sum - y_merged))))
     yield ("merge-rep", f"{args.fold_trials} instances", worst_m, tol_rep,
            worst_m <= tol_rep)
@@ -195,8 +193,8 @@ def _check_rows_verify(args):
 
 def cmd_verify(args) -> int:
     _require_positive(args, "--trials", "--fold-trials", "--h", "--w")
-    out = _outdir(args)
     rows = list(_check_rows_verify(args))
+    out = _outdir(args)
     _write_csv(os.path.join(out, "verify.csv"),
                ("check", "detail", "max_diff", "tol", "status"),
                [(check, detail, diff, tol, "pass" if ok else "FAIL")
@@ -215,7 +213,6 @@ def cmd_verify(args) -> int:
 
 def cmd_coverage(args) -> int:
     _require_positive(args, "--h", "--w", "--n-seeds", "--channels")
-    out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)
         args.m, args.n = cfg.m, cfg.n
@@ -225,6 +222,7 @@ def cmd_coverage(args) -> int:
         res = analysis.coverage_ratio(args.m, args.n, args.h, args.w, e,
                                       args.policy, seeds, channels=args.channels)
         rows += [(e, args.policy) + row for row in res.rows]
+    out = _outdir(args)
     _write_csv(os.path.join(out, "coverage.csv"), _COVERAGE_HEADER, rows, args.force,
                notes=("utilization = |union over edges of in-grid destination rows"
                       " of the vertical shift branch| / (H*W), painted on a"
@@ -247,7 +245,6 @@ def _write_pgm(path, img: np.ndarray, force: bool) -> None:
 
 
 def cmd_erf(args) -> int:
-    out = _outdir(args)
     notes = ["ERF = |d y_center / d x[p]| of the composed linear operator, max-normalized"]
     if args.spec:
         cfg = read_operator_spec(args.spec)
@@ -264,6 +261,7 @@ def cmd_erf(args) -> int:
         stack = [analysis.ConvLayer(k)]
         label = f"strip_{m}x{n}"
     a = analysis.erf_map(stack, probe_size=args.probe)
+    out = _outdir(args)
     path = os.path.join(out, f"erf_{label}.swt")
     write_container(from_array(a), path, args.force)
     if args.pgm:
@@ -296,12 +294,12 @@ def _experiment_rows(c: int, ghost: float) -> list[tuple]:
 
 def cmd_params(args) -> int:
     _require_positive(args, "--input-size")
-    out = _outdir(args)
     arch = (analysis.ArchSpec.sw_small() if args.arch == "small"
             else analysis.ArchSpec.sw_tiny())
     if args.ghost is not None:
         arch = analysis.ArchSpec(**{**arch.__dict__, "ghost": args.ghost})
     rep = analysis.count_macs(arch, input_size=args.input_size)
+    out = _outdir(args)
     _write_csv(os.path.join(out, "params.csv"), _PARAMS_HEADER, _count_rows(rep),
                args.force)
     _write_csv(os.path.join(out, "experiments.csv"), _EXPERIMENTS_HEADER,
@@ -371,7 +369,6 @@ def cmd_prune_sim(args) -> int:
                       "--u", "--gap")
     if args.jitter < 0:
         raise ValueError(f"--jitter must be >= 0, got {args.jitter}")
-    out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)
         args.g, args.branches = cfg.g, cfg.rep_branches
@@ -390,6 +387,7 @@ def cmd_prune_sim(args) -> int:
                                 channels=args.channels, g=args.g,
                                 seed=args.seed, init=args.init,
                                 jitter=args.jitter, layer_specs=layer_specs)
+    out = _outdir(args)
     _write_csv(os.path.join(out, "prune_trajectory.csv"), _TRAJECTORY_HEADER, rows,
                args.force)
     if arch is not None:
@@ -417,13 +415,13 @@ def cmd_prune_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     _require_positive(args, "--h", "--w", "--reps")
-    out = _outdir(args)
     if args.spec:
         cfg = read_operator_spec(args.spec)
     else:
         cfg = SwConfig(**bench.DESK_CONFIG, seed=args.seed)
     reports = bench.measure(cfg, args.h, args.w, args.variants.split(","),
                             reps=args.reps, dtype=args.dtype)
+    out = _outdir(args)
     for rep in reports:
         print(f"bench[{rep.variant}]: median {rep.median_ns / 1e6:.2f} ms, "
               f"moves/px {rep.moves_per_pixel:.2f}, reads/px {rep.reads_per_pixel:.2f}, "

@@ -12,7 +12,7 @@ also be computed at once as uint64 arrays: :func:`permutations` derives a
 key per broadcast label and takes every Fisher-Yates draw in one array
 op.  Each batched row is bitwise equal to the scalar stream it stands for.
 A draw whose result is known in advance is not taken: ``sample_slots``
-(and so ``sample``) of all n of n slots keeps them all, and the counter
+of all n of n slots keeps them all, and the counter
 still moves n - 1 on, as the draw would have moved it.
 
 We deliberately do not use numpy's Generator API here: its method-level
@@ -187,10 +187,6 @@ class CounterRng:
         kept = np.ones(n, dtype=bool)
         kept[self._fisher_yates(n, k)[k:]] = False
         return np.flatnonzero(kept)
-
-    def sample(self, population, k: int) -> list:
-        """k distinct elements in the population's order: those at sample_slots."""
-        return [population[i] for i in self.sample_slots(len(population), k).tolist()]
 
     def uniform_array(self, shape, lo: float, hi: float, dtype=np.float64) -> np.ndarray:
         """Array of uniforms in [lo, hi), identical to repeated uniform() calls.

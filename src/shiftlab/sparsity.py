@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class SparsityState:
     horizon: int = 10_000
     step: int = 0
     updates_done: int = 0
-    events: list = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.target < 1.0:
@@ -269,8 +268,6 @@ def sparsity_step(state: SparsityState, weight_banks: dict[str, list[np.ndarray]
     state.updates_done += 1
     frac = state.prune_fraction()
     sync = state.updates_done % state.share_gap == 0
-    if sync:
-        state.events.append((state.updates_done, "sync"))
     for name, banks in weight_banks.items():
         masks = state.masks[name]
         if len(banks) != len(masks):

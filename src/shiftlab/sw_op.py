@@ -92,6 +92,8 @@ class SwConfig:
         bad = [b for b in self.branch_types if b not in ALL_BRANCHES]
         if bad or not self.branch_types:
             raise ShapeError(f"invalid branch types {self.branch_types}")
+        if len(set(self.branch_types)) != len(self.branch_types):
+            raise ShapeError(f"repeated branch types {self.branch_types}")
         if self.sw_channels < 1:
             raise ShapeError("ghost ratio leaves no channels on the shift path")
 
@@ -338,24 +340,20 @@ def _fanout_maps(xs: np.ndarray, bank: np.ndarray, pads) -> np.ndarray:
     return flat.reshape(c, g, flat.shape[1], flat.shape[2]).copy()
 
 
-def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
-               mode: str = "inference") -> Tensor:
+def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tensor:
     """Forward pass of the operator.
 
     Ghost channels (the leading floor(G*C)) are copied through bitwise.
-    The rest go through the shared fan-out convolution, per-branch shift
+    The rest go through one fan-out convolution with the merged bank (the
+    masked Rep banks summed, ``SwWeights.merged_bank``), per-branch shift
     sums over edges, per-branch normalization, branch summation, and are
     concatenated after the ghost slice.  x is (C, H, W) or a batch
-    (B, C, H, W); the output has its shape.  `mode` controls Rep handling:
-    "train_shape" keeps branches separate (sum of per-branch conv
-    outputs), "inference" pre-merges the masked banks.
+    (B, C, H, W); the output has its shape.
 
     This reference path is single-threaded and run-to-run deterministic;
     the bench module provides fused implementations of the same contract
     (tolerance 1e-5 in f32).
     """
-    if mode not in ("train_shape", "inference"):
-        raise ShapeError(f"unknown mode {mode!r}")
     xa = x.data if isinstance(x, Tensor) else np.asarray(x)
     if xa.ndim not in (3, 4):
         raise ShapeError(f"expected (C, H, W) or (B, C, H, W) input, got {xa.shape}")
@@ -366,8 +364,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
 
     cg = cfg.ghost_channels
     pads, origin = _grid_geometry(cfg, xa.shape[-2], xa.shape[-1])
-    banks = ([w.merged_bank()] if mode == "inference"
-             else [w.masked_bank(r) for r in range(cfg.rep_branches)])
+    bank = w.merged_bank()
     strict = cfg.pad_mode == "exact"
     y = np.empty(xa.shape, dtype=xa.dtype)
     image = (-1,) + xa.shape[-3:]
@@ -375,9 +372,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan,
         dst[:cg] = img[:cg]
         xs, out = img[cg:], dst[cg:]
         out[:] = 0
-        maps = _fanout_maps(xs, banks[0], pads)
-        for bank in banks[1:]:
-            maps += _fanout_maps(xs, bank, pads)
+        maps = _fanout_maps(xs, bank, pads)
         for branch in ALL_BRANCHES:
             if branch not in cfg.branch_types:
                 continue

@@ -90,11 +90,9 @@ def zeros(shape, dtype: str = "f64") -> Tensor:
     return Tensor(np.zeros(shape, dtype=_DTYPE_BY_NAME[dtype]))
 
 
-def from_array(arr, dtype: str | None = None) -> Tensor:
+def from_array(arr) -> Tensor:
     a = np.asarray(arr)
-    if dtype is not None:
-        a = a.astype(_DTYPE_BY_NAME[dtype])
-    elif a.dtype not in (np.float32, np.float64):
+    if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
     return Tensor(a)
 

@@ -9,12 +9,12 @@ second, independent route in dual-route checks.
 import numpy as np
 
 
-def naive_conv2d(x, w, pad_h, pad_w, stride=1, groups=1):
+def naive_conv2d(x, w, pad_h, pad_w, groups=1):
     """Triple-loop grouped correlation with zero extension."""
     c_in, h, wd = x.shape
     o_out, cpg, kh, kw = w.shape
-    out_h = (h + 2 * pad_h - kh) // stride + 1
-    out_w = (wd + 2 * pad_w - kw) // stride + 1
+    out_h = h + 2 * pad_h - kh + 1
+    out_w = wd + 2 * pad_w - kw + 1
     opg = o_out // groups
     out = np.zeros((o_out, out_h, out_w), dtype=np.float64)
     for o in range(o_out):
@@ -26,8 +26,8 @@ def naive_conv2d(x, w, pad_h, pad_w, stride=1, groups=1):
                     ci = grp * cpg + cl
                     for u in range(kh):
                         for v in range(kw):
-                            y = i * stride + u - pad_h
-                            z = j * stride + v - pad_w
+                            y = i + u - pad_h
+                            z = j + v - pad_w
                             if 0 <= y < h and 0 <= z < wd:
                                 acc += float(w[o, cl, u, v]) * float(x[ci, y, z])
                 out[o, i, j] = acc
@@ -38,5 +38,4 @@ def naive_depthwise(x, k):
     """Triple-loop depthwise "same" correlation."""
     c, h, w = x.shape
     kh, kw = k.shape[1], k.shape[2]
-    return naive_conv2d(x, k.reshape(c, 1, kh, kw), kh // 2, kw // 2,
-                        stride=1, groups=c)
+    return naive_conv2d(x, k.reshape(c, 1, kh, kw), kh // 2, kw // 2, groups=c)

@@ -116,15 +116,14 @@ def test_a4_reparam_suites():
         w = r.uniform_array((c, 1, 3, 3), -1, 1)
         bias = r.uniform_array((c,), -1, 1)
         x = sl.Tensor(r.uniform_array((c, 8, 8), -1, 1))
-        p = sl.ConvParams(3, 3, 1, 1, 1, c)
-        composed = norm.apply(sl.conv2d_ref(x, w, p).data + bias[:, None, None])
+        composed = norm.apply(sl.conv2d_ref(x, w).data + bias[:, None, None])
         wf, bf = sl.fold_norm(w, bias, norm)
-        folded = sl.conv2d_ref(x, wf, p).data + bf[:, None, None]
+        folded = sl.conv2d_ref(x, wf).data + bf[:, None, None]
         worst_fold = max(worst_fold, float(np.max(np.abs(composed - folded))))
 
         banks = [r.uniform_array((c, 1, 3, 3), -1, 1) for _ in range(4)]
-        y_sum = sum(sl.conv2d_ref(x, b, p).data for b in banks)
-        y_m = sl.conv2d_ref(x, sl.merge_rep(banks), p).data
+        y_sum = sum(sl.conv2d_ref(x, b).data for b in banks)
+        y_m = sl.conv2d_ref(x, sl.merge_rep(banks)).data
         worst_merge = max(worst_merge, float(np.max(np.abs(y_sum - y_m))))
     assert worst_fold <= 1e-10, worst_fold
     assert worst_merge <= 1e-10, worst_merge

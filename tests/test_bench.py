@@ -440,7 +440,7 @@ def test_row_shift_einsum_matches_tap_loop_and_oracle_bitwise(n, gh, gw, size, g
     span = (gh + n - 1) * wp
     rows = np.full((size, n, span), np.nan, dtype)
     bn._shift_rows(bn._row_shifts(xpad.reshape(x.shape[0], -1), n, span), idx, rows)
-    ref = fanout_conv(Tensor(x[sel]), bank[sel], 0).data
+    ref = fanout_conv(Tensor(x[sel]), bank[sel], ((0, 0), (0, 0))).data
     for conv, src in ((bn._conv_slice, bn._tap_view(rows, gh, wp)),
                       (bn._conv_taps, xpad[sel])):
         acc = np.full((size, gh * wp), np.nan, dtype)

@@ -81,8 +81,8 @@ def test_verify_f32_sweep(tmp_path):
 def test_verify_interior_band_reports_its_worst_diff(tmp_path, monkeypatch):
     real = cli.sw_forward
 
-    def nudged(x, w, cfg, plan, mode="inference"):
-        y = real(x, w, cfg, plan, mode)
+    def nudged(x, w, cfg, plan):
+        y = real(x, w, cfg, plan)
         return sl.Tensor(y.data + 1e-13) if cfg.pad_mode == "half" else y
 
     monkeypatch.setattr(cli, "sw_forward", nudged)
@@ -683,6 +683,24 @@ def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune-sim", "--s", "1.5"],
+    ["params", "--ghost", "1.5"],
+    ["coverage", "--edges", "0"],
+    ["coverage", "--n", "2"],
+    ["coverage", "--m", "2"],
+    ["erf", "--strip", "4,3"],
+    ["bench", "--spec", "/nonexistent"],
+])
+def test_rejected_input_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ghost", ["1.5", "1", "-0.5"])

@@ -123,27 +123,39 @@ def test_no_update_before_period():
         assert np.array_equal(a, b)
 
 
-def test_sync_schedule_gap3():
+def _spy_syncs(monkeypatch, tag):
+    """Record tag() at every layer's mask sync (one _unify_shared call)."""
+    syncs = []
+    real = sp._unify_shared
+
+    def spy(*args):
+        syncs.append(tag())
+        return real(*args)
+
+    monkeypatch.setattr(sp, "_unify_shared", spy)
+    return syncs
+
+
+def test_sync_schedule_gap3(monkeypatch):
     state, banks, names = _sim_state(gap=3)
-    sync_updates = []
+    syncs = _spy_syncs(monkeypatch, lambda: state.updates_done)
     for step in range(1, 1001):
         state.step = step
-        prev = len(state.events)
         sp.sparsity_step(state, banks, _uniform_scores(banks, 2, step))
-        if len(state.events) > prev:
-            sync_updates.append(state.events[-1][0])
-    assert sync_updates == [3, 6, 9]
+    assert syncs == [3, 3, 6, 6, 9, 9]      # both layers at updates 3, 6 and 9
     assert state.updates_done == 10
 
 
-def test_sync_logged_once_per_update():
-    """A sync update on 4 layers logs one event, not one per layer."""
+def test_sync_logged_once_per_update(monkeypatch):
+    """A sync update on 4 layers unifies each layer's masks once."""
     state, banks, names = _sim_state(gap=1, layers=4)
+    syncs = _spy_syncs(monkeypatch, lambda: state.updates_done)
     state.step = 100
     sp.sparsity_step(state, banks, _uniform_scores(banks, 2, 100))
-    assert state.events == [(1, "sync")]
-    sim, _rows = run_prune_sim(300, 100, 1, 0.4, "shared", "uniform", n_layers=4)
-    assert sim.events == [(1, "sync"), (2, "sync"), (3, "sync")]
+    assert syncs == [1] * 4
+    syncs.clear()
+    run_prune_sim(300, 100, 1, 0.4, "shared", "uniform", n_layers=4)
+    assert len(syncs) == 3 * 4
 
 
 def test_sparsity_conserved_and_masks_shared():

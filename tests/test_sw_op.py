@@ -108,15 +108,13 @@ def test_fanout_blocks_match_partitioned_strip_rows(rng):
     k = rng.uniform(-1, 1, (2, 15, 3))
     x = rng.uniform(-1, 1, (2, 9, 9))
     cfg, wts, plan = sl.from_strip(k)
-    out = sl.fanout_conv(sl.Tensor(x), wts.rep[0], 1).data
+    out = sl.fanout_conv(sl.Tensor(x), wts.rep[0], ((1, 1), (1, 1))).data
     for c in range(2):
         for blk in range(cfg.g):
             rows = k[c, 3 * blk:3 * blk + 3, :]
             filt = np.zeros((3, 3))
             filt[:rows.shape[0]] = rows
-            want = sl.conv2d_ref(sl.Tensor(x[c:c + 1]),
-                                 filt.reshape(1, 1, 3, 3),
-                                 sl.ConvParams(3, 3, 1, 1)).data
+            want = sl.conv2d_ref(sl.Tensor(x[c:c + 1]), filt.reshape(1, 1, 3, 3)).data
             assert np.max(np.abs(out[c * cfg.g + blk] - want[0])) <= 1e-12
 
 
@@ -216,13 +214,18 @@ def test_linearity_identity_norm(rng):
 
 
 def test_train_shape_matches_inference_merge(rng):
+    """The training-time shape, one forward per Rep branch with its own
+    masked bank, summed, equals the forward of the merged bank."""
     cfg = sl.SwConfig(m=15, n=5, channels=4, rep_branches=3, pad_mode="half", seed=8)
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
     wts.masks[1][:, ::2] = False
     x = sl.Tensor(rng.uniform(-1, 1, (4, 10, 10)))
-    y_tr = sl.sw_forward(x, wts, cfg, plan, mode="train_shape").data
-    y_inf = sl.sw_forward(x, wts, cfg, plan, mode="inference").data
+    one = sl.SwConfig(**{**cfg.__dict__, "rep_branches": 1})
+    y_tr = sum(sl.sw_forward(x, sl.SwWeights(rep=[bank], masks=[mask], norms=wts.norms),
+                             one, plan).data
+               for bank, mask in zip(wts.rep, wts.masks))
+    y_inf = sl.sw_forward(x, wts, cfg, plan).data
     assert np.max(np.abs(y_tr - y_inf)) <= 1e-10
 
 
@@ -434,6 +437,16 @@ def test_operator_spec_rejects_config_invalid_value(tmp_path):
         p.write_text(f"M=9\nN=3\nC=2\n{line}\n")
         with pytest.raises(sl.FormatError, match=rf"val{i}\.spec: "):
             sl.read_operator_spec(p)
+
+
+@pytest.mark.parametrize("branches", (("H", "H"), ("W", "center", "W"), ("center",) * 3))
+def test_repeated_branch_types_are_rejected(tmp_path, branches):
+    with pytest.raises(sl.ShapeError, match="repeated branch types"):
+        sl.SwConfig(m=9, n=3, channels=2, branch_types=branches)
+    p = tmp_path / "rep.spec"
+    p.write_text(f"M=9\nN=3\nC=2\nbranches={','.join(branches)}\n")
+    with pytest.raises(sl.FormatError, match=r"rep\.spec: repeated branch types"):
+        sl.read_operator_spec(p)
 
 
 @pytest.mark.parametrize("text, message", (
