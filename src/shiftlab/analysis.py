@@ -11,8 +11,8 @@ adjoint pass: correlation with the flipped kernel, which for the
 exact-mode operator is its `densify` kernel.  On the centred delta that
 starts the pass, the last operator's adjoint is that kernel itself,
 centred.  A dot-product test checks the adjoint against the forward pass,
-and a brute-force impulse-response path is the independent cross-check
-of whole maps.
+and the brute-force impulse-response path of the tests (one forward pass
+per probe pixel) is the independent cross-check of whole maps.
 
 The budget walker counts parameters and multiply-accumulates for the
 four-stage architecture; per-experiment closed forms are evaluated next
@@ -28,7 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .conv_ref import strip_conv_ref
 from .reparam import densify
-from .sw_op import SwConfig, SwWeights, ShiftPlan, build_shift_plan, sw_forward
+# unused here; bound because shiftbench/run.py wraps analysis.sw_forward
+from .sw_op import SwConfig, SwWeights, ShiftPlan, build_shift_plan, sw_forward  # noqa: F401
 from .tensor import ShapeError, Tensor
 
 
@@ -169,12 +170,6 @@ def _impulse_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     return z
 
 
-def _forward_layer(x: Tensor, layer) -> Tensor:
-    if isinstance(layer, ConvLayer):
-        return strip_conv_ref(x, layer.kernel)
-    return sw_forward(x, layer.weights, layer.cfg, layer.plan)
-
-
 def _erf_channels(stack, probe_size: int) -> int:
     if probe_size % 2 == 0 or probe_size < 1:
         raise ShapeError("probe size must be odd and positive")
@@ -206,23 +201,6 @@ def erf_map(stack, probe_size: int = 63) -> np.ndarray:
     field_abs = np.abs(z).mean(axis=0)
     peak = field_abs.max()
     return field_abs / peak if peak > 0 else field_abs
-
-
-def erf_map_impulse(stack, probe_size: int = 15) -> np.ndarray:
-    """Brute-force ERF: one forward pass per probe pixel."""
-    channels = _erf_channels(stack, probe_size)
-    mid = probe_size // 2
-    out = np.zeros((probe_size, probe_size), dtype=np.float64)
-    for i in range(probe_size):
-        for j in range(probe_size):
-            x = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
-            x[:, i, j] = 1.0
-            y = Tensor(x)
-            for layer in stack:
-                y = _forward_layer(y, layer)
-            out[i, j] = np.abs(y.data[:, mid, mid]).mean()
-    peak = out.max()
-    return out / peak if peak > 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Everything else in the package is checked against this module, so it is
 written for auditability, not speed.  All three convolutions run one tap
-loop, :func:`_correlate`: one scaled slice-accumulate per (u, v, input
-channel), in that fixed order (u, then v, then input channel ascending),
-each broadcast over output channels and images at once.  Every output
-element therefore accumulates its taps in the same order whatever the
+loop, :func:`_correlate`: one scaled multiply-add per (u, v, input
+channel), in that fixed order from +0.0, over whole rows of the flattened
+zero-padded planes (spare zero rows at the bottom keep the last tap in
+bounds, and the wrap-around columns of each row are cropped once at the
+end), broadcast over output channels and images at once.  Every kept
+output element adds the same products in the same order whatever the
 shapes, so f32 results are reproducible bit-for-bit run to run.
 
 Each convolution takes its shape from its inputs: kernel extents and
@@ -26,18 +28,43 @@ def _as_nd(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _correlate(xpad: np.ndarray, filt: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Correlate padded planes xpad (..., cpg, Hp, Wp) with filters
-    filt (..., cpg, kh, kw); the leading axes broadcast and the cpg input
-    channels are summed.  One scaled slice-accumulate per (u, v, channel)."""
+def _correlate(x: np.ndarray, filt: np.ndarray, pads) -> np.ndarray:
+    """Correlate planes x (..., cpg, H, W), zero-padded by pads
+    ((top, bottom), (left, right)), with filters filt (..., cpg, kh, kw);
+    the leading axes broadcast and the cpg input channels are summed.
+
+    The padded planes lie flat in rows of step = max(W + max(left, right),
+    out_w) elements: two image rows share the zeros between them as one's
+    right pad and the next one's left pad, so a read past a row's end lands
+    in zeros, as in the padded plane.  Tap (u, v) of channel cl adds
+    filt[cl, u, v] times the out_h * step elements from u * step + v to a
+    flat accumulator that starts from +0.0, in the order u, v, cl; spare
+    zero rows keep the last tap in bounds.  Output (i, j) thus sums
+    filt[cl, u, v] * xpad[cl, u + i, v + j] as a windowed loop would; the
+    last step - out_w columns of each row read past it and are cropped
+    once at the end.
+    """
     cpg, kh, kw = filt.shape[-3:]
-    lead = np.broadcast_shapes(xpad.shape[:-3], filt.shape[:-3])
-    acc = np.zeros(lead + (out_h, out_w), dtype=xpad.dtype)
+    (pt, pb), (pl, pr) = pads
+    h, w = x.shape[-2:]
+    hp = h + pt + pb
+    out_h, out_w = hp - kh + 1, w + pl + pr - kw + 1
+    if out_h < 1 or out_w < 1:
+        raise ShapeError("kernel larger than padded input")
+    step = max(w + max(pl, pr), out_w)
+    spare = -(-(kw - 1) // step)            # ceil((kw - 1) / step)
+    xpad = np.zeros(x.shape[:-2] + (hp + spare, step), dtype=x.dtype)
+    xpad[..., pt:pt + h, pl:pl + w] = x
+    flat = xpad.reshape(x.shape[:-2] + (-1,))
+    lead = np.broadcast_shapes(x.shape[:-3], filt.shape[:-3])
+    span = out_h * step
+    acc = np.zeros(lead + (span,), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
+            s = u * step + v
             for cl in range(cpg):
-                acc += filt[..., cl, u, v, None, None] * xpad[..., cl, u:u + out_h, v:v + out_w]
-    return acc
+                acc += filt[..., cl, u, v, None] * flat[..., cl, s:s + span]
+    return acc.reshape(lead + (out_h, step))[..., :out_w]
 
 
 def conv2d_ref(x: Tensor, w) -> Tensor:
@@ -63,11 +90,10 @@ def conv2d_ref(x: Tensor, w) -> Tensor:
     if groups < 1 or c_in % cpg or o_out % groups:
         raise ShapeError(f"{c_in} input and {o_out} output channels do not divide "
                          f"into groups of {cpg}")
-    pad = ((0, 0),) * (xa.ndim - 2) + ((kh // 2,) * 2, (kw // 2,) * 2)
-    xpad = np.pad(xa, pad)
     lead = xa.shape[:-3]
-    out = _correlate(xpad.reshape(lead + (groups, 1, cpg) + xpad.shape[-2:]),
-                     wa.reshape(groups, o_out // groups, cpg, kh, kw), h, wdt)
+    out = _correlate(xa.reshape(lead + (groups, 1, cpg, h, wdt)),
+                     wa.reshape(groups, o_out // groups, cpg, kh, kw),
+                     ((kh // 2,) * 2, (kw // 2,) * 2))
     return Tensor(out.reshape(lead + (o_out, h, wdt)))
 
 
@@ -94,17 +120,11 @@ def fanout_conv(x: Tensor, w, pad) -> Tensor:
     wa = _as_nd(w).astype(xa.dtype, copy=False)
     if xa.ndim != 3 or wa.ndim != 4:
         raise ShapeError("fanout_conv wants (C,H,W) input and (C,g,N,N) bank")
-    c, h, wdt = xa.shape
+    c = xa.shape[0]
     if wa.shape[0] != c:
         raise ShapeError("bank channel count disagrees with input")
-    g, kh, kw = wa.shape[1], wa.shape[2], wa.shape[3]
+    g = wa.shape[1]
     if g < 1:
         raise ShapeError("fan-out must be >= 1")
-    (pt, pb), (pl, pr) = pad
-    out_h = h + pt + pb - kh + 1
-    out_w = wdt + pl + pr - kw + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("kernel larger than padded input")
-    xpad = np.pad(xa, ((0, 0), (pt, pb), (pl, pr)))
-    out = _correlate(xpad[:, None, None], wa[:, :, None], out_h, out_w)
-    return Tensor(out.reshape(c * g, out_h, out_w))
+    out = _correlate(xa[:, None, None], wa[:, :, None], pad)
+    return Tensor(out.reshape((c * g,) + out.shape[-2:]))

@@ -327,17 +327,18 @@ def from_strip(k):
     cfg = SwConfig(m=m, n=n, channels=c, pad_mode="exact",
                    branch_types=(BRANCH_H,))
     g = cfg.g
-    bank = np.pad(ka, ((0, 0), (0, g * n - m), (0, 0))).reshape(c, g, n, n)
-    weights = SwWeights(rep=[bank], masks=[np.ones((c, g), dtype=bool)])
+    bank = np.zeros((c, g * n, n), dtype=ka.dtype)
+    bank[:, :m] = ka
+    weights = SwWeights(rep=[bank.reshape(c, g, n, n)], masks=[np.ones((c, g), bool)])
     return cfg, weights, build_shift_plan(cfg)
 
 
 def _fanout_maps(xs: np.ndarray, bank: np.ndarray, pads) -> np.ndarray:
-    """(C_sw, g, Hg, Wg) fan-out maps on the working grid, writable."""
+    """(C_sw, g, Hg, Wg) fan-out maps on the working grid, read-only."""
     from .conv_ref import fanout_conv
     c, g = bank.shape[0], bank.shape[1]
     flat = fanout_conv(Tensor(np.ascontiguousarray(xs)), bank, pads).data
-    return flat.reshape(c, g, flat.shape[1], flat.shape[2]).copy()
+    return flat.reshape(c, g, flat.shape[1], flat.shape[2])
 
 
 def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tensor:

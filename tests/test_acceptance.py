@@ -16,6 +16,7 @@ import shiftlab.analysis as an
 import shiftlab.bench as bn
 from shiftlab.cli import _sweep_configs, gen_golden, run_prune_sim
 from shiftlab.rng import CounterRng
+from loop_oracles import erf_map_impulse
 
 
 def _report(name, detail):
@@ -93,7 +94,7 @@ def test_a3_densify_and_erf_consistency():
     layer = an.SwLayer(probe_cfg, sl.random_weights(probe_cfg),
                        sl.build_shift_plan(probe_cfg))
     adj = an.erf_map([layer], probe_size=15)
-    imp = an.erf_map_impulse([layer], probe_size=15)
+    imp = erf_map_impulse([layer], probe_size=15)
     adj_diff = float(np.max(np.abs(adj - imp)))
     assert adj_diff <= 1e-10, adj_diff
     took = time.monotonic() - t0

@@ -7,6 +7,7 @@ import pytest
 import shiftlab as sl
 import shiftlab.analysis as an
 from shiftlab.sparsity import init_sparsity
+from loop_oracles import erf_map_impulse
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_erf_adjoint_matches_impulse_oracle(rng):
     wts = sl.random_weights(cfg)
     layer = an.SwLayer(cfg, wts, sl.build_shift_plan(cfg))
     a_adj = an.erf_map([layer], probe_size=15)
-    a_imp = an.erf_map_impulse([layer], probe_size=15)
+    a_imp = erf_map_impulse([layer], probe_size=15)
     assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
 
 
@@ -94,7 +95,7 @@ def test_erf_adjoint_independent_center(rng):
                       order_policy="per_edge_shuffled",
                       center_independent=True, seed=5)
     layer = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
-    d = np.max(np.abs(an.erf_map([layer], 15) - an.erf_map_impulse([layer], 15)))
+    d = np.max(np.abs(an.erf_map([layer], 15) - erf_map_impulse([layer], 15)))
     assert d <= 1e-10
 
 
@@ -147,7 +148,7 @@ def test_erf_stack_adjoint_matches_impulse(rng):
     k2 = rng.uniform(-1, 1, (1, 3, 3))
     stack = [an.ConvLayer(k1), an.ConvLayer(k2)]
     a_adj = an.erf_map(stack, probe_size=15)
-    a_imp = an.erf_map_impulse(stack, probe_size=15)
+    a_imp = erf_map_impulse(stack, probe_size=15)
     assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
 
 
@@ -169,7 +170,7 @@ def test_erf_stack_with_sw_layer_matches_impulse(rng, opts, probe, sw_first):
     conv = an.ConvLayer(rng.uniform(-1, 1, (4, 5, 3)))
     stack = [sw, conv] if sw_first else [conv, sw]
     a_adj = an.erf_map(stack, probe_size=probe)
-    a_imp = an.erf_map_impulse(stack, probe_size=probe)
+    a_imp = erf_map_impulse(stack, probe_size=probe)
     assert np.max(np.abs(a_adj - a_imp)) <= 1e-10
 
 
@@ -266,7 +267,7 @@ def test_erf_even_probe_rejected():
         an.erf_map([an.ConvLayer(np.ones((1, 3, 3)))], probe_size=8)
 
 
-@pytest.mark.parametrize("erf", (an.erf_map, an.erf_map_impulse))
+@pytest.mark.parametrize("erf", (an.erf_map, erf_map_impulse))
 def test_erf_rejects_empty_stack(erf):
     with pytest.raises(sl.ShapeError, match="empty component stack"):
         erf([], probe_size=5)

@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shiftlab import (ShapeError, Tensor, conv2d_ref, fanout_conv, from_array,
                       max_abs_diff, strip_conv_ref)
 from shiftlab.rng import CounterRng
-from loop_oracles import naive_conv2d, naive_depthwise
+from shiftlab.sw_op import PAD_MODES, SwConfig, _grid_geometry
+from loop_oracles import (naive_conv2d, naive_depthwise, windowed_conv2d,
+                          windowed_fanout)
 
 
 def test_identity_kernel(rng):
@@ -159,6 +161,65 @@ def test_batch_input(rng):
         assert y.shape == (2, 3, 6, 6)
         for i in range(2):
             assert np.array_equal(y[i], conv2d_ref(Tensor(x[i]), w).data)
+
+
+def _signed_zeros(rng, shape, dtype):
+    """Uniform values, about a quarter of them +0.0 and a quarter -0.0."""
+    a = rng.uniform(-1, 1, shape)
+    pick = rng.integers(0, 4, shape)
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    return a.astype(dtype)
+
+
+_DTYPES = st.sampled_from((np.float32, np.float64))
+_GRID = st.integers(1, 9)       # down to 1x1 and narrower than a 7-tap kernel
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype \
+        and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), _DTYPES, st.sampled_from((1, 3, 5, 7)),
+       st.sampled_from((1, 3, 5)), _GRID, _GRID, st.sampled_from((1, 2, "C")),
+       st.integers(1, 3), st.integers(1, 2), st.sampled_from((None, 1, 2)))
+def test_tap_loop_bytes_match_the_windowed_loop(seed, dtype, kh, kw, h, w, groups,
+                                                cpg, opg, batch):
+    """conv2d_ref and strip_conv_ref add the same products in the same order
+    as the windowed (u, v, channel) loop: byte-equal outputs, -0.0 included."""
+    rng = np.random.default_rng(seed)
+    if groups == "C":
+        groups, cpg = cpg + 1, 1            # depthwise: one group per channel
+    c_in = groups * cpg
+    lead = () if batch is None else (batch,)
+    x = _signed_zeros(rng, lead + (c_in, h, w), dtype)
+    bank = _signed_zeros(rng, (groups * opg, cpg, kh, kw), dtype)
+    assert _same_bytes(conv2d_ref(Tensor(x), bank).data, windowed_conv2d(x, bank))
+    if batch is None:
+        k = _signed_zeros(rng, (c_in, kh, kw), dtype)
+        assert _same_bytes(strip_conv_ref(Tensor(x), k).data,
+                           windowed_conv2d(x, k[:, None]))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), _DTYPES, st.sampled_from((1, 3, 5, 7)),
+       st.integers(0, 12), _GRID, _GRID, st.sampled_from(PAD_MODES),
+       st.sampled_from((("H",), ("W",), ("H", "W", "center"))), st.integers(1, 3))
+def test_fanout_bytes_match_the_windowed_loop(seed, dtype, n, extra, h, w, pad_mode,
+                                              branches, c):
+    """fanout_conv on the working-grid pads of every pad mode, byte-equal
+    to the windowed loop."""
+    assume(n > 1 or pad_mode != "full")     # full mode's pads are negative at N = 1
+    rng = np.random.default_rng(seed)
+    cfg = SwConfig(m=n + extra, n=n, channels=c, pad_mode=pad_mode,
+                   branch_types=branches)
+    pads, _ = _grid_geometry(cfg, h, w)
+    x = _signed_zeros(rng, (c, h, w), dtype)
+    bank = _signed_zeros(rng, (c, cfg.g, n, n), dtype)
+    assert _same_bytes(fanout_conv(Tensor(x), bank, pads).data,
+                       windowed_fanout(x, bank, pads))
 
 
 def _f32(label, shape):
