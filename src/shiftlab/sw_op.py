@@ -6,11 +6,12 @@ outputs are integer-shifted and summed.  Base displacements are
 
     d_k = k*N - delta_p,        delta_p = M//2 - N//2,
 
-so that, on a sufficiently enlarged working grid, the shifted sum is
-exactly the strip convolution ("exact" pad mode).  "half" mode keeps the
-grid at H x W and loses boundary contributions (see
-:func:`interior_band`), "full" mode enlarges it by (N-1) - ceil(N/2)
-in total per axis.
+so that the shifted sum is exactly the strip convolution when each map
+is kept on its whole support, N//2 past the image edge ("exact" pad
+mode).  "half" mode keeps the grid at H x W and loses boundary
+contributions (see :func:`interior_band`), "full" mode enlarges it by
+(N-1) - ceil(N/2) in total per axis.  Every mode skips the reads that
+leave the grid, which would add +0.0.
 
 Three branch types share one fan-out output: "H" shifts vertically, "W"
 shifts horizontally with block indices taken in reverse order, and
@@ -85,6 +86,8 @@ class SwConfig:
             raise ShapeError("edges and rep_branches must be >= 1")
         if self.pad_mode not in PAD_MODES:
             raise ShapeError(f"unknown pad mode {self.pad_mode!r}")
+        if self.pad_mode == "full" and self.n == 1:
+            raise ShapeError("pad mode 'full' needs a short side of at least 3, got N = 1")
         if self.order_policy not in ORDER_POLICIES:
             raise ShapeError(f"unknown order policy {self.order_policy!r}")
         if self.channels < 1:
@@ -118,10 +121,6 @@ class SwConfig:
     def displacements(self) -> tuple[int, ...]:
         return tuple(k * self.n - self.delta_p for k in range(self.g))
 
-    def shift_margin(self) -> int:
-        """Largest |displacement|: enlargement per side for lossless shifts."""
-        return max(self.delta_p, (self.g - 1) * self.n - self.delta_p)
-
 
 @dataclass(frozen=True)
 class ShiftPlan:
@@ -146,11 +145,18 @@ class ShiftPlan:
         return len(self.displacements)
 
     def validate(self, cfg: SwConfig) -> None:
-        """Raise PlanError unless the plan has cfg's displacements and
-        (E, C_sw, g) tables."""
+        """Raise PlanError unless the plan has cfg's displacements, sigma_h
+        and sigma_w are (E, C_sw, g) tables of indices in [0, g), and
+        disp_h == d[sigma_h] and disp_w == d[g - 1 - sigma_w]."""
+        sigmas = (self.sigma_h, self.sigma_w)
         if (self.displacements != cfg.displacements()
-                or self.sigma_h.shape != (cfg.edges, cfg.sw_channels, cfg.g)):
+                or any(s.shape != (cfg.edges, cfg.sw_channels, cfg.g) for s in sigmas)):
             raise PlanError("plan does not match the configuration")
+        d = np.asarray(self.displacements)
+        if not (all(s.dtype.kind in "iu" and 0 <= s.min() and s.max() < cfg.g for s in sigmas)
+                and np.array_equal(self.disp_h, d.take(self.sigma_h))
+                and np.array_equal(self.disp_w, d[::-1].take(self.sigma_w))):
+            raise PlanError("plan's shift indices or displacement tables are inconsistent")
 
     def shifts(self, branch_types) -> tuple[np.ndarray, np.ndarray]:
         """(dy, dx) of every shift read, int arrays of shape (R, C_sw, g):
@@ -272,8 +278,9 @@ def random_weights(cfg: SwConfig, dtype=np.float64) -> SwWeights:
 def _grid_geometry(cfg: SwConfig, h: int, w: int):
     """Working-grid pads (top, bottom, left, right) and origin for a mode.
 
-    exact: enlarge each side by the largest |displacement| on the axes the
-    active branches shift along.  half: no enlargement.  full: enlarge by
+    exact: enlarge each side by N//2 on the axes the active branches shift
+    along, so the grid holds each map's whole support (an N x N map is
+    zero further out).  half: no enlargement.  full: enlarge by
     (N-1) - ceil(N/2) in total per axis (for N = 3 this coincides with
     half), split floor/ceil between the two sides.
     """
@@ -281,29 +288,24 @@ def _grid_geometry(cfg: SwConfig, h: int, w: int):
     if cfg.pad_mode == "half":
         mt = mb = ml = mr = 0
     elif cfg.pad_mode == "exact":
-        mv = cfg.shift_margin() if BRANCH_H in cfg.branch_types else 0
-        mh = cfg.shift_margin() if BRANCH_W in cfg.branch_types else 0
-        mt = mb = mv
-        ml = mr = mh
+        mt = mb = n // 2 if BRANCH_H in cfg.branch_types else 0
+        ml = mr = n // 2 if BRANCH_W in cfg.branch_types else 0
     else:  # full
         extra = (n - 1) - (-(-n // 2))
         mt, ml = extra // 2, extra // 2
         mb, mr = extra - extra // 2, extra - extra // 2
-    pads = ((mt + n // 2, mb + n // 2), (ml + n // 2, mr + n // 2))
-    return pads, (mt, ml)
+    return ((mt + n // 2, mb + n // 2), (ml + n // 2, mr + n // 2)), (mt, ml)
 
 
 def _accumulate_shifted(out: np.ndarray, plane: np.ndarray, dy: int, dx: int,
-                        oy: int, ox: int, strict: bool) -> None:
-    """out[i, j] += plane[oy + i + dy, ox + j + dx]; reads off the plane add 0."""
+                        oy: int, ox: int) -> None:
+    """out[i, j] += plane[oy + i + dy, ox + j + dx]; reads off the plane are skipped."""
     h, w = out.shape
     mh, mw = plane.shape
     r0, r1 = oy + dy, oy + dy + h
     c0, c1 = ox + dx, ox + dx + w
     rr0, rr1 = max(r0, 0), min(r1, mh)
     cc0, cc1 = max(c0, 0), min(c1, mw)
-    if strict and (rr0 != r0 or rr1 != r1 or cc0 != c0 or cc1 != c1):
-        raise PlanError(f"displacement ({dy}, {dx}) exceeds the extended margin")
     if rr0 < rr1 and cc0 < cc1:
         out[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0] += plane[rr0:rr1, cc0:cc1]
 
@@ -366,7 +368,6 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tenso
     cg = cfg.ghost_channels
     pads, origin = _grid_geometry(cfg, xa.shape[-2], xa.shape[-1])
     bank = w.merged_bank()
-    strict = cfg.pad_mode == "exact"
     y = np.empty(xa.shape, dtype=xa.dtype)
     image = (-1,) + xa.shape[-3:]
     for img, dst in zip(xa.reshape(image), y.reshape(image)):
@@ -379,7 +380,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tenso
                 continue
             acc = np.zeros_like(xs)
             for e in range(cfg.edges):
-                _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w)
+                _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, w)
             norm = w.norms.get(branch)
             if norm is not None:
                 acc = norm.apply(acc)
@@ -387,7 +388,7 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tenso
     return Tensor(y)
 
 
-def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w) -> None:
+def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, w) -> None:
     """Accumulate one (branch, edge) shift pass."""
     oy, ox = origin
     if branch == BRANCH_CENTER:
@@ -399,15 +400,13 @@ def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, strict, w) -> 
             return
         k0 = plan.center_block
         for c in range(acc.shape[0]):
-            _accumulate_shifted(acc[c], maps[c, k0], 0, 0, oy, ox, strict)
+            _accumulate_shifted(acc[c], maps[c, k0], 0, 0, oy, ox)
         return
-    for c in range(acc.shape[0]):
-        for k in range(cfg.g):
-            if branch == BRANCH_H:
-                dy, dx = int(plan.disp_h[e, c, k]), 0
-            else:
-                dy, dx = 0, int(plan.disp_w[e, c, k])
-            _accumulate_shifted(acc[c], maps[c, k], dy, dx, oy, ox, strict)
+    disp = (plan.disp_h if branch == BRANCH_H else plan.disp_w)[e].tolist()
+    for c, row in enumerate(disp):
+        for k, s in enumerate(row):
+            dy, dx = (s, 0) if branch == BRANCH_H else (0, s)
+            _accumulate_shifted(acc[c], maps[c, k], dy, dx, oy, ox)
 
 
 def interior_band(cfg: SwConfig, h: int, w: int):

@@ -167,7 +167,8 @@ def test_empty_mask_yields_ghost_only_and_zero_diff():
 
 
 def _small_grids(n):
-    """(m, h, w): shift_margin() is 6 for m = 15 and 24 for m = 51."""
+    """(m, h, w): the shift reach, the largest |displacement|, is 6 for
+    m = 15 and 24 for m = 51."""
     return ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4))
 
 
@@ -180,7 +181,7 @@ BRANCH_SETS = (("H",), ("W",), ("H", "W"), ("center",), ALL_BRANCHES)
 @pytest.mark.parametrize("n", (3, 5))
 def test_variants_agree_across_pad_modes(pad_mode, n, rng):
     """fused == naive bitwise, and both within 1e-10 of sw_forward in f64,
-    over masks, g = 1, 1x1 and other grids smaller than the shift margin,
+    over masks, g = 1, 1x1 and other grids smaller than the shift reach,
     branch subsets and both dtypes."""
     for (m, h, w), branches in itertools.product(_small_grids(n), BRANCH_SETS):
         cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
@@ -206,7 +207,9 @@ def test_variants_agree_across_pad_modes(pad_mode, n, rng):
 
 # (margins, pitch, slot, lead) of the m = 13, n = 5 operator (displacements
 # -4, 1 and 6) on a 5 x 11 grid; half mode's bottom margin of 6 rows is cut
-# to h = 5, full mode enlarges the grid by one row and one column
+# to h = 5, full mode enlarges the grid by one row and one column, exact
+# mode by N//2 = 2 on each side of a shifted axis, which leaves margins of
+# 4 - 2 = 2 before the grid and 6 - 2 = 4 after it
 _STAGING_GEOMETRY = {
     ("half", ("H",)): ((4, 5, 0, 0), 11, 110, 44),
     ("half", ("W",)): ((0, 0, 4, 6), 17, 85, 4),
@@ -218,11 +221,11 @@ _STAGING_GEOMETRY = {
     ("full", ("H", "W")): ((4, 5, 4, 5), 17, 187, 72),
     ("full", ("center",)): ((0, 0, 0, 0), 12, 72, 0),
     ("full", ALL_BRANCHES): ((4, 5, 4, 5), 17, 187, 72),
-    ("exact", ("H",)): ((0, 0, 0, 0), 11, 187, 0),
-    ("exact", ("W",)): ((0, 0, 0, 0), 23, 115, 0),
-    ("exact", ("H", "W")): ((0, 0, 0, 0), 23, 391, 0),
+    ("exact", ("H",)): ((2, 4, 0, 0), 11, 143, 22),
+    ("exact", ("W",)): ((0, 0, 2, 4), 19, 95, 2),
+    ("exact", ("H", "W")): ((2, 4, 2, 4), 19, 247, 40),
     ("exact", ("center",)): ((0, 0, 0, 0), 11, 55, 0),
-    ("exact", ALL_BRANCHES): ((0, 0, 0, 0), 23, 391, 0),
+    ("exact", ALL_BRANCHES): ((2, 4, 2, 4), 19, 247, 40),
 }
 
 
@@ -339,7 +342,7 @@ def test_read_tables_hold_exactly_the_live_reads(pad_mode, n, g, hw, ghost, chan
                                                  branches, masked, dtype, seed):
     """Fused's read tables keep exactly the reads that touch the grid, in
     the read table's order per channel, over pad modes, N, g = 1, 1 x 1
-    grids and grids smaller than the shift margin, ghosts, masks and both
+    grids and grids smaller than the shift reach, ghosts, masks and both
     dtypes; fused == naive, which gathers every read, bitwise, and both are
     within 1e-10 (f64) or 1e-5 (f32) of sw_forward in the same dtype."""
     cfg = SwConfig(m=g * n, n=n, channels=channels, ghost=ghost, pad_mode=pad_mode,
@@ -695,6 +698,63 @@ def test_fused_checksums_pinned_at_four_read_groups():
                          weights=wts)
     assert rep.checksum == ("ecc6bdf558e6fc30672591b620a07e73"
                             "78996e9561cf09b4ccbc3fda8cf2f68e")
+
+
+# name -> (config overrides, h, w, dtype, masked) of exact-mode runs on the
+# m = 15, n = 3 operator of _EXACT (shift reach 6): every branch subset on a
+# grid larger than the reach, then f64, two masked Rep branches, a
+# disordered plan, grids smaller than N and an m = 51 operator (reach 24)
+_EXACT = dict(m=15, n=3, channels=5, ghost=0.23, edges=2, pad_mode="exact",
+              order_policy="per_edge_shuffled", seed=9)
+_EXACT_RUNS = {
+    "H": (dict(branch_types=("H",)), 17, 19, "f32", False),
+    "W": (dict(branch_types=("W",)), 17, 19, "f32", False),
+    "center": (dict(branch_types=("center",)), 17, 19, "f32", False),
+    "H+W": (dict(branch_types=("H", "W")), 17, 19, "f32", False),
+    "H+center": (dict(branch_types=("H", "center")), 17, 19, "f32", False),
+    "W+center": (dict(branch_types=("W", "center")), 17, 19, "f32", False),
+    "all": (dict(), 17, 19, "f32", False),
+    "all_f64": (dict(), 17, 19, "f64", False),
+    "rep2_masked_f64": (dict(rep_branches=2), 17, 19, "f64", True),
+    "disordered": (dict(order_policy="disordered"), 17, 19, "f32", False),
+    "n5_2x1": (dict(m=13, n=5), 2, 1, "f32", False),
+    "1x1_f64": (dict(), 1, 1, "f64", False),
+    "m51_30x28": (dict(m=51), 30, 28, "f32", False),
+}
+
+# sha256 of each run's output, the checksum naive and fused both report
+_EXACT_CHECKSUMS = {
+    "H": "8941fb00efb01a6b0a6722172320f987f9cdfbe61093d48901e3cae656e6b228",
+    "W": "ea80048f70c9e67d56ee9b91362ff5f88f2e5b06d0d159b802ff3837d155bd14",
+    "center": "02b336da4b4d66a765f08fcc3ff1697ba9ed73e471c552e6f983b6715d2b3ec9",
+    "H+W": "1a5500abb654eb9e52bb8093d622474d5d76a5e836f5cc8dcb8d19e74231e35f",
+    "H+center": "3e6fa4af1da01d1ecd34e47e2d4eab53b53f1bef1e9641320dfc722d8905c4bb",
+    "W+center": "075a3d9c555a7bb0ee98601bb5f1206a535e71d64d8da4fe6b1dfe5089596a4c",
+    "all": "e5e948ee9867d7e89cc14c10311601b851b605b9560d93b164233345d17a71d2",
+    "all_f64": "eca8df7d5b9d59afbbd9d2d1dcb03cf68ba02b286126dee63dc186336dfc7cd9",
+    "rep2_masked_f64": "d6696170bb8e04ac33f7757e171090ad10510f2a3c29fe6561dbbb3dd5b2609e",
+    "disordered": "0e1eff8e5067a462828a1a54c9bd80b05530d3224c52e2c4fcb2d10b246630bf",
+    "n5_2x1": "5d68d137f82ad222b2b45f2b22ce3beb3ca0a9f062c5297eee8bb26031eb6b30",
+    "1x1_f64": "f6f016d66791a1a0efb9ceb69535087bb4cca784abbe238bcf99262a9fbc384b",
+    "m51_30x28": "9e4e1179689acbc21871f1ae7322c3b3e6561c9d09356e22a8895f890be69ade",
+}
+
+
+def test_exact_mode_checksums_pinned():
+    """Frozen naive and fused checksums in exact mode, kept across changes of
+    the working grid: a read past a map's support adds +0.0."""
+    got = {}
+    for name, (over, h, w, dtype, masked) in _EXACT_RUNS.items():
+        cfg = SwConfig(**{**_EXACT, **over})
+        wts = random_weights(cfg, dtype={"f32": np.float32, "f64": np.float64}[dtype])
+        if masked:
+            pos = np.add.outer(np.arange(cfg.sw_channels), np.arange(cfg.g))
+            wts.masks = [pos % 3 != 0, pos % 2 == 0]
+        naive, fused = bn.measure(cfg, h, w, bn.VARIANTS, reps=1, warmup=0,
+                                  dtype=dtype, weights=wts)
+        assert naive.checksum == fused.checksum, name
+        got[name] = fused.checksum
+    assert got == _EXACT_CHECKSUMS
 
 
 @settings(max_examples=200)

@@ -211,7 +211,7 @@ def test_fanout_bytes_match_the_windowed_loop(seed, dtype, n, extra, h, w, pad_m
                                               branches, c):
     """fanout_conv on the working-grid pads of every pad mode, byte-equal
     to the windowed loop."""
-    assume(n > 1 or pad_mode != "full")     # full mode's pads are negative at N = 1
+    assume(n > 1 or pad_mode != "full")     # SwConfig refuses full mode at N = 1
     rng = np.random.default_rng(seed)
     cfg = SwConfig(m=n + extra, n=n, channels=c, pad_mode=pad_mode,
                    branch_types=branches)

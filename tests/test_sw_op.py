@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
 import shiftlab.analysis as an
+import shiftlab.bench as bn
+from shiftlab.rng import CounterRng
 from shiftlab.sw_op import PAD_MODES
 from loop_oracles import naive_depthwise
 
@@ -311,23 +314,46 @@ def test_linear_routes_reject_weights_or_plan_of_another_config(route, other, er
             an.SwLayer(cfg, wts, plan)
 
 
-def test_exact_mode_rejects_displacement_past_its_margin(rng):
+def test_plan_with_other_displacements_does_not_match(rng):
     # M = 7 and M = 9 both give g = 3 at N = 3, but the M = 7 plan's
     # displacements (-2, 1, 4) are not the M = 9 config's (-3, 0, 3)
     plan = sl.build_shift_plan(sl.SwConfig(m=7, n=3, channels=2))
     x = sl.Tensor(rng.uniform(-1, 1, (2, 8, 8)))
-    for pad_mode in ("half", "exact"):
+    for pad_mode in PAD_MODES:
         cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode=pad_mode)
         with pytest.raises(sl.PlanError, match="does not match"):
             sl.sw_forward(x, sl.random_weights(cfg), cfg, plan)
-    # a hand-built disp_h that disagrees with its displacements passes the
-    # gate; exact mode's strict margin check stops its displacement 3 + 1,
-    # past the M = 9 margin of 3
-    exact = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
-    plan = sl.build_shift_plan(exact)
-    odd = dataclasses.replace(plan, disp_h=plan.disp_h + 1)
-    with pytest.raises(sl.PlanError, match=r"displacement \(4, 0\) exceeds"):
-        sl.sw_forward(x, sl.random_weights(exact), exact, odd)
+
+
+def _inconsistent_plans(plan):
+    """Hand-built plans whose tables disagree: a displacement table off by
+    one, a shift index rotated under its table, and shift indices below 0
+    that numpy's wrap-around would still map onto the right displacements."""
+    g = plan.g
+    yield dataclasses.replace(plan, disp_h=plan.disp_h + 1)
+    yield dataclasses.replace(plan, disp_w=plan.disp_w - 1)
+    yield dataclasses.replace(plan, sigma_w=(plan.sigma_w + 1) % g)
+    yield dataclasses.replace(plan, sigma_h=plan.sigma_h - g)
+
+
+@pytest.mark.parametrize("pad_mode", PAD_MODES)
+@pytest.mark.parametrize("route", ("sw_forward", "densify", "SwLayer", "bench"))
+def test_every_route_rejects_an_inconsistent_plan(pad_mode, route, rng, monkeypatch):
+    cfg = sl.SwConfig(m=9, n=3, channels=3, edges=2, pad_mode=pad_mode,
+                      order_policy="per_edge_shuffled", seed=3)
+    wts = sl.random_weights(cfg)
+    x = sl.Tensor(rng.uniform(-1, 1, (3, 8, 8)))
+    for odd in _inconsistent_plans(sl.build_shift_plan(cfg)):
+        with pytest.raises(sl.PlanError, match="inconsistent"):
+            if route == "sw_forward":
+                sl.sw_forward(x, wts, cfg, odd)
+            elif route == "densify":
+                sl.densify(wts, odd, cfg)
+            elif route == "SwLayer":
+                an.SwLayer(cfg, wts, odd)
+            else:
+                monkeypatch.setattr(bn, "build_shift_plan", lambda _cfg: odd)
+                bn._Runner(cfg, 8, 8, "f64", weights=wts)
 
 
 def test_independent_center_bank(rng):
@@ -395,6 +421,77 @@ def test_full_mode_n5_grid_silently_widens(rng):
     y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h)).data
     assert y_f.shape == y_h.shape == (1, 16, 16)
     assert not np.array_equal(y_f, y_h)  # extra boundary contributions
+
+
+def _exact_case(shape, dtype=np.float64, masked=False, **over):
+    """An exact-mode operator (m = 15, n = 3, 5 channels, ghost 0.23, two
+    edges unless `over` says otherwise), its weights and a CounterRng input
+    of `shape`; `masked` gives it two Rep branches with fixed masks."""
+    kw = dict(m=15, n=3, channels=5, ghost=0.23, edges=2, pad_mode="exact",
+              order_policy="per_edge_shuffled", seed=9)
+    cfg = sl.SwConfig(**{**kw, **over, **({"rep_branches": 2} if masked else {})})
+    wts = sl.random_weights(cfg, dtype=dtype)
+    if masked:
+        pos = np.add.outer(np.arange(cfg.sw_channels), np.arange(cfg.g))
+        wts.masks = [pos % 3 != 0, pos % 2 == 0]
+    x = CounterRng(9, "exact-pin", repr(shape)).uniform_array(shape, -1, 1, dtype)
+    return cfg, wts, x
+
+
+# name -> _exact_case arguments: every branch subset on a grid larger than
+# the shift reach of 6, then f32, masks, an independent center bank, a
+# disordered plan, a batch, grids smaller than N and an m = 51 operator on
+# a grid larger than its reach of 24
+_EXACT_CASES = {
+    "H": dict(shape=(5, 17, 19), branch_types=("H",)),
+    "W": dict(shape=(5, 17, 19), branch_types=("W",)),
+    "center": dict(shape=(5, 17, 19), branch_types=("center",)),
+    "H+W": dict(shape=(5, 17, 19), branch_types=("H", "W")),
+    "H+center": dict(shape=(5, 17, 19), branch_types=("H", "center")),
+    "W+center": dict(shape=(5, 17, 19), branch_types=("W", "center")),
+    "all": dict(shape=(5, 17, 19)),
+    "all_f32": dict(shape=(5, 17, 19), dtype=np.float32),
+    "rep2_masked": dict(shape=(5, 17, 19), masked=True),
+    "rep2_masked_f32": dict(shape=(5, 17, 19), dtype=np.float32, masked=True),
+    "center_independent": dict(shape=(5, 17, 19), center_independent=True),
+    "disordered": dict(shape=(5, 17, 19), order_policy="disordered"),
+    "batch_f32": dict(shape=(2, 5, 9, 11), dtype=np.float32),
+    "n5_2x1_f32": dict(shape=(5, 2, 1), dtype=np.float32, m=13, n=5),
+    "1x1": dict(shape=(5, 1, 1)),
+    "m51_30x28_f32": dict(shape=(5, 30, 28), dtype=np.float32, m=51),
+}
+
+# sha256 of repr(shape) and the bytes of each case's sw_forward output
+_EXACT_PINS = {
+    "H": "581ee30901ac18e49d2baac6d13b0d340530d417280ba524c89a309e39a342c1",
+    "W": "8e090e0da1b3e75a2a50cfad7750734dc1260da71365a5f6598593a0afc80e3d",
+    "center": "6dbd485654014b150ae1a6828447569b1906f00581e7f20152966251df3d3f83",
+    "H+W": "82953d33db277acca1bdf10007c95bf6285d5244f3411c2e41cea402547d31c0",
+    "H+center": "c05340ec8d5658bcdac92eacaa8db5bf0dd5400a8cc4de9ca1d451d20dd7f311",
+    "W+center": "b19c35115901ca9ccc0053aac97df4aaa94a7cb7cbc29a529f7485b27f0757cf",
+    "all": "1cb2638e660eee309d77801cc2d917d7341401150ac8349c50d0dab6be6ea6ce",
+    "all_f32": "352e9a2b51fe83f1f57f44f97400649349f40611dd381d3e4afa45835fbb8c62",
+    "rep2_masked": "98e0b88579da89a9f0345f5bca7e15a23b104d545b689f96d184bcb4e23a0f4c",
+    "rep2_masked_f32": "c40a159066cc933a4650d896b30685eaf5a0a27e4468ca8117cc0aa54987722b",
+    "center_independent": "8575f7929849f720cd13c3404555a783d1cceeff60a7fee30156cb86ccf3b76d",
+    "disordered": "8971088eed253f98b49d2fcf73e9b62c91a1fcded9cc9eb7f854853dd0b41336",
+    "batch_f32": "0f2f9520f94b4c2eb5c30308c6f9fd3c286679a04a864e3238ecb6a27ebc114a",
+    "n5_2x1_f32": "68e32425f299798f7bc49e3b2efbf79cee54ebeb733762bc6bd6bf6a843ef256",
+    "1x1": "611fed9756640181dc87500049bcdac8e8a3df83ef9d9bd3aba9f4ee659ba2f7",
+    "m51_30x28_f32": "9a821c0f8ade2133710eddb0419dfdd2b015ebe6adb0e096b1d94f913ae86a6a",
+}
+
+
+def test_exact_mode_outputs_pinned():
+    """Frozen sha256 of exact-mode sw_forward outputs, kept across changes
+    of the working grid: a read past a map's support adds +0.0."""
+    got = {}
+    for name, case in _EXACT_CASES.items():
+        cfg, wts, x = _exact_case(**case)
+        y = sl.sw_forward(sl.Tensor(x), wts, cfg, sl.build_shift_plan(cfg)).data
+        assert y.dtype == x.dtype
+        got[name] = hashlib.sha256(repr(y.shape).encode() + y.tobytes()).hexdigest()
+    assert got == _EXACT_PINS
 
 
 # ---------------------------------------------------------------------------
@@ -541,3 +638,15 @@ def test_config_validation():
         sl.SwConfig(m=9, n=3, channels=2, pad_mode="nope")
     for mode in PAD_MODES:
         sl.SwConfig(m=9, n=3, channels=2, pad_mode=mode)
+
+
+def test_full_mode_at_n1_is_refused_by_name(tmp_path):
+    # full mode enlarges each axis by (N-1) - ceil(N/2), which is -1 at N = 1
+    with pytest.raises(sl.ShapeError, match=r"pad mode 'full'.*N = 1"):
+        sl.SwConfig(m=5, n=1, channels=2, pad_mode="full")
+    for mode in ("exact", "half"):
+        sl.SwConfig(m=5, n=1, channels=2, pad_mode=mode)
+    p = tmp_path / "n1.spec"
+    p.write_text("M=5\nN=1\nC=2\npad_mode=full\n")
+    with pytest.raises(sl.FormatError, match=r"n1\.spec: pad mode 'full'.*N = 1"):
+        sl.read_operator_spec(p)
