@@ -45,12 +45,6 @@ class CoverageResult:
     max_util: float
 
 
-def ordered_utilization(m: int, n: int, h: int) -> list[float]:
-    """Closed form for the ordered policy: (H - |kN - delta_p|) / H per map."""
-    cfg = SwConfig(m=m, n=n, channels=1)
-    return [max(0, h - abs(d)) / h for d in cfg.displacements()]
-
-
 def coverage_ratio(m: int, n: int, h: int, w: int, edges: int, policy: str,
                    seeds, channels: int = 1) -> CoverageResult:
     """Boolean-grid utilization statistics of the vertical shift branch.

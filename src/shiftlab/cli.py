@@ -94,9 +94,10 @@ def _check_rows_verify(args):
             yield ("load-weights", f"{type(exc).__name__}: {exc}", float("inf"),
                    0.0, False)
             return
-        bad = int(np.any(np.sort(plan.sigma_h, axis=-1) != np.arange(cfg.g),
-                         axis=-1).sum())
-        yield ("plan-bijective", f"{cfg.edges}x{cfg.sw_channels} assignments",
+        # each H or W edge of a channel must read every displacement once
+        dy, dx = plan.shifts(cfg.branch_types)
+        bad = int(np.any(np.sort(dy + dx, axis=-1) != cfg.displacements(), axis=-1).sum())
+        yield ("plan-bijective", f"{len(dy)}x{cfg.sw_channels} displacement rows",
                float(bad), 0.0, bad == 0)
         if bad:
             return

@@ -19,6 +19,10 @@ shifts horizontally with block indices taken in reverse order, and
 full set of branches with its own channel-to-shift assignment; branch
 results are summed over edges before per-branch normalization.  A
 leading slice of ghost channels bypasses the operator unchanged.
+
+A :class:`ShiftPlan` is that assignment as two displacement tables of
+shape (E, C_sw, g), disp_h for the H branch and disp_w for the W branch;
+:func:`build_shift_plan` is the one place that draws them.
 """
 
 from __future__ import annotations
@@ -124,39 +128,39 @@ class SwConfig:
 
 @dataclass(frozen=True)
 class ShiftPlan:
-    """Displacement table per (edge, channel, fan-out index).
+    """Displacement tables per (edge, channel, fan-out index).
 
-    sigma_h/sigma_w hold shift indices in [0, g); the H branch displaces
-    block k vertically by d[sigma_h[e, c, k]], the W branch horizontally
-    by d[g - 1 - sigma_w[e, c, k]] (reverse order, sharing one table
-    unless the policy shuffles only the H branch).  disp_h/disp_w are
-    those displacements, read-only int arrays of shape (E, C_sw, g).
+    The H branch moves block k of channel c on edge e vertically by
+    disp_h[e, c, k], the W branch horizontally by disp_w[e, c, k]; both
+    are read-only int64 arrays of shape (E, C_sw, g) whose entries are
+    the config's displacements d (`build_shift_plan` says which).
     """
 
-    displacements: tuple[int, ...]
-    sigma_h: np.ndarray
-    sigma_w: np.ndarray
-    center_block: int
     disp_h: np.ndarray
     disp_w: np.ndarray
 
     @property
     def g(self) -> int:
-        return len(self.displacements)
+        return self.disp_h.shape[-1]
+
+    @property
+    def center_block(self) -> int:
+        """The fan-out block the center branch applies unshifted, g // 2."""
+        return self.g // 2
 
     def validate(self, cfg: SwConfig) -> None:
-        """Raise PlanError unless the plan has cfg's displacements, sigma_h
-        and sigma_w are (E, C_sw, g) tables of indices in [0, g), and
-        disp_h == d[sigma_h] and disp_w == d[g - 1 - sigma_w]."""
-        sigmas = (self.sigma_h, self.sigma_w)
-        if (self.displacements != cfg.displacements()
-                or any(s.shape != (cfg.edges, cfg.sw_channels, cfg.g) for s in sigmas)):
-            raise PlanError("plan does not match the configuration")
-        d = np.asarray(self.displacements)
-        if not (all(s.dtype.kind in "iu" and 0 <= s.min() and s.max() < cfg.g for s in sigmas)
-                and np.array_equal(self.disp_h, d.take(self.sigma_h))
-                and np.array_equal(self.disp_w, d[::-1].take(self.sigma_w))):
-            raise PlanError("plan's shift indices or displacement tables are inconsistent")
+        """Raise PlanError unless disp_h and disp_w are integer (E, C_sw, g)
+        tables and every entry is one of cfg.displacements()."""
+        want, d = (cfg.edges, cfg.sw_channels, cfg.g), cfg.displacements()
+        on_d = np.zeros(d[-1] - d[0] + 1, dtype=bool)   # on_d[t - d[0]]: t is in d
+        on_d[::cfg.n] = True
+        for t in (self.disp_h, self.disp_w):
+            if t.shape != want or t.dtype.kind != "i":
+                raise PlanError(f"plan does not match the configuration: a {t.dtype} "
+                                f"table of shape {t.shape}, want integers of shape {want}")
+            if not (d[0] <= t.min() and t.max() <= d[-1] and on_d.take(t - d[0]).all()):
+                raise PlanError(f"plan does not match the configuration: a displacement "
+                                f"outside {d}")
 
     def shifts(self, branch_types) -> tuple[np.ndarray, np.ndarray]:
         """(dy, dx) of every shift read, int arrays of shape (R, C_sw, g):
@@ -169,7 +173,11 @@ class ShiftPlan:
 
 
 def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
-    """Deterministic displacement table for one operator instance.
+    """Deterministic displacement tables for one operator instance.
+
+    A shift index sigma[e, c, k] in [0, g) gives block k the displacement
+    d[sigma] in the H branch and d[g - 1 - sigma] in the W branch (the W
+    branch takes the displacements in reverse order):
 
     ordered            sigma[e, c, k] = k everywhere.
     disordered         one permutation per channel, shared by all edges,
@@ -177,26 +185,21 @@ def build_shift_plan(cfg: SwConfig) -> ShiftPlan:
     per_edge_shuffled  a fresh permutation per (edge, channel), shared by
                        the H and W branches.
     """
-    g, e_cnt, c_cnt = cfg.g, cfg.edges, cfg.sw_channels
-    shape = (e_cnt, c_cnt, g)
-    ident = np.broadcast_to(np.arange(g, dtype=np.int64), shape)
-    channels = np.arange(c_cnt)
-    if cfg.order_policy == "ordered":
-        sig_h = sig_w = ident
-    elif cfg.order_policy == "disordered":
+    g = cfg.g
+    channels = np.arange(cfg.sw_channels)
+    sig_h = sig_w = np.arange(g)
+    if cfg.order_policy == "disordered":
         sig_h = permutations(cfg.seed, "plan", cfg.layer_id, "disordered", channels, n=g)
-        sig_w = ident
-    else:  # per_edge_shuffled
+    elif cfg.order_policy == "per_edge_shuffled":
         sig_h = sig_w = permutations(cfg.seed, "plan", cfg.layer_id,
-                                     np.arange(e_cnt)[:, None], channels, n=g)
-    same = sig_w is sig_h
-    sig_h = np.array(np.broadcast_to(sig_h, shape))
-    sig_w = sig_h if same else np.array(np.broadcast_to(sig_w, shape))
+                                     np.arange(cfg.edges)[:, None], channels, n=g)
     d = np.asarray(cfg.displacements(), dtype=np.int64)
-    disp_h, disp_w = d.take(sig_h), d[::-1].take(sig_w)
-    for a in (sig_h, sig_w, disp_h, disp_w):    # fresh arrays, frozen in place
-        a.setflags(write=False)
-    return ShiftPlan(cfg.displacements(), sig_h, sig_w, g // 2, disp_h, disp_w)
+    tables = []
+    for t in (d.take(sig_h), d[::-1].take(sig_w)):
+        t = np.broadcast_to(t, (cfg.edges, cfg.sw_channels, g)).copy()
+        t.setflags(write=False)
+        tables.append(t)
+    return ShiftPlan(*tables)
 
 
 @dataclass

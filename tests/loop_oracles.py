@@ -7,12 +7,15 @@ second, independent route in dual-route checks.  The windowed tap loop
 keeps conv_ref's accumulation order on purpose: conv_ref must match it
 byte for byte.  The impulse-response ERF runs the package's forward
 routes, one probe pixel at a time, as the cross-check of its adjoint.
+The shift indices are a plan's tables read back as indices into the
+displacements, and the ordered-policy utilization is the closed form
+that coverage's painted grid must reproduce.
 """
 
 import numpy as np
 
 import shiftlab.analysis as an
-from shiftlab import Tensor, strip_conv_ref, sw_forward
+from shiftlab import SwConfig, Tensor, strip_conv_ref, sw_forward
 
 
 def naive_conv2d(x, w, pad_h, pad_w, groups=1):
@@ -91,6 +94,27 @@ def windowed_fanout(x, w, pad):
     xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
     out = windowed_correlate(xpad[:, None, None], w.astype(x.dtype)[:, :, None], out_h, out_w)
     return out.reshape(c * g, out_h, out_w)
+
+
+# ---------------------------------------------------------------------------
+# shift indices of a plan
+# ---------------------------------------------------------------------------
+
+def shift_indices(cfg, plan):
+    """(sigma_h, sigma_w): the shift index in [0, g) of every entry of the
+    plan's tables, d[sigma_h] == disp_h and d[g - 1 - sigma_w] == disp_w
+    for cfg's displacements d = k * N - delta_p."""
+    return ((plan.disp_h + cfg.delta_p) // cfg.n,
+            cfg.g - 1 - (plan.disp_w + cfg.delta_p) // cfg.n)
+
+
+# ---------------------------------------------------------------------------
+# coverage in closed form
+# ---------------------------------------------------------------------------
+
+def ordered_utilization(m, n, h):
+    """Closed form for the ordered policy: (H - |kN - delta_p|) / H per map."""
+    return [max(0, h - abs(d)) / h for d in SwConfig(m=m, n=n, channels=1).displacements()]
 
 
 # ---------------------------------------------------------------------------

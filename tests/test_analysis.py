@@ -7,7 +7,7 @@ import pytest
 import shiftlab as sl
 import shiftlab.analysis as an
 from shiftlab.sparsity import init_sparsity
-from loop_oracles import erf_map_impulse
+from loop_oracles import erf_map_impulse, ordered_utilization
 
 
 # ---------------------------------------------------------------------------
@@ -16,14 +16,14 @@ from loop_oracles import erf_map_impulse
 
 def test_ordered_utilization_closed_form():
     res = an.coverage_ratio(51, 3, 56, 56, 1, "ordered", [9])
-    cf = an.ordered_utilization(51, 3, 56)
+    cf = ordered_utilization(51, 3, 56)
     assert abs(res.rows[0][1] - np.mean(cf)) <= 1e-12
     assert abs(res.rows[0][2] - np.min(cf)) <= 1e-12
     assert abs(res.rows[0][3] - np.max(cf)) <= 1e-12
 
 
 def test_zero_displacement_map_fully_utilized():
-    cf = an.ordered_utilization(51, 3, 56)
+    cf = ordered_utilization(51, 3, 56)
     assert cf[8] == 1.0  # the k0 = g//2 block carries displacement 0
 
 

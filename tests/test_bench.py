@@ -645,15 +645,13 @@ def test_moves_per_pixel_counts_in_grid_reads(rng):
         ((pt, pb), (pl, pr)), (oy, ox) = _grid_geometry(cfg, h, w)
         gh, gw = h + pt + pb - cfg.n + 1, w + pl + pr - cfg.n + 1
         plan = build_shift_plan(cfg)
-        d = plan.displacements
         moves = 0
         for c in range(cfg.sw_channels):
             for k in range(cfg.g):
                 if not wts.masks[0][c, k]:
                     continue
                 for e in range(cfg.edges):
-                    shifts = [(d[plan.sigma_h[e, c, k]], 0),
-                              (0, d[cfg.g - 1 - plan.sigma_w[e, c, k]])]
+                    shifts = [(plan.disp_h[e, c, k], 0), (0, plan.disp_w[e, c, k])]
                     if k == plan.center_block:
                         shifts.append((0, 0))
                     for dy, dx in shifts:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -201,6 +202,30 @@ def test_verify_spec_with_identity_norm_runs_densify_consistency(tmp_path):
     assert [r[0] for r in rows] == ["load-spec", "load-weights", "plan-bijective",
                                     "densify-consistency", "ghost-passthrough"]
     assert all(r[4] == "pass" for r in rows)
+
+
+def test_verify_spec_plan_with_a_repeated_displacement_fails_plan_bijective(
+        tmp_path, capsys, monkeypatch):
+    # a W edge that reads one displacement twice and skips another: every
+    # entry is one of the config's displacements, so the plan passes
+    # ShiftPlan.validate, but the edge's reads are not a permutation
+    cfg = sl.SwConfig(m=9, n=3, channels=4, edges=2, seed=3,
+                      order_policy="per_edge_shuffled")
+    plan = sl.build_shift_plan(cfg)
+    disp_w = plan.disp_w.copy()
+    disp_w[1, 2, 0] = disp_w[1, 2, 1]
+    odd = dataclasses.replace(plan, disp_w=disp_w)
+    odd.validate(cfg)
+    monkeypatch.setattr(cli, "build_shift_plan", lambda _cfg: odd)
+    spec = tmp_path / "op.spec"
+    sl.write_operator_spec(cfg, spec)
+    rc = main(["verify", "--out", str(tmp_path / "o"), "--spec", str(spec)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] plan-bijective" in captured.out and "Traceback" not in captured.err
+    rows = _read_csv(tmp_path / "o" / "verify.csv")[1:]
+    assert [r[0] for r in rows] == ["load-spec", "load-weights", "plan-bijective"]
+    assert rows[2][1:] == ["4x4 displacement rows", "1", "0", "FAIL"]
 
 
 def test_verify_spec_with_misshapen_norm_fails_load_weights(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_densify_matches_forward_across_fanouts(rng):
 
 def _densify_loop(w, plan, cfg):
     """Reference densify: one block placement per (branch, edge, channel, k)."""
-    n, s = cfg.n, max(abs(d) for d in plan.displacements)
+    n, s = cfg.n, max(abs(d) for d in cfg.displacements())
     s_v = s if "H" in cfg.branch_types else 0
     s_h = s if "W" in cfg.branch_types else 0
     bank = w.merged_bank()

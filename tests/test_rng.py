@@ -11,6 +11,7 @@ from shiftlab.cli import run_prune_sim
 from shiftlab.rng import CounterRng, _mul_hi, permutations
 from shiftlab.sparsity import _nested_subsets, init_sparsity
 from shiftlab.sw_op import SwConfig, build_shift_plan, random_weights
+from loop_oracles import shift_indices
 
 
 def test_deterministic_for_fixed_key():
@@ -204,9 +205,11 @@ def _sha256(arrays):
     ("per_edge_shuffled", "5ac0bd2682b80a8ccb4740ab0a4998159d24c837e966045aed3e46343303a928"),
 ])
 def test_sw_tiny_plans_pinned(policy, digest):
-    """Frozen sha256 of sigma_h/sigma_w of all 27 sw_tiny plans (scalar-stream values)."""
-    plans = [build_shift_plan(cfg) for _, cfg in _tiny_configs(policy)]
-    assert _sha256(a for p in plans for a in (p.sigma_h, p.sigma_w)) == digest
+    """Frozen sha256 of the shift indices (sigma_h, sigma_w) of all 27 sw_tiny
+    plans (scalar-stream values), read back from their displacement tables."""
+    cfgs = [cfg for _, cfg in _tiny_configs(policy)]
+    assert _sha256(a for cfg in cfgs
+                   for a in shift_indices(cfg, build_shift_plan(cfg))) == digest
 
 
 def test_subset_masks_and_prune_sim_pinned():

@@ -1,8 +1,9 @@
 """The package runs on numpy alone: every import under src/shiftlab, at
 module level or inside a function, names the standard library, numpy or
-the package itself, so a new third-party dependency fails here.  And the
+the package itself, so a new third-party dependency fails here.  The
 rule that turns a plan's displacement tables into shift reads has one
-owner, ShiftPlan.shifts."""
+owner, ShiftPlan.shifts, and the rule that makes the tables has one,
+build_shift_plan."""
 
 import ast
 import pathlib
@@ -39,4 +40,13 @@ def test_only_sw_op_and_analysis_read_displacement_tables():
                  if f.name not in DISP_READERS
                  for node in ast.walk(ast.parse(f.read_text(), str(f)))
                  if isinstance(node, ast.Attribute) and node.attr in ("disp_h", "disp_w"))
+    assert not bad, bad
+
+
+def test_only_sw_op_builds_a_shift_plan():
+    bad = sorted((f.name, node.lineno) for f in sorted(SRC.glob("*.py"))
+                 if f.name != "sw_op.py"
+                 for node in ast.walk(ast.parse(f.read_text(), str(f)))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ShiftPlan")
     assert not bad, bad

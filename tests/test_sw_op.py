@@ -11,7 +11,7 @@ import shiftlab.analysis as an
 import shiftlab.bench as bn
 from shiftlab.rng import CounterRng
 from shiftlab.sw_op import PAD_MODES
-from loop_oracles import naive_depthwise
+from loop_oracles import naive_depthwise, shift_indices
 
 
 # ---------------------------------------------------------------------------
@@ -22,27 +22,33 @@ def test_plan_m51_n3():
     cfg = sl.SwConfig(m=51, n=3, channels=2)
     assert cfg.g == 17 and cfg.delta_p == 24
     plan = sl.build_shift_plan(cfg)
-    assert plan.displacements == tuple(range(-24, 25, 3))
-    assert plan.displacements[0] == -24 and plan.displacements[-1] == 24
-    assert plan.center_block == 8
-    assert plan.displacements[plan.center_block] == 0
+    d = cfg.displacements()
+    assert d == tuple(range(-24, 25, 3))
+    assert plan.center_block == 8 and d[plan.center_block] == 0
+    # ordered: H takes the displacements in order, W in reverse order
+    assert plan.disp_h.tolist() == [[list(d)] * 2]
+    assert plan.disp_w.tolist() == [[list(d[::-1])] * 2]
+    assert [f.name for f in dataclasses.fields(plan)] == ["disp_h", "disp_w"]
+    for t in (plan.disp_h, plan.disp_w):
+        assert t.dtype == np.int64 and not t.flags.writeable
 
 
 def test_plan_degenerate_m_equals_n():
     cfg = sl.SwConfig(m=3, n=3, channels=1)
     assert cfg.g == 1 and cfg.delta_p == 0
     plan = sl.build_shift_plan(cfg)
-    assert plan.displacements == (0,)
+    assert cfg.displacements() == (0,)
+    assert plan.disp_h.tolist() == plan.disp_w.tolist() == [[[0]]]
 
 
 def test_plan_per_edge_shuffled_bijective_and_distinct():
     cfg = sl.SwConfig(m=51, n=3, channels=1, edges=2,
                       order_policy="per_edge_shuffled", seed=7)
     plan = sl.build_shift_plan(cfg)
-    p0 = list(plan.sigma_h[0, 0])
-    p1 = list(plan.sigma_h[1, 0])
-    assert sorted(p0) == list(range(17))
-    assert sorted(p1) == list(range(17))
+    p0 = list(plan.disp_h[0, 0])
+    p1 = list(plan.disp_h[1, 0])
+    assert sorted(p0) == list(cfg.displacements())
+    assert sorted(p1) == list(cfg.displacements())
     assert p0 != p1
 
 
@@ -50,30 +56,34 @@ def test_plan_ordered_identical_across_edges():
     cfg = sl.SwConfig(m=21, n=3, channels=3, edges=4)
     plan = sl.build_shift_plan(cfg)
     for e in range(4):
-        assert np.array_equal(plan.sigma_h[e], plan.sigma_h[0])
-        assert np.array_equal(plan.sigma_h[e], np.tile(np.arange(7), (3, 1)))
+        assert np.array_equal(plan.disp_h[e], np.tile(cfg.displacements(), (3, 1)))
+        assert np.array_equal(plan.disp_w[e], np.tile(cfg.displacements()[::-1], (3, 1)))
 
 
 def test_plan_disordered_shuffles_vertical_branch_only():
     cfg = sl.SwConfig(m=21, n=3, channels=4, edges=2,
                       order_policy="disordered", seed=11)
     plan = sl.build_shift_plan(cfg)
-    assert np.array_equal(plan.sigma_h[0], plan.sigma_h[1])  # shared across edges
-    assert not np.array_equal(plan.sigma_h[0], np.tile(np.arange(7), (4, 1)))
-    assert np.array_equal(plan.sigma_w[0], np.tile(np.arange(7), (4, 1)))
+    d = cfg.displacements()
+    assert np.array_equal(plan.disp_h[0], plan.disp_h[1])  # shared across edges
+    assert not np.array_equal(plan.disp_h[0], np.tile(d, (4, 1)))
+    assert np.array_equal(plan.disp_w[0], np.tile(d[::-1], (4, 1)))
     for c in range(4):
-        assert sorted(plan.sigma_h[0, c]) == list(range(7))
+        assert sorted(plan.disp_h[0, c]) == list(d)
 
 
 @settings(max_examples=20)
-@given(st.integers(0, 2**31), st.integers(1, 4), st.integers(1, 3))
-def test_plan_permutation_property(seed, edges, channels):
-    cfg = sl.SwConfig(m=35, n=5, channels=channels, edges=edges,
+@given(st.integers(0, 2**31), st.integers(1, 4), st.integers(1, 3), st.sampled_from((31, 35)))
+def test_plan_permutation_property(seed, edges, channels, m):
+    cfg = sl.SwConfig(m=m, n=5, channels=channels, edges=edges,
                       order_policy="per_edge_shuffled", seed=seed)
     plan = sl.build_shift_plan(cfg)
+    sigma_h, sigma_w = shift_indices(cfg, plan)
+    # one permutation per (edge, channel), shared by the H and W branches
+    assert np.array_equal(sigma_h, sigma_w)
     for e in range(edges):
         for c in range(channels):
-            assert sorted(plan.sigma_h[e, c]) == list(range(cfg.g))
+            assert sorted(sigma_h[e, c]) == list(range(cfg.g))
 
 
 def test_plan_deterministic():
@@ -81,7 +91,7 @@ def test_plan_deterministic():
                       order_policy="per_edge_shuffled", seed=123)
     a = sl.build_shift_plan(cfg)
     b = sl.build_shift_plan(cfg)
-    assert np.array_equal(a.sigma_h, b.sigma_h)
+    assert np.array_equal(a.disp_h, b.disp_h) and np.array_equal(a.disp_w, b.disp_w)
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +335,20 @@ def test_plan_with_other_displacements_does_not_match(rng):
             sl.sw_forward(x, sl.random_weights(cfg), cfg, plan)
 
 
-def _inconsistent_plans(plan):
-    """Hand-built plans whose tables disagree: a displacement table off by
-    one, a shift index rotated under its table, and shift indices below 0
-    that numpy's wrap-around would still map onto the right displacements."""
-    g = plan.g
+def _inconsistent_plans(cfg, plan):
+    """Hand-built plans that break the one invariant, integer (E, C_sw, g)
+    tables of cfg's displacements: a table off by one, an entry one step
+    before the first displacement and one after the last, both on the
+    lattice of displacements, a float table and a table missing a channel."""
+    d, n = cfg.displacements(), cfg.n
+    before, past = plan.disp_h.copy(), plan.disp_w.copy()
+    before[0, 0, 0], past[-1, -1, -1] = d[0] - n, d[-1] + n
     yield dataclasses.replace(plan, disp_h=plan.disp_h + 1)
     yield dataclasses.replace(plan, disp_w=plan.disp_w - 1)
-    yield dataclasses.replace(plan, sigma_w=(plan.sigma_w + 1) % g)
-    yield dataclasses.replace(plan, sigma_h=plan.sigma_h - g)
+    yield dataclasses.replace(plan, disp_h=before)
+    yield dataclasses.replace(plan, disp_w=past)
+    yield dataclasses.replace(plan, disp_h=plan.disp_h.astype(np.float64))
+    yield dataclasses.replace(plan, disp_w=plan.disp_w[:, 1:])
 
 
 @pytest.mark.parametrize("pad_mode", PAD_MODES)
@@ -343,8 +358,8 @@ def test_every_route_rejects_an_inconsistent_plan(pad_mode, route, rng, monkeypa
                       order_policy="per_edge_shuffled", seed=3)
     wts = sl.random_weights(cfg)
     x = sl.Tensor(rng.uniform(-1, 1, (3, 8, 8)))
-    for odd in _inconsistent_plans(sl.build_shift_plan(cfg)):
-        with pytest.raises(sl.PlanError, match="inconsistent"):
+    for odd in _inconsistent_plans(cfg, sl.build_shift_plan(cfg)):
+        with pytest.raises(sl.PlanError, match="does not match"):
             if route == "sw_forward":
                 sl.sw_forward(x, wts, cfg, odd)
             elif route == "densify":
