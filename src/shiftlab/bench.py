@@ -277,10 +277,11 @@ def _bench_input(seed: int, shape: tuple[int, int, int], np_dtype) -> np.ndarray
 
 
 class _Runner:
-    """Shared state for one benchmark problem instance."""
+    """Shared state for one benchmark problem instance: the operator on one
+    (C, h, w) input x, drawn by `_bench_input` when none is given."""
 
     def __init__(self, cfg: SwConfig, h: int, w: int, dtype: str = "f32",
-                 weights: SwWeights | None = None):
+                 weights: SwWeights | None = None, x: np.ndarray | None = None):
         self.cfg = cfg
         self.h, self.w = h, w
         self.np_dtype = {"f32": np.float32, "f64": np.float64}.get(dtype)
@@ -295,7 +296,12 @@ class _Runner:
             raise ShapeError("bench variants add the shared center block k0; "
                              "center_independent is not supported")
         self.bank = weights.merged_bank().astype(self.np_dtype)
-        self.x = _bench_input(cfg.seed, (cfg.channels, h, w), self.np_dtype)
+        if x is None:
+            x = _bench_input(cfg.seed, (cfg.channels, h, w), self.np_dtype)
+        elif x.shape != (cfg.channels, h, w) or x.dtype != self.np_dtype:
+            raise ShapeError(f"bench input of shape {x.shape} and dtype {x.dtype} is not "
+                             f"({cfg.channels}, {h}, {w}) {dtype}")
+        self.x = x
         pads, (oy, ox) = _grid_geometry(cfg, h, w)
         (pt, pb), (pl, pr) = pads
         self.pads = (pt, pb, pl, pr)

@@ -10,6 +10,14 @@ end), broadcast over output channels and images at once.  Every kept
 output element adds the same products in the same order whatever the
 shapes, so f32 results are reproducible bit-for-bit run to run.
 
+The loop skips the taps that can only add zeros (:func:`_live_taps`): a
+tap whose filter entry is +-0 for every output, and one that reads only
+zero padding for every kept output.  With finite operands each product
+it would add is +-0, and adding +-0 to the accumulator, which starts at
++0.0 and so is never -0.0, changes no bit: the outputs are those of the
+loop over every tap.  If either operand holds an inf or a nan
+(0 * inf is nan), no tap is skipped.
+
 Each convolution takes its shape from its inputs: kernel extents and
 groups from the bank, "same" pads kh//2, kw//2 (so kernels are odd)
 except in :func:`fanout_conv`, whose caller passes the working-grid pads.
@@ -18,6 +26,8 @@ zero, matching :func:`shiftlab.tensor.get_zero_extended`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -56,15 +66,37 @@ def _correlate(x: np.ndarray, filt: np.ndarray, pads) -> np.ndarray:
     xpad = np.zeros(x.shape[:-2] + (hp + spare, step), dtype=x.dtype)
     xpad[..., pt:pt + h, pl:pl + w] = x
     flat = xpad.reshape(x.shape[:-2] + (-1,))
-    lead = np.broadcast_shapes(x.shape[:-3], filt.shape[:-3])
+    # the broadcast leading axes (np.broadcast_shapes costs a small call's tap)
+    lead = np.broadcast(flat[..., 0, :1], filt[..., 0, 0, :1]).shape[:-1]
     span = out_h * step
     acc = np.zeros(lead + (span,), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            s = u * step + v
-            for cl in range(cpg):
-                acc += filt[..., cl, u, v, None] * flat[..., cl, s:s + span]
+    for u, v, cl in _live_taps(x, filt, pt, pl, out_h, out_w):
+        s = u * step + v
+        acc += filt[..., cl, u, v, None] * flat[..., cl, s:s + span]
     return acc.reshape(lead + (out_h, step))[..., :out_w]
+
+
+def _live_taps(x, filt, pt, pl, out_h, out_w):
+    """The taps (u, v, cl) of :func:`_correlate`, in its loop order, that
+    can add a nonzero product to a kept output, as an iterable.
+
+    That is every tap but those where filt is +-0 at (cl, u, v) for every
+    broadcast output and those whose rows [u, u + out_h) miss the image
+    rows [pt, pt + H) or whose columns [v, v + out_w) miss [pl, pl + W);
+    it is every tap when x or filt holds an inf or a nan.
+    """
+    cpg, kh, kw = filt.shape[-3:]
+    h, w = x.shape[-2:]
+    u0, u1 = max(pt - out_h + 1, 0), min(pt + h, kh)
+    v0, v1 = max(pl - out_w + 1, 0), min(pl + w, kw)
+    every = itertools.product(range(kh), range(kw), range(cpg))
+    if (u1 - u0, v1 - v0) == (kh, kw) and np.count_nonzero(filt) == filt.size:
+        return every                    # the common case, in one cheap test
+    live = filt[..., u0:u1, v0:v1].any(axis=tuple(range(filt.ndim - 3))).transpose(1, 2, 0)
+    if np.count_nonzero(live) == kh * kw * cpg \
+            or not (np.isfinite(x).all() and np.isfinite(filt).all()):
+        return every
+    return (np.argwhere(live) + (u0, v0, 0)).tolist()
 
 
 def conv2d_ref(x: Tensor, w) -> Tensor:

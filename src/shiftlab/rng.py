@@ -23,11 +23,17 @@ golden-file regression.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX2 = np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31, _U32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
+_U_LO32 = np.uint64(0xFFFFFFFF)
 
 
 def _mix(z: int) -> int:
@@ -39,17 +45,29 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, wrapping like _mix."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer over a uint64 array, wrapping like _mix.
+
+    An array is mixed in place, in its own memory, and returned; a numpy
+    scalar gives a new scalar.
+    """
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    return z
 
 
 def _words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
     """Outputs start .. start + count - 1 of each key's stream, on a new first axis."""
     keys = np.asarray(keys, dtype=np.uint64)
-    ctrs = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _mix_array(ctrs.reshape((count,) + (1,) * keys.ndim) + keys)
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _U_GOLDEN
+    if keys.ndim:
+        z = z.reshape((count,) + (1,) * keys.ndim) + keys
+    else:
+        z += keys
+    return _mix_array(z)
 
 
 def _key_part(part) -> int:
@@ -91,8 +109,8 @@ def _mul_hi(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     With u split into 32-bit halves this is (hi * m + ((lo * m) >> 32)) >> 32,
     whose terms cannot wrap while m < 2**32.
     """
-    hi, lo = u >> np.uint64(32), u & np.uint64(0xFFFFFFFF)
-    return (hi * m + ((lo * m) >> np.uint64(32))) >> np.uint64(32)
+    hi, lo = u >> _U32, u & _U_LO32
+    return (hi * m + ((lo * m) >> _U32)) >> _U32
 
 
 def permutations(seed: int, *stream, n: int) -> np.ndarray:
@@ -194,8 +212,12 @@ class CounterRng:
         Vectorized over the counter; the stream position advances by the
         element count so scalar and array draws interleave consistently.
         """
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         z = _words(self._key, self._ctr, n)
         self._ctr += n
-        u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return (lo + (hi - lo) * u).reshape(shape).astype(dtype, copy=False)
+        z >>= _U11
+        u = z.view(np.float64)          # each word becomes its float in place
+        np.multiply(z, 2.0 ** -53, out=u)
+        u *= hi - lo
+        u += lo
+        return u.reshape(shape).astype(dtype, copy=False)

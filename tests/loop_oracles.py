@@ -5,8 +5,13 @@ every output element and tap, deliberately sharing no code (and no
 accumulation strategy) with the package, so they can serve as the
 second, independent route in dual-route checks.  The windowed tap loop
 keeps conv_ref's accumulation order on purpose: conv_ref must match it
-byte for byte.  The impulse-response ERF runs the package's forward
-routes, one probe pixel at a time, as the cross-check of its adjoint.
+byte for byte.  It skips no tap, where conv_ref skips the taps whose
+products are all +-0 (a filter entry +-0 for every output, or reads of
+padding only): adding +-0 to an accumulator that starts at +0.0 changes
+no bit, so with finite operands the two agree byte for byte, and with an
+inf or a nan in either operand conv_ref skips nothing.  The
+impulse-response ERF runs the package's forward routes, one probe pixel
+at a time, as the cross-check of its adjoint.
 The shift indices are a plan's tables read back as indices into the
 displacements, and the ordered-policy utilization is the closed form
 that coverage's painted grid must reproduce.

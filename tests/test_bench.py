@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -896,6 +897,24 @@ def test_bench_rejects_dtype_outside_f32_f64():
         bn.run_variant("fused", cfg, 8, 8, reps=1, dtype="f16")
     with pytest.raises(ShapeError, match="dtype"):
         bn.verify_variants(cfg, trials=1, h=8, w=8, dtype="f16")
+
+
+def test_runner_runs_the_input_it_is_given():
+    """x replaces the drawn input; an input that is not (C, h, w) in the
+    runner's dtype is a ShapeError that names its shape."""
+    cfg = SwConfig(**SMALL)
+    own = bn._Runner(cfg, 8, 9, "f64")
+    same = bn._Runner(cfg, 8, 9, "f64", x=own.x.copy())
+    for variant in ("naive", "fused"):
+        want = own.run(variant, bn._Instr())
+        assert same.run(variant, bn._Instr()).tobytes() == want.tobytes()
+        x = own.x[:, ::-1].copy()
+        got = bn._Runner(cfg, 8, 9, "f64", x=x).run(variant, bn._Instr())
+        ref = sw_forward(Tensor(x), own.weights, cfg, own.plan).data
+        assert np.max(np.abs(got - ref)) <= 1e-10 and got.tobytes() != want.tobytes()
+    for bad in (own.x[None], own.x[:, :-1], own.x[:-1], own.x.astype(np.float32)):
+        with pytest.raises(ShapeError, match=rf"{re.escape(str(bad.shape))} and dtype {bad.dtype}"):
+            bn._Runner(cfg, 8, 9, "f64", x=bad)
 
 
 def test_one_measured_rep_reports_a_fresh_runs_checksum():

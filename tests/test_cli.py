@@ -42,6 +42,11 @@ def _sha256(path):
 _CSV_PINS = {
     ("verify", "--trials", "15", "--fold-trials", "5"): {
         "verify.csv": "b14c22a951f80f7d02dd9c9f9e0bc1caf24a316467ab65715e3d1a4f8733b880"},
+    # the sweep shiftbench times, and an f32 sweep
+    ("verify", "--trials", "50", "--fold-trials", "25"): {
+        "verify.csv": "95e7a59ed34b97e6bb383e5bf58a56d9c86070ba169a1915f1a1cc797785f9de"},
+    ("verify", "--trials", "15", "--fold-trials", "5", "--dtype", "f32"): {
+        "verify.csv": "4c1b5a77b0d962f370ae29335251d0b4c951f8448c552379192baaee64c3a8db"},
     ("coverage", "--edges", "1,4", "--n-seeds", "3"): {
         "coverage.csv": "8ce2c65625224c60f512990415c3e0e0580888840f95233962b364913ee7405b"},
     ("erf", "--strip", "21,3", "--probe", "31"): {

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab import (ShapeError, Tensor, conv2d_ref, fanout_conv, from_array,
-                      max_abs_diff, strip_conv_ref)
+from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan, conv2d_ref, densify,
+                      fanout_conv, from_array, max_abs_diff, random_weights, strip_conv_ref)
+from shiftlab.conv_ref import _live_taps
 from shiftlab.rng import CounterRng
-from shiftlab.sw_op import PAD_MODES, SwConfig, _grid_geometry
+from shiftlab.sw_op import PAD_MODES, _grid_geometry
 from loop_oracles import (naive_conv2d, naive_depthwise, windowed_conv2d,
                           windowed_fanout)
 
@@ -172,54 +173,129 @@ def _signed_zeros(rng, shape, dtype):
     return a.astype(dtype)
 
 
+def _zero_taps(rng, bank):
+    """Zero about half of the bank's taps (cl, u, v) for every output, each
+    entry to +-0.0 with its own sign."""
+    bank *= rng.uniform(size=bank.shape[-3:]) < 0.5
+
+
+def _spoil(rng, a):
+    """Put +inf, -inf or nan at about one entry in 20 of a, at least one."""
+    flat = a.reshape(-1)
+    at = rng.integers(0, flat.size, 1 + flat.size // 20)
+    flat[at] = rng.choice(np.array([np.inf, -np.inf, np.nan], a.dtype), at.size)
+
+
+def _operands(rng, x_shape, bank_shape, dtype, zero_taps, nonfinite):
+    x = _signed_zeros(rng, x_shape, dtype)
+    bank = _signed_zeros(rng, bank_shape, dtype)
+    if zero_taps:
+        _zero_taps(rng, bank)
+    if nonfinite:
+        _spoil(rng, x if nonfinite == "x" else bank)
+    return x, bank
+
+
 _DTYPES = st.sampled_from((np.float32, np.float64))
 _GRID = st.integers(1, 9)       # down to 1x1 and narrower than a 7-tap kernel
+# 19 taps: taller and wider than twice every grid, so that some taps of
+# every such kernel read only zero padding
+_KERNEL = st.sampled_from((1, 3, 5, 7, 19))
+_NONFINITE = st.sampled_from((None, "x", "w"))      # which operand holds inf/nan
 
 
 def _same_bytes(got, want):
+    """Same shape, dtype and bytes, except that the bits of a nan are not
+    compared: which nan an inf * 0 meeting a nan operand leaves (its sign)
+    depends on the numpy loop the array layout selects, and the whole-row
+    and windowed loops select different ones, skip or no skip."""
+    nan = np.isnan(want)
     return got.shape == want.shape and got.dtype == want.dtype \
-        and got.tobytes() == want.tobytes()
+        and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
 
 
-@settings(max_examples=150)
-@given(st.integers(0, 2**32 - 1), _DTYPES, st.sampled_from((1, 3, 5, 7)),
-       st.sampled_from((1, 3, 5)), _GRID, _GRID, st.sampled_from((1, 2, "C")),
-       st.integers(1, 3), st.integers(1, 2), st.sampled_from((None, 1, 2)))
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), _DTYPES, _KERNEL, st.sampled_from((1, 3, 5, 19)),
+       _GRID, _GRID, st.sampled_from((1, 2, "C")), st.integers(1, 3), st.integers(1, 2),
+       st.sampled_from((None, 1, 2)), st.booleans(), _NONFINITE)
+@np.errstate(invalid="ignore")       # inf * 0 and inf - inf are nan
 def test_tap_loop_bytes_match_the_windowed_loop(seed, dtype, kh, kw, h, w, groups,
-                                                cpg, opg, batch):
+                                                cpg, opg, batch, zero_taps, nonfinite):
     """conv2d_ref and strip_conv_ref add the same products in the same order
-    as the windowed (u, v, channel) loop: byte-equal outputs, -0.0 included."""
+    as the windowed (u, v, channel) loop, which skips no tap: byte-equal
+    outputs, -0.0 included, also where whole taps are zero for every
+    output, where taps read only padding, and where inf or nan appear."""
     rng = np.random.default_rng(seed)
     if groups == "C":
         groups, cpg = cpg + 1, 1            # depthwise: one group per channel
     c_in = groups * cpg
     lead = () if batch is None else (batch,)
-    x = _signed_zeros(rng, lead + (c_in, h, w), dtype)
-    bank = _signed_zeros(rng, (groups * opg, cpg, kh, kw), dtype)
+    x, bank = _operands(rng, lead + (c_in, h, w), (groups * opg, cpg, kh, kw), dtype,
+                        zero_taps, nonfinite)
     assert _same_bytes(conv2d_ref(Tensor(x), bank).data, windowed_conv2d(x, bank))
     if batch is None:
-        k = _signed_zeros(rng, (c_in, kh, kw), dtype)
+        x, k = _operands(rng, (c_in, h, w), (c_in, kh, kw), dtype, zero_taps, nonfinite)
         assert _same_bytes(strip_conv_ref(Tensor(x), k).data,
                            windowed_conv2d(x, k[:, None]))
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), _DTYPES, st.sampled_from((1, 3, 5, 7)),
        st.integers(0, 12), _GRID, _GRID, st.sampled_from(PAD_MODES),
-       st.sampled_from((("H",), ("W",), ("H", "W", "center"))), st.integers(1, 3))
+       st.sampled_from((("H",), ("W",), ("H", "W", "center"))), st.integers(1, 3),
+       st.booleans(), _NONFINITE)
+@np.errstate(invalid="ignore")       # inf * 0 and inf - inf are nan
 def test_fanout_bytes_match_the_windowed_loop(seed, dtype, n, extra, h, w, pad_mode,
-                                              branches, c):
+                                              branches, c, zero_taps, nonfinite):
     """fanout_conv on the working-grid pads of every pad mode, byte-equal
-    to the windowed loop."""
+    to the windowed loop, with the zero taps and non-finite operands of
+    the test above."""
     assume(n > 1 or pad_mode != "full")     # SwConfig refuses full mode at N = 1
     rng = np.random.default_rng(seed)
     cfg = SwConfig(m=n + extra, n=n, channels=c, pad_mode=pad_mode,
                    branch_types=branches)
     pads, _ = _grid_geometry(cfg, h, w)
-    x = _signed_zeros(rng, (c, h, w), dtype)
-    bank = _signed_zeros(rng, (c, cfg.g, n, n), dtype)
+    x, bank = _operands(rng, (c, h, w), (c, cfg.g, n, n), dtype, zero_taps, nonfinite)
     assert _same_bytes(fanout_conv(Tensor(x), bank, pads).data,
                        windowed_fanout(x, bank, pads))
+
+
+def _taps(x, filt, pads):
+    """_correlate's live taps for planes x and filters filt under pads."""
+    (pt, pb), (pl, pr) = pads
+    out_h = x.shape[-2] + pt + pb - filt.shape[-2] + 1
+    out_w = x.shape[-1] + pl + pr - filt.shape[-1] + 1
+    return [tuple(t) for t in _live_taps(x, filt, pt, pl, out_h, out_w)]
+
+
+def test_live_taps_skip_zero_and_padding_only_taps_of_finite_operands():
+    """A 5x5 "same" tap loop on a 1 x 2 plane: kernel rows 0-1 and 3-4 and
+    columns 0 and 4 read only padding, and tap (2, 2) is +-0 for both
+    outputs.  An inf or a nan in either operand keeps every tap."""
+    pads = ((2, 2), (2, 2))
+    x = np.ones((1, 1, 1, 2))
+    filt = np.ones((2, 1, 5, 5))
+    filt[:, 0, 2, 2] = (0.0, -0.0)
+    assert _taps(x, filt, pads) == [(2, 1, 0), (2, 3, 0)]
+    every = [(u, v, 0) for u in range(5) for v in range(5)]
+    for value in (np.inf, -np.inf, np.nan):
+        spoilt = filt.copy()
+        spoilt[1, 0, 4, 4] = value
+        assert _taps(x, spoilt, pads) == every
+        assert _taps(np.full_like(x, value), filt, pads) == every
+
+
+def test_live_taps_of_the_densify_kernels():
+    """verify's densify-consistency kernels (fan-outs 1, 5 and 17) are a
+    cross of one vertical and one horizontal strip: 9, 81 and 297 of their
+    taps can add a nonzero product on a grid as large as the kernel."""
+    for m, want in ((3, 9), (13, 81), (51, 297)):
+        cfg = SwConfig(m=m, n=3, channels=3, edges=2, rep_branches=2, pad_mode="exact",
+                       order_policy="per_edge_shuffled", seed=0)
+        k = densify(random_weights(cfg), build_shift_plan(cfg), cfg)
+        kh, kw = k.shape[-2:]
+        x = np.ones((3, 1, 1, kh, kw))
+        assert len(_taps(x, k[:, None, None], ((kh // 2,) * 2, (kw // 2,) * 2))) == want
 
 
 def _f32(label, shape):

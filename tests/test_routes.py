@@ -34,8 +34,7 @@ class Route(NamedTuple):
 def _bench(variant):
     def run(cfg, wts, x):
         dtype = "f64" if x.dtype == np.float64 else "f32"
-        runner = bn._Runner(cfg, x.shape[-2], x.shape[-1], dtype, weights=wts)
-        runner.x = x                    # the drawn input in place of the runner's own
+        runner = bn._Runner(cfg, x.shape[-2], x.shape[-1], dtype, weights=wts, x=x)
         return runner.run(variant, bn._Instr())
     return run
 

@@ -3,7 +3,8 @@ module level or inside a function, names the standard library, numpy or
 the package itself, so a new third-party dependency fails here.  The
 rule that turns a plan's displacement tables into shift reads has one
 owner, ShiftPlan.shifts, and the rule that makes the tables has one,
-build_shift_plan."""
+build_shift_plan.  The reference convolutions import nothing of the
+package but .tensor."""
 
 import ast
 import pathlib
@@ -50,3 +51,15 @@ def test_only_sw_op_builds_a_shift_plan():
                  if isinstance(node, ast.Call)
                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ShiftPlan")
     assert not bad, bad
+
+
+def test_conv_ref_imports_only_numpy_and_tensor():
+    """The reference convolutions stay an independent oracle: besides the
+    standard library, conv_ref imports numpy and, of the package, only
+    .tensor, so no rule of bench or sw_op can reach its tap loop."""
+    tree = ast.parse((SRC / "conv_ref.py").read_text())
+    outside = sorted({root for root in _import_roots(tree)
+                      if root not in sys.stdlib_module_names})
+    package = sorted({"." * node.level + (node.module or "") for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level > 0})
+    assert (outside, package) == (["numpy"], [".tensor"])
