@@ -324,6 +324,9 @@ def count_macs(arch: ArchSpec, input_size: int = 224, masks=None) -> CountReport
             size //= 2
             p, m = _conv_counts(prev, dim, 3, size)
             rep.add(f"down{i}", "conv", p + 2 * prev, m)
+        if size < 1:
+            raise ShapeError(f"input size {input_size} leaves stage {i} an empty 0x0 map; "
+                             f"count_macs needs at least 32")
         for j in range(arch.depths[i]):
             name = f"stage{i}.block{j}"
             kept = c_sw * g

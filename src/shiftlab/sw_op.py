@@ -382,8 +382,17 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tenso
             if branch not in cfg.branch_types:
                 continue
             acc = np.zeros_like(xs)
-            for e in range(cfg.edges):
-                _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, w)
+            if branch == BRANCH_CENTER and cfg.center_independent:
+                from .conv_ref import strip_conv_ref
+                # independent center bank: one plain N x N depthwise "same"
+                # conv of the raw slice, bypassing the shared fan-out output,
+                # added once per edge
+                center = strip_conv_ref(Tensor(np.ascontiguousarray(xs)), w.center).data
+                for _e in range(cfg.edges):
+                    acc += center
+            else:
+                for e in range(cfg.edges):
+                    _add_branch_edge(acc, maps, branch, e, plan, origin)
             norm = w.norms.get(branch)
             if norm is not None:
                 acc = norm.apply(acc)
@@ -391,16 +400,10 @@ def sw_forward(x: Tensor, w: SwWeights, cfg: SwConfig, plan: ShiftPlan) -> Tenso
     return Tensor(y)
 
 
-def _add_branch_edge(acc, maps, xs, branch, e, cfg, plan, origin, w) -> None:
-    """Accumulate one (branch, edge) shift pass."""
+def _add_branch_edge(acc, maps, branch, e, plan, origin) -> None:
+    """Accumulate one (branch, edge) shift pass of the shared bank."""
     oy, ox = origin
     if branch == BRANCH_CENTER:
-        if cfg.center_independent:
-            from .conv_ref import strip_conv_ref
-            # independent center bank: plain N x N depthwise "same" conv of
-            # the raw slice, bypassing the shared fan-out output
-            acc += strip_conv_ref(Tensor(np.ascontiguousarray(xs)), w.center).data
-            return
         k0 = plan.center_block
         for c in range(acc.shape[0]):
             _accumulate_shifted(acc[c], maps[c, k0], 0, 0, oy, ox)
@@ -433,6 +436,13 @@ def interior_band(cfg: SwConfig, h: int, w: int):
 # serialization: flat key-value operator spec + tensor-container weights
 # ---------------------------------------------------------------------------
 
+def _flag(v: str) -> bool:
+    """A spec flag, 0 or 1 as the writer writes it."""
+    if v not in ("0", "1"):
+        raise FormatError("must be 0 or 1")
+    return v == "1"
+
+
 # key -> (SwConfig field, parse, format), in file order; absent keys take
 # SwConfig's defaults
 _SPEC = {
@@ -446,7 +456,7 @@ _SPEC = {
     "order_policy": ("order_policy", str, str),
     "seed": ("seed", int, str),
     "branches": ("branch_types", lambda v: tuple(v.split(",")), ",".join),
-    "center_independent": ("center_independent", lambda v: bool(int(v)), "{:d}".format),
+    "center_independent": ("center_independent", _flag, "{:d}".format),
     "layer_id": ("layer_id", int, str),
 }
 
@@ -485,6 +495,8 @@ def read_operator_spec(path) -> SwConfig:
         if key in kv:
             try:
                 values[name] = parse(kv[key])
+            except FormatError as exc:
+                raise FormatError(f"{path}: key {key!r} {exc}: {kv[key]!r}") from None
             except ValueError:
                 raise FormatError(f"{path}: key {key!r} is not a number: "
                                   f"{kv[key]!r}") from None

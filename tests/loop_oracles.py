@@ -5,7 +5,8 @@ every output element and tap, deliberately sharing no code (and no
 accumulation strategy) with the package, so they can serve as the
 second, independent route in dual-route checks.  The windowed tap loop
 keeps conv_ref's accumulation order on purpose: conv_ref must match it
-byte for byte.  It skips no tap, where conv_ref skips the taps whose
+byte for byte, except for the sign bit of a nan that an inf * 0 leaves
+meeting a nan operand.  It skips no tap, where conv_ref skips the taps whose
 products are all +-0 (a filter entry +-0 for every output, or reads of
 padding only): adding +-0 to an accumulator that starts at +0.0 changes
 no bit, so with finite operands the two agree byte for byte, and with an

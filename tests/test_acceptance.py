@@ -17,6 +17,7 @@ import shiftlab.bench as bn
 from shiftlab.cli import _sweep_configs, gen_golden, run_prune_sim
 from shiftlab.rng import CounterRng
 from loop_oracles import erf_map_impulse
+from operator_space import check_routes
 
 
 def _report(name, detail):
@@ -76,10 +77,8 @@ def test_a3_densify_and_erf_consistency():
         plan = sl.build_shift_plan(cfg)
         wts = sl.random_weights(cfg)
         wts.masks[1][:, ::2] = False
-        x = sl.Tensor(rng.uniform_array((2, 24, 24), -0.5, 0.5, np.float64))
-        y = sl.sw_forward(x, wts, cfg, plan).data
-        y_eq = sl.strip_conv_ref(x, sl.densify(wts, plan, cfg)).data
-        worst_dense = max(worst_dense, float(np.max(np.abs(y - y_eq))))
+        outs = check_routes(cfg, wts, plan, rng.uniform_array((2, 24, 24), -0.5, 0.5, np.float64))
+        worst_dense = max(worst_dense, float(np.max(np.abs(outs["densify"] - outs["sw_forward"]))))
     assert worst_dense <= 1e-10, worst_dense
 
     k = CounterRng(51, "acceptance-a3-erf").uniform_array((2, 51, 3), -0.5, 0.5)

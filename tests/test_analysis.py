@@ -8,6 +8,7 @@ import shiftlab as sl
 import shiftlab.analysis as an
 from shiftlab.sparsity import init_sparsity
 from loop_oracles import erf_map_impulse, ordered_utilization
+from operator_space import check_routes
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +119,9 @@ _BRANCH_SUBSETS = (("H",), ("W",), ("center",), ("H", "W"), ("H", "center"),
 
 
 def test_adjoint_sw_dot_product(rng):
-    """<A x, z> = <x, A^T z> for the exact-mode operator across its config space."""
-    worst, cases = 0.0, 0
+    """<A x, z> = <x, A^T z> (R5) for the exact-mode operator across its
+    config space."""
+    cases = 0
     for (ghost, b), edges, branches, center_indep, (n, m), (h, w) in itertools.product(
             ((0.0, 1), (0.3, 2)), (1, 3), _BRANCH_SUBSETS, (False, True),
             ((3, 3), (3, 51), (5, 5), (5, 23)), ((1, 1), (2, 7), (15, 11))):
@@ -132,15 +134,11 @@ def test_adjoint_sw_dot_product(rng):
         wts = sl.random_weights(cfg)
         if b == 2:
             wts.masks[1][0, :] = False
-        layer = an.SwLayer(cfg, wts, sl.build_shift_plan(cfg))
-        x = rng.uniform(-1, 1, (4, h, w))
-        z = rng.uniform(-1, 1, (4, h, w))
-        lhs = float(np.sum(sl.sw_forward(sl.Tensor(x), wts, cfg, layer.plan).data * z))
-        rhs = float(np.sum(x * an._adjoint_sw(z, layer)))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        outs = check_routes(cfg, wts, sl.build_shift_plan(cfg), rng.uniform(-1, 1, (4, h, w)),
+                            names=("adjoint",))
+        assert "adjoint" in outs
         cases += 1
     assert cases == 528
-    assert worst <= 1e-12, worst
 
 
 def test_erf_stack_adjoint_matches_impulse(rng):
@@ -325,6 +323,9 @@ def test_sw_rows_closed_form_matches_when_dense():
     for row in rep.rows:
         if row.kind == "sw":
             assert row.macs == row.closed_form
+    assert min(r.macs for r in an.count_macs(an.ArchSpec.sw_tiny(), 32).rows) > 0
+    with pytest.raises(sl.ShapeError, match="input size 31 leaves stage 3 an empty"):
+        an.count_macs(an.ArchSpec.sw_tiny(), 31)
 
 
 def test_masked_counts_drop():

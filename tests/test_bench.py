@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import as_strided
 
 import shiftlab.bench as bn
-from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan,
-                      random_weights, sw_forward)
+from shiftlab import ShapeError, SwConfig, Tensor, build_shift_plan, random_weights
 from shiftlab.analysis import ArchSpec
 from shiftlab.conv_ref import fanout_conv
 from shiftlab.sparsity import init_sparsity, prune_to_target, score_filters
-from shiftlab.sw_op import ALL_BRANCHES, _grid_geometry
+from shiftlab.sw_op import ALL_BRANCHES, PAD_MODES, _grid_geometry
+from operator_space import check_routes, operator_draws
 
 
 SMALL = dict(m=15, n=3, channels=6, ghost=0.2, edges=2,
@@ -138,39 +139,21 @@ def test_counted_macs_scale_exactly_with_density():
 
 
 def test_masked_fused_path_matches_reference(rng):
-    import shiftlab as sl
     cfg = SwConfig(m=15, n=3, channels=6, ghost=0.2, edges=2,
                    order_policy="per_edge_shuffled", seed=19)
     w = random_weights(cfg, dtype=np.float64)
     w.masks[0][:] = rng.uniform(0, 1, w.masks[0].shape) > 0.4
-    runner = bn._Runner(cfg, 17, 19, "f64", weights=w)
-    oracle = sl.sw_forward(sl.Tensor(runner.x), w, cfg,
-                           sl.build_shift_plan(cfg)).data
-    for v in bn.VARIANTS:
-        got = runner.run(v, bn._Instr())
-        assert np.max(np.abs(got - oracle)) <= 1e-10, v
+    check_routes(cfg, w, build_shift_plan(cfg), rng.uniform(-0.5, 0.5, (6, 17, 19)))
 
 
-def test_empty_mask_yields_ghost_only_and_zero_diff():
+def test_empty_mask_yields_ghost_only_and_zero_diff(rng):
     cfg = SwConfig(m=9, n=3, channels=5, ghost=0.3, seed=11)
     w = random_weights(cfg, dtype=np.float64)
     for m in w.masks:
         m[:] = False
-    outs = []
-    for v in bn.VARIANTS:
-        rep = bn.run_variant(v, cfg, 12, 12, reps=1, dtype="f64", weights=w)
-        outs.append(rep.checksum)
-    assert len(set(outs)) == 1
-    runner = bn._Runner(cfg, 12, 12, "f64", weights=w)
-    got = runner.run("fused", bn._Instr())
-    assert np.array_equal(got[:cfg.ghost_channels], runner.x[:cfg.ghost_channels])
-    assert not got[cfg.ghost_channels:].any()
-
-
-def _small_grids(n):
-    """(m, h, w): the shift reach, the largest |displacement|, is 6 for
-    m = 15 and 24 for m = 51."""
-    return ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4))
+    outs = check_routes(cfg, w, build_shift_plan(cfg), rng.uniform(-0.5, 0.5, (5, 12, 12)))
+    for y in outs.values():                  # every shift channel is exactly +0.0
+        assert not y[cfg.ghost_channels:].view(np.uint64).any()
 
 
 # H or W alone leaves one axis without margins; ("H", "W") drops the center;
@@ -178,32 +161,31 @@ def _small_grids(n):
 BRANCH_SETS = (("H",), ("W",), ("H", "W"), ("center",), ALL_BRANCHES)
 
 
+def _small_cases(pad_modes=PAD_MODES, ns=(3, 5), branch_sets=(ALL_BRANCHES,)):
+    """(cfg, h, w): five channels, ghost 0.2 and two edges, with m = 15 on
+    17 x 19, 1 x 1 and 2 x 3 grids, g = 1 on 2 x 3 and m = 51 on 5 x 4; the
+    shift reach, the largest |displacement|, is 6 for m = 15 and 24 for m = 51."""
+    for pad_mode, n, branches in itertools.product(pad_modes, ns, branch_sets):
+        for m, h, w in ((15, 17, 19), (n, 2, 3), (15, 1, 1), (15, 2, 3), (51, 5, 4)):
+            yield SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode, edges=2,
+                           order_policy="per_edge_shuffled", seed=9, branch_types=branches), h, w
+
+
 @pytest.mark.parametrize("pad_mode", ("half", "full", "exact"))
 @pytest.mark.parametrize("n", (3, 5))
 def test_variants_agree_across_pad_modes(pad_mode, n, rng):
-    """fused == naive bitwise, and both within 1e-10 of sw_forward in f64,
-    over masks, g = 1, 1x1 and other grids smaller than the shift reach,
-    branch subsets and both dtypes."""
-    for (m, h, w), branches in itertools.product(_small_grids(n), BRANCH_SETS):
-        cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                       edges=2, order_policy="per_edge_shuffled", seed=9,
-                       branch_types=branches)
-        for dtype, np_dtype in (("f32", np.float32), ("f64", np.float64)):
+    """R1-R6 over masks, g = 1, 1x1 and other grids smaller than the shift
+    reach, branch subsets and both dtypes."""
+    for cfg, h, w in _small_cases((pad_mode,), (n,), BRANCH_SETS):
+        for np_dtype in (np.float32, np.float64):
             for masking in ("none", "random", "empty"):
                 wts = random_weights(cfg, dtype=np_dtype)
                 if masking == "random":
                     wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
                 elif masking == "empty":
                     wts.masks[0][:] = False
-                runner = bn._Runner(cfg, h, w, dtype, weights=wts)
-                fused = runner.run("fused", bn._Instr())
-                naive = runner.run("naive", bn._Instr())
-                case = (m, h, w, branches, dtype, masking)
-                assert fused.tobytes() == naive.tobytes(), case
-                if dtype == "f64":
-                    oracle = sw_forward(Tensor(runner.x), wts, cfg,
-                                        build_shift_plan(cfg)).data
-                    assert np.max(np.abs(fused - oracle)) <= 1e-10, case
+                x = rng.uniform(-0.5, 0.5, (5, h, w)).astype(np_dtype)
+                check_routes(cfg, wts, build_shift_plan(cfg), x)
 
 
 # (margins, pitch, slot, lead) of the m = 13, n = 5 operator (displacements
@@ -334,33 +316,19 @@ def _walk_rows(runner):
 
 
 @settings(max_examples=40)
-@given(pad_mode=st.sampled_from(("half", "full", "exact")), n=st.sampled_from((3, 5)),
-       g=st.sampled_from((1, 2, 5)), hw=st.sampled_from(((1, 1), (2, 3), (5, 4), (9, 13))),
-       ghost=st.sampled_from((0.0, 0.3)), channels=st.integers(3, 9),
-       branches=st.sampled_from(BRANCH_SETS), masked=st.booleans(),
-       dtype=st.sampled_from(("f32", "f64")), seed=st.integers(0, 2**16))
-def test_read_tables_hold_exactly_the_live_reads(pad_mode, n, g, hw, ghost, channels,
-                                                 branches, masked, dtype, seed):
-    """Fused's read tables keep exactly the reads that touch the grid, in
-    the read table's order per channel, over pad modes, N, g = 1, 1 x 1
-    grids and grids smaller than the shift reach, ghosts, masks and both
-    dtypes; fused == naive, which gathers every read, bitwise, and both are
-    within 1e-10 (f64) or 1e-5 (f32) of sw_forward in the same dtype."""
-    cfg = SwConfig(m=g * n, n=n, channels=channels, ghost=ghost, pad_mode=pad_mode,
-                   edges=2, order_policy="per_edge_shuffled", seed=seed, branch_types=branches)
-    wts = random_weights(cfg, dtype=np.float64 if dtype == "f64" else np.float32)
-    if masked:
-        wts.masks[0][:] = np.random.default_rng(seed).uniform(size=wts.masks[0].shape) > 0.5
-    h, w = hw
-    runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+@given(operator_draws())
+def test_read_tables_hold_exactly_the_live_reads(draw):
+    """Fused's read tables keep exactly the reads that touch the grid, in the
+    read table's order per channel, and naive and fused meet R1-R6, on the
+    draws cut to what the bench takes: no norms, the shared center, one image."""
+    cfg, wts, x = draw
+    cfg = dataclasses.replace(cfg, center_independent=False)
+    wts.norms.clear()
+    x = x.reshape((-1,) + x.shape[-3:])[0]
+    dtype = "f64" if x.dtype == np.float64 else "f32"
+    runner = bn._Runner(cfg, x.shape[1], x.shape[2], dtype, weights=wts, x=x)
     _table_reads(runner)
-    fused = runner.run("fused", bn._Instr())
-    naive = runner.run("naive", bn._Instr())
-    assert fused.tobytes() == naive.tobytes()
-    oracle = sw_forward(Tensor(runner.x), wts, cfg, build_shift_plan(cfg)).data
-    assert oracle.dtype == fused.dtype
-    diff = np.max(np.abs(fused.astype(np.float64) - oracle), initial=0.0)
-    assert diff <= (1e-10 if dtype == "f64" else 1e-5), diff
+    check_routes(cfg, wts, runner.plan, x, names=("naive", "fused"))
 
 
 def _tiny_stage_cfgs():
@@ -372,17 +340,24 @@ def _tiny_stage_cfgs():
                            order_policy="per_edge_shuffled", seed=1)
 
 
+def _tiny_layers():
+    """(name, stage, cfg, 60 %-kept weights) of each sw_tiny layer, seed 1."""
+    arch = ArchSpec.sw_tiny()
+    for lid, name in enumerate(arch.layer_names()):
+        st = arch.stage_of(name)
+        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
+                       ghost=arch.ghost, edges=arch.edges, rep_branches=arch.rep_branches,
+                       order_policy="per_edge_shuffled", seed=1, layer_id=lid)
+        masked = random_weights(cfg)
+        masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
+        yield name, st, cfg, masked
+
+
 def test_staging_reads_stay_in_their_own_map():
     """Every window the read tables address holds only zeros and its own
     map's values: no read wraps into a neighbouring row or map."""
     cases = [(cfg, hw, hw) for hw, cfg in _tiny_stage_cfgs()]
-    for pad_mode, n, branches in itertools.product(("half", "full", "exact"), (3, 5),
-                                                   BRANCH_SETS):
-        cases += [(SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                            edges=2, order_policy="per_edge_shuffled", seed=9,
-                            branch_types=branches), h, w)
-                  for m, h, w in _small_grids(n)]
-    for cfg, h, w in cases:
+    for cfg, h, w in cases + list(_small_cases(branch_sets=BRANCH_SETS)):
         runner = bn._Runner(cfg, h, w, "f32")
         _, grid, win = runner._staging(3, bn._Instr())
         grid[:] = np.arange(1, 4)[:, None, None]
@@ -470,16 +445,9 @@ def test_fused_staging_within_one_map_bound():
     for hw, cfg in _tiny_stage_cfgs():
         _assert_fused_staging_within_bound(cfg, hw, hw, "f32")
         # 60 % kept: subset masks leave kept channels that are not contiguous
-        wts = random_weights(cfg)
-        wts.masks = init_sparsity("subset", {"op": wts.rep}, 0.4, seed=1)["op"]
-        _assert_fused_staging_within_bound(cfg, hw, hw, "f32", wts)
-    for pad_mode in ("half", "full", "exact"):
-        for n in (3, 5):
-            for m, h, w in _small_grids(n):
-                cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                               edges=2, order_policy="per_edge_shuffled", seed=9)
-                for dtype in ("f32", "f64"):
-                    _assert_fused_staging_within_bound(cfg, h, w, dtype)
+        _assert_fused_staging_within_bound(cfg, hw, hw, "f32", _subset_weights(cfg))
+    for (cfg, h, w), dtype in itertools.product(_small_cases(), ("f32", "f64")):
+        _assert_fused_staging_within_bound(cfg, h, w, dtype)
 
 
 def test_staging_bytes_pinned_per_sw_tiny_stage():
@@ -490,8 +458,7 @@ def test_staging_bytes_pinned_per_sw_tiny_stage():
     fused = (718416, 385908, 193432, 94676)
     naive = (30298496, 25446296, 13375192, 2536292)
     for (hw, cfg), want in zip(_tiny_stage_cfgs(), zip(fused, naive)):
-        masked = random_weights(cfg)
-        masked.masks = init_sparsity("subset", {"op": masked.rep}, 0.4, seed=1)["op"]
+        masked = _subset_weights(cfg)
         for wts, (dtype, scale) in itertools.product((None, masked), (("f32", 1), ("f64", 2))):
             sums = set()
             for variant, f32_bytes in zip(("fused", "naive"), want):
@@ -514,8 +481,7 @@ def test_reads_per_pixel_pinned_per_sw_tiny_stage():
     naive = (8494, 16988, 31863, 20213)
     kept = (5103, 10195, 10835, 9796)
     for (hw, cfg), want in zip(_tiny_stage_cfgs(), zip(dense, naive, kept)):
-        masked = random_weights(cfg)
-        masked.masks = init_sparsity("subset", {"op": masked.rep}, 0.4, seed=1)["op"]
+        masked = _subset_weights(cfg)
         assert want[1] == cfg.sw_channels * (8 * cfg.g + 1)
         for variant, wts, windows in (("fused", None, want[0]), ("naive", None, want[1]),
                                       ("fused", masked, want[2])):
@@ -570,17 +536,9 @@ def test_every_sw_tiny_layer_fits_rows(monkeypatch):
     the benchmark's fused stack never runs the one-channel tap floor."""
     calls = _record_convs(monkeypatch)
     monkeypatch.setattr(bn, "_add_map", lambda *a: 0)   # not under test
-    arch = ArchSpec.sw_tiny()
-    for lid, name in enumerate(arch.layer_names()):
-        st = arch.stage_of(name)
-        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
-                       ghost=arch.ghost, edges=arch.edges, rep_branches=arch.rep_branches,
-                       order_policy="per_edge_shuffled", seed=1, layer_id=lid)
-        dense = random_weights(cfg)
-        masked = random_weights(cfg)
-        masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
+    for name, st, cfg, masked in _tiny_layers():
         hw = 56 >> st
-        for wts, dtype in itertools.product((dense, masked), ("f32", "f64")):
+        for wts, dtype in itertools.product((random_weights(cfg), masked), ("f32", "f64")):
             calls["rows"].clear()
             bn._Runner(cfg, hw, hw, dtype, weights=wts).run("fused", bn._Instr())
             assert calls["rows"] and not calls["taps"], (name, dtype)
@@ -591,24 +549,19 @@ def test_grids_without_room_for_rows_take_the_tap_floor(monkeypatch, rng):
     runs one channel at a time through the tap loop, bitwise equal to naive."""
     calls = _record_convs(monkeypatch)
     floored = 0
-    for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
-        for m, h, w in _small_grids(n):
-            cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                           edges=2, order_policy="per_edge_shuffled", seed=9)
-            for dtype, masked in itertools.product(("f32", "f64"), (False, True)):
-                wts = random_weights(cfg)
-                if masked:
-                    wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
-                runner = bn._Runner(cfg, h, w, dtype, weights=wts)
-                calls["rows"].clear()
-                calls["taps"].clear()
-                fused = runner.run("fused", bn._Instr())
-                case = (pad_mode, m, n, h, w, dtype, masked)
-                if calls["taps"]:
-                    floored += 1
-                    assert not calls["rows"] and set(calls["taps"]) == {1}, case
-                naive = runner.run("naive", bn._Instr())
-                assert fused.tobytes() == naive.tobytes(), case
+    for (cfg, h, w), dtype, masked in itertools.product(_small_cases(), ("f32", "f64"),
+                                                        (False, True)):
+        wts = random_weights(cfg)
+        if masked:
+            wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+        runner = bn._Runner(cfg, h, w, dtype, weights=wts)
+        calls["rows"].clear()
+        calls["taps"].clear()
+        runner.run("fused", bn._Instr())
+        if calls["taps"]:
+            floored += 1
+            assert not calls["rows"] and set(calls["taps"]) == {1}, (cfg, h, w, dtype, masked)
+        check_routes(cfg, wts, runner.plan, runner.x, names=("naive", "fused"))
     assert floored
 
 
@@ -691,8 +644,7 @@ def test_fused_checksums_pinned_at_four_read_groups():
     rep = bn.run_variant("fused", cfg, 14, 14, reps=1, warmup=0, dtype="f32")
     assert rep.checksum == ("835514c3bcd05ac42eb4c0bece9f569a"
                             "354ab0415c03abcb3b17bd12e04f5792")
-    wts = random_weights(cfg, dtype=np.float64)
-    wts.masks = init_sparsity("subset", {"op": wts.rep}, 0.4, seed=1)["op"]
+    wts = _subset_weights(cfg)
     rep = bn.run_variant("fused", cfg, 14, 14, reps=1, warmup=0, dtype="f64",
                          weights=wts)
     assert rep.checksum == ("ecc6bdf558e6fc30672591b620a07e73"
@@ -807,7 +759,7 @@ class _GatherSpy:
 def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
     """No gather of fused's grouped reads holds more elements than the
     chunk's own staging buffer: every sw_tiny layer at its 224-input shape,
-    dense and 60 % kept, f32 and f64, and the _small_grids cases.  On a
+    dense and 60 % kept, f32 and f64, and the _small_cases.  On a
     dense stage-2 layer, a full chunk whose every channel has a live shift
     read gathers four read slots at a time."""
     rooms, calls = [], []
@@ -838,14 +790,7 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
                 for m, counts, repeats, got in calls
                 if m == runner.chunk and counts[:1] == [m]]
 
-    arch = ArchSpec.sw_tiny()
-    for lid, name in enumerate(arch.layer_names()):
-        st = arch.stage_of(name)
-        cfg = SwConfig(m=arch.stage_m[st], n=arch.n, channels=arch.stage_dim(st),
-                       ghost=arch.ghost, edges=arch.edges, rep_branches=arch.rep_branches,
-                       order_policy="per_edge_shuffled", seed=1, layer_id=lid)
-        masked = random_weights(cfg)
-        masked.masks = init_sparsity("subset", {name: masked.rep}, 0.4, seed=1)[name]
+    for name, st, cfg, masked in _tiny_layers():
         for wts, dtype in itertools.product((None, masked), ("f32", "f64")):
             full = check(cfg, 56 >> st, 56 >> st, dtype, wts)
             if st == 2 and wts is None:
@@ -854,15 +799,12 @@ def test_read_groups_fit_their_chunks_staging_buffer(monkeypatch, rng):
                     # then, on the center map, the center windows in one gather
                     assert got == ([sum(counts[j:j + 4]) for j in range(0, len(counts), 4)]
                                    + [m] * (repeats > 0)), name
-    for pad_mode, n in itertools.product(("half", "full", "exact"), (3, 5)):
-        for m, h, w in _small_grids(n):
-            cfg = SwConfig(m=m, n=n, channels=5, ghost=0.2, pad_mode=pad_mode,
-                           edges=2, order_policy="per_edge_shuffled", seed=9)
-            for dtype, masking in itertools.product(("f32", "f64"), (False, True)):
-                wts = random_weights(cfg)
-                if masking:
-                    wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
-                check(cfg, h, w, dtype, wts)
+    for (cfg, h, w), dtype, masked in itertools.product(_small_cases(), ("f32", "f64"),
+                                                        (False, True)):
+        wts = random_weights(cfg)
+        if masked:
+            wts.masks[0][:] = rng.uniform(size=wts.masks[0].shape) > 0.5
+        check(cfg, h, w, dtype, wts)
 
 
 def test_config_digest_names_weights_and_masks():
@@ -905,13 +847,11 @@ def test_runner_runs_the_input_it_is_given():
     cfg = SwConfig(**SMALL)
     own = bn._Runner(cfg, 8, 9, "f64")
     same = bn._Runner(cfg, 8, 9, "f64", x=own.x.copy())
-    for variant in ("naive", "fused"):
+    flipped = check_routes(cfg, own.weights, own.plan, own.x[:, ::-1].copy(), names=bn.VARIANTS)
+    for variant in bn.VARIANTS:
         want = own.run(variant, bn._Instr())
         assert same.run(variant, bn._Instr()).tobytes() == want.tobytes()
-        x = own.x[:, ::-1].copy()
-        got = bn._Runner(cfg, 8, 9, "f64", x=x).run(variant, bn._Instr())
-        ref = sw_forward(Tensor(x), own.weights, cfg, own.plan).data
-        assert np.max(np.abs(got - ref)) <= 1e-10 and got.tobytes() != want.tobytes()
+        assert flipped[variant].tobytes() != want.tobytes()
     for bad in (own.x[None], own.x[:, :-1], own.x[:-1], own.x.astype(np.float32)):
         with pytest.raises(ShapeError, match=rf"{re.escape(str(bad.shape))} and dtype {bad.dtype}"):
             bn._Runner(cfg, 8, 9, "f64", x=bad)

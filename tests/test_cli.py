@@ -160,15 +160,16 @@ def test_verify_spec_refuses_extra_rep_branches(tmp_path):
 
 
 def test_verify_malformed_spec_fails_with_named_check(tmp_path, capsys):
-    spec = tmp_path / "op.spec"
-    spec.write_text("M=9\nN=3\nC=4\nM=51\n")
-    rc = main(["verify", "--out", str(tmp_path / "o"), "--spec", str(spec)])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] load-spec" in out and "duplicate key 'M'" in out
-    rows = _read_csv(tmp_path / "o" / "verify.csv")
-    assert [r[0] for r in rows[1:]] == ["load-spec"]
-    assert rows[1][4] == "FAIL"
+    for i, (line, message) in enumerate((("M=51", "duplicate key 'M'"),
+                                         ("center_independent=2", "must be 0 or 1"))):
+        spec = tmp_path / f"op{i}.spec"
+        spec.write_text(f"M=9\nN=3\nC=4\n{line}\n")
+        rc = main(["verify", "--out", str(tmp_path / f"o{i}"), "--spec", str(spec)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] load-spec" in out and message in out
+        rows = _read_csv(tmp_path / f"o{i}" / "verify.csv")[1:]
+        assert [(r[0], r[4]) for r in rows] == [("load-spec", "FAIL")]
 
 
 def test_verify_csv_quotes_a_detail_with_commas(tmp_path):
@@ -723,6 +724,7 @@ def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, 
     ["coverage", "--m", "2"],
     ["erf", "--strip", "4,3"],
     ["bench", "--spec", "/nonexistent"],
+    ["params", "--input-size", "31"],
 ])
 def test_rejected_input_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import shiftlab as sl
+from operator_space import check_routes
 
 
 def test_fold_identity_norm():
@@ -133,13 +134,9 @@ def test_densify_matches_forward_across_fanouts(rng):
         cfg = sl.SwConfig(m=m, n=n, channels=2, edges=2, rep_branches=2,
                           pad_mode="exact", order_policy="per_edge_shuffled",
                           seed=21)
-        plan = sl.build_shift_plan(cfg)
         wts = sl.random_weights(cfg)
         wts.masks[0][:, ::3] = False
-        x = sl.Tensor(rng.uniform(-1, 1, (2, 18, 18)))
-        y = sl.sw_forward(x, wts, cfg, plan).data
-        y_eq = sl.strip_conv_ref(x, sl.densify(wts, plan, cfg)).data
-        assert np.max(np.abs(y - y_eq)) <= 1e-10
+        check_routes(cfg, wts, sl.build_shift_plan(cfg), rng.uniform(-1, 1, (2, 18, 18)))
 
 
 def _densify_loop(w, plan, cfg):

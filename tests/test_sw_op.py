@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftlab as sl
-import shiftlab.analysis as an
-import shiftlab.bench as bn
 from shiftlab.rng import CounterRng
 from shiftlab.sw_op import PAD_MODES
 from loop_oracles import naive_depthwise, shift_indices
+from operator_space import check_routes
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +162,8 @@ def test_ghost_passthrough_bitwise(rng):
     cfg = sl.SwConfig(m=15, n=3, channels=10, ghost=0.23, edges=2,
                       order_policy="per_edge_shuffled", seed=5)
     assert cfg.ghost_channels == 2
-    plan = sl.build_shift_plan(cfg)
-    wts = sl.random_weights(cfg)
-    x = rng.uniform(-1, 1, (10, 12, 12))
-    y = sl.sw_forward(sl.Tensor(x), wts, cfg, plan).data
-    assert np.array_equal(y[:2], x[:2])
-    assert y.shape == x.shape
-
-
-def test_all_masked_yields_zero_sw_path(rng):
-    cfg = sl.SwConfig(m=9, n=3, channels=5, ghost=0.3, seed=2)
-    plan = sl.build_shift_plan(cfg)
-    wts = sl.random_weights(cfg)
-    for mask in wts.masks:
-        mask[:] = False
-    x = rng.uniform(-1, 1, (5, 8, 8))
-    y = sl.sw_forward(sl.Tensor(x), wts, cfg, plan).data
-    cg = cfg.ghost_channels
-    assert np.array_equal(y[:cg], x[:cg])
-    assert not y[cg:].any()
+    check_routes(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg),
+                 rng.uniform(-1, 1, (10, 12, 12)))
 
 
 def test_edges_multiply_output_under_ordered_policy(rng):
@@ -277,14 +259,6 @@ def test_channel_mismatch_raises(rng):
         sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (3, 8, 8))), wts, cfg, plan)
 
 
-def test_plan_with_other_fanout_raises(rng):
-    cfg = sl.SwConfig(m=9, n=3, channels=2)
-    plan = sl.build_shift_plan(sl.SwConfig(m=15, n=3, channels=2))
-    with pytest.raises(sl.PlanError, match="does not match"):
-        sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (2, 8, 8))),
-                      sl.random_weights(cfg), cfg, plan)
-
-
 def test_plan_shifts_list_the_h_edges_then_the_w_edges():
     # disordered shuffles the H branch only, so disp_h and disp_w differ
     cfg = sl.SwConfig(m=13, n=3, channels=4, edges=2, order_policy="disordered", seed=5)
@@ -304,43 +278,29 @@ def test_plan_shifts_list_the_h_edges_then_the_w_edges():
     assert dy.shape == dx.shape == (0, 4, 5) and dy.dtype.kind == dx.dtype.kind == "i"
 
 
-@pytest.mark.parametrize("route", ("densify", "SwLayer"))
+@pytest.mark.parametrize("route", ("densify", "adjoint"), ids=("densify", "SwLayer"))
 @pytest.mark.parametrize("other, error", (
     (dict(rep_branches=2), sl.ShapeError),   # a second Rep bank
     (dict(edges=2), sl.PlanError),           # a plan built for two edges
 ), ids=("two_rep", "two_edge_plan"))
-def test_linear_routes_reject_weights_or_plan_of_another_config(route, other, error):
+def test_linear_routes_reject_weights_or_plan_of_another_config(route, other, error, rng):
     cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact")
-    wts, plan = sl.random_weights(cfg), sl.build_shift_plan(cfg)
     odd = sl.SwConfig(**{**cfg.__dict__, **other})
-    if "rep_branches" in other:
-        wts = sl.random_weights(odd)
-    else:
-        plan = sl.build_shift_plan(odd)
+    wts = sl.random_weights(odd if "rep_branches" in other else cfg)
+    plan = sl.build_shift_plan(odd if "edges" in other else cfg)
     with pytest.raises(error):
-        if route == "densify":
-            sl.densify(wts, plan, cfg)
-        else:
-            an.SwLayer(cfg, wts, plan)
-
-
-def test_plan_with_other_displacements_does_not_match(rng):
-    # M = 7 and M = 9 both give g = 3 at N = 3, but the M = 7 plan's
-    # displacements (-2, 1, 4) are not the M = 9 config's (-3, 0, 3)
-    plan = sl.build_shift_plan(sl.SwConfig(m=7, n=3, channels=2))
-    x = sl.Tensor(rng.uniform(-1, 1, (2, 8, 8)))
-    for pad_mode in PAD_MODES:
-        cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode=pad_mode)
-        with pytest.raises(sl.PlanError, match="does not match"):
-            sl.sw_forward(x, sl.random_weights(cfg), cfg, plan)
+        check_routes(cfg, wts, plan, rng.uniform(-1, 1, (2, 8, 8)), names=(route,))
 
 
 def _inconsistent_plans(cfg, plan):
-    """Hand-built plans that break the one invariant, integer (E, C_sw, g)
+    """Plans of M - 2 (the same g at N = 3, other displacements) and M + 6,
+    and hand-built ones that break the one invariant, integer (E, C_sw, g)
     tables of cfg's displacements: a table off by one, an entry one step
     before the first displacement and one after the last, both on the
     lattice of displacements, a float table and a table missing a channel."""
     d, n = cfg.displacements(), cfg.n
+    for m in (cfg.m - 2, cfg.m + 6):
+        yield sl.build_shift_plan(dataclasses.replace(cfg, m=m))
     before, past = plan.disp_h.copy(), plan.disp_w.copy()
     before[0, 0, 0], past[-1, -1, -1] = d[0] - n, d[-1] + n
     yield dataclasses.replace(plan, disp_h=plan.disp_h + 1)
@@ -352,23 +312,16 @@ def _inconsistent_plans(cfg, plan):
 
 
 @pytest.mark.parametrize("pad_mode", PAD_MODES)
-@pytest.mark.parametrize("route", ("sw_forward", "densify", "SwLayer", "bench"))
-def test_every_route_rejects_an_inconsistent_plan(pad_mode, route, rng, monkeypatch):
+@pytest.mark.parametrize("names", (("sw_forward",), ("densify",), ("adjoint",), ("naive", "fused")),
+                         ids=("sw_forward", "densify", "SwLayer", "bench"))
+def test_every_route_rejects_an_inconsistent_plan(pad_mode, names, rng):
     cfg = sl.SwConfig(m=9, n=3, channels=3, edges=2, pad_mode=pad_mode,
                       order_policy="per_edge_shuffled", seed=3)
     wts = sl.random_weights(cfg)
-    x = sl.Tensor(rng.uniform(-1, 1, (3, 8, 8)))
+    x = rng.uniform(-1, 1, (3, 8, 8))
     for odd in _inconsistent_plans(cfg, sl.build_shift_plan(cfg)):
         with pytest.raises(sl.PlanError, match="does not match"):
-            if route == "sw_forward":
-                sl.sw_forward(x, wts, cfg, odd)
-            elif route == "densify":
-                sl.densify(wts, odd, cfg)
-            elif route == "SwLayer":
-                an.SwLayer(cfg, wts, odd)
-            else:
-                monkeypatch.setattr(bn, "build_shift_plan", lambda _cfg: odd)
-                bn._Runner(cfg, 8, 8, "f64", weights=wts)
+            check_routes(cfg, wts, odd, x, names=names)
 
 
 def test_independent_center_bank(rng):
@@ -564,7 +517,9 @@ def test_repeated_branch_types_are_rejected(tmp_path, branches):
 @pytest.mark.parametrize("text, message", (
     ("M=9\nN 3\nC=2\n", "bad line 'N 3'"),
     ("M=9\nC=2\n", "missing key 'N'"),
-), ids=("no-equals", "missing-key"))
+    ("M=9\nN=3\nC=2\ncenter_independent=2\n", "key 'center_independent' must be 0 or 1: '2'"),
+    ("M=9\nN=3\nC=2\ncenter_independent=-1\n", "key 'center_independent' must be 0 or 1: '-1'"),
+), ids=("no-equals", "missing-key", "flag-2", "flag-minus-1"))
 def test_operator_spec_rejects_malformed_text(tmp_path, text, message):
     p = tmp_path / "case.spec"
     p.write_text(text)
