@@ -137,8 +137,8 @@ def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     nonzeros lie in its middle N columns and rows: one `_strip_corr` per
     strip, the horizontal one on transposed arrays and without the center
     block, which the vertical one holds.  Structural zeros stay exact.
-    `erf_map` runs it only for an operator that another component follows;
-    on a centred delta it is `_impulse_sw`."""
+    `erf_map` runs it for an operator in a stack of more than one
+    component; a single operator's field is `_impulse_field`."""
     cg, n = layer.cfg.ghost_channels, layer.cfg.n
     kernel = _exact_kernel(layer)[:, ::-1, ::-1].astype(z.dtype)
     s_v, s_h = (e // 2 - n // 2 for e in kernel.shape[1:])
@@ -150,18 +150,24 @@ def _adjoint_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
     return np.concatenate((z[:cg], adj))
 
 
-def _impulse_sw(z: np.ndarray, layer: SwLayer) -> np.ndarray:
-    """`_adjoint_sw` of the centred delta z, written into z in O(C*P^2): the
-    operator's impulse response, its `densify` kernel unflipped, centred on
-    the probe and cropped to it, while ghosts keep the delta.  Only values
-    are copied, so it is bitwise the adjoint's result (each of whose
-    outputs is one kernel value plus exact zeros)."""
-    kernel, cg = _exact_kernel(layer), layer.cfg.ghost_channels
-    (kh, kw), mid = kernel.shape[1:], z.shape[1] // 2
+def _impulse_field(layer: SwLayer, probe_size: int) -> np.ndarray:
+    """`np.abs(_adjoint_sw(delta)).mean(axis=0)` for the centred delta, in
+    O(C*kh*kw): the adjoint maps it to the operator's `densify` kernel,
+    unflipped, centred on the probe and cropped to it, while ghosts keep
+    the delta, and the (C, P, P) result is zero outside that window.
+    Plane 0 holds the ghost count at the centre (the ghost deltas summed,
+    exact), the others |kernel window|: each pixel adds the same values in
+    the same channel order as the cube's mean, so the field is bitwise it."""
+    kernel = _exact_kernel(layer)
+    (kh, kw), mid = kernel.shape[1:], probe_size // 2
     rv, rh = min(kh // 2, mid), min(kw // 2, mid)
-    z[cg:, mid - rv:mid + rv + 1, mid - rh:mid + rh + 1] = \
-        kernel[:, kh // 2 - rv:kh // 2 + rv + 1, kw // 2 - rh:kw // 2 + rh + 1]
-    return z
+    planes = np.zeros((kernel.shape[0] + 1, 2 * rv + 1, 2 * rh + 1))
+    planes[0, rv, rh] = layer.cfg.ghost_channels
+    np.abs(kernel[:, kh // 2 - rv:kh // 2 + rv + 1, kw // 2 - rh:kw // 2 + rh + 1],
+           out=planes[1:])
+    field = np.zeros((probe_size, probe_size))
+    field[mid - rv:mid + rv + 1, mid - rh:mid + rh + 1] = planes.sum(axis=0) / layer.channels
+    return field
 
 
 def _erf_channels(stack, probe_size: int) -> int:
@@ -179,20 +185,21 @@ def erf_map(stack, probe_size: int = 63) -> np.ndarray:
 
     One adjoint application of the composed operator to a delta at the
     output center; per-channel sensitivities are averaged before
-    normalization.  A last `SwLayer` maps the delta to its centred
-    `densify` kernel (`_impulse_sw`), an O(C*P^2) copy, so a single
-    operator's ERF runs no matmul; earlier components run their adjoints.
+    normalization.  A stack that is one `SwLayer` runs no adjoint: its
+    averaged field is summed over the kernel's window alone
+    (`_impulse_field`), O(C*kh*kw) rather than O(C*P^2).
     """
     channels = _erf_channels(stack, probe_size)
-    mid = probe_size // 2
-    z = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
-    z[:, mid, mid] = 1.0
-    if isinstance(stack[-1], SwLayer):
-        z, stack = _impulse_sw(z, stack[-1]), stack[:-1]
-    for layer in reversed(stack):
-        z = _adjoint_conv(z, layer.kernel) if isinstance(layer, ConvLayer) \
-            else _adjoint_sw(z, layer)
-    field_abs = np.abs(z).mean(axis=0)
+    if len(stack) == 1 and isinstance(stack[0], SwLayer):
+        field_abs = _impulse_field(stack[0], probe_size)
+    else:
+        mid = probe_size // 2
+        z = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
+        z[:, mid, mid] = 1.0
+        for layer in reversed(stack):
+            z = _adjoint_conv(z, layer.kernel) if isinstance(layer, ConvLayer) \
+                else _adjoint_sw(z, layer)
+        field_abs = np.abs(z).mean(axis=0)
     peak = field_abs.max()
     return field_abs / peak if peak > 0 else field_abs
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError
 
@@ -138,6 +137,10 @@ def densify(w, plan, cfg) -> np.ndarray:
 
     Each tap sums the H edges, then the W edges, then the center (E
     times), whatever the order of cfg.branch_types: sw_forward's order.
+    The shift reads go through one `np.add.at` on the flattened kernel
+    with a 1-D index laid out (read, channel, map, tap), numpy's fast
+    path, which still adds every read in that order, repeated
+    displacements included.
 
     Returns a (C_sw, 2*S_v + N, 2*S_h + N) array, where S_v and S_h are
     the largest |dy| and |dx| of `plan.shifts(cfg.branch_types)`.
@@ -147,13 +150,15 @@ def densify(w, plan, cfg) -> np.ndarray:
     dy, dx = plan.shifts(cfg.branch_types)
     s_v, s_h = int(np.abs(dy).max(initial=0)), int(np.abs(dx).max(initial=0))
     bank = w.merged_bank()
-    c_cnt = bank.shape[0]
-    out = np.zeros((c_cnt, 2 * s_v + n, 2 * s_h + n), dtype=bank.dtype)
-    # blocks[c, i, j] is the (N, N) block of channel c at offset (i, j)
-    blocks = sliding_window_view(out, (n, n), axis=(1, 2), writeable=True)
-    np.add.at(blocks, (np.arange(c_cnt)[:, None], s_v + dy, s_h + dx), bank)
+    c_cnt, kh, kw = bank.shape[0], 2 * s_v + n, 2 * s_h + n
+    out = np.zeros((c_cnt, kh, kw), dtype=bank.dtype)
+    # flat offset of each read's block corner, then of each tap inside it
+    corner = (np.arange(c_cnt)[:, None] * kh + s_v + dy) * kw + s_h + dx
+    tap = np.arange(n)[:, None] * kw + np.arange(n)
+    index = (corner[..., None, None] + tap).ravel()
+    np.add.at(out.reshape(-1), index, np.broadcast_to(bank, corner.shape + (n, n)).ravel())
     if "center" in cfg.branch_types:
         center = w.center if cfg.center_independent else bank[:, plan.center_block]
         for _e in range(cfg.edges):
-            blocks[:, s_v, s_h] += center
+            out[:, s_v:s_v + n, s_h:s_h + n] += center
     return out

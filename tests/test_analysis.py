@@ -181,11 +181,12 @@ def _erf_by_adjoint(layer, probe):
     return field_abs / field_abs.max() if field_abs.max() > 0 else field_abs
 
 
-@pytest.mark.parametrize("probe", (15, 127))
+@pytest.mark.parametrize("probe", (15, 51, 63, 127))
 def test_single_operator_erf_is_bitwise_the_adjoint(probe):
-    """A last SwLayer's centred densify kernel is bitwise the adjoint of a
-    delta: ghosts, masks, g = 1, every branch kind, f32 weights, and probes
-    smaller (15) and larger (127) than the 51-tall kernel."""
+    """A single SwLayer's field on its kernel's window is bitwise the mean of
+    the adjoint of a delta: ghosts, masks, g = 1, every branch kind, f32
+    weights, and probes smaller (15) than the 51-tall kernel, exactly its
+    height (51), the benchmark's (63) and larger (127)."""
     cases = 0
     for (m, n), branches, ghost, (kept, dtype) in itertools.product(
             ((51, 3), (23, 5), (3, 3), (5, 5)),
@@ -215,7 +216,7 @@ def test_erf_refuses_a_non_exact_operator(pad_mode):
 
 def test_erf_of_strip_kernels_stays_on_the_tap_loop(rng, monkeypatch):
     """ConvLayer adjoints run through strip_conv_ref, the oracle that
-    checks the SwLayer route; only a last SwLayer skips its adjoint."""
+    checks the SwLayer route; only a single SwLayer skips its adjoint."""
     calls = []
     real = an.strip_conv_ref
     monkeypatch.setattr(an, "strip_conv_ref", lambda *a: calls.append(1) or real(*a))
@@ -230,8 +231,10 @@ def test_erf_of_strip_kernels_stays_on_the_tap_loop(rng, monkeypatch):
 
 
 def test_single_operator_erf_peak_memory():
-    """At probe 255 the stage-0 sw_tiny operator's ERF holds at most three
-    (C, P, P) f64 arrays: the adjoint's Toeplitz operands held about 5.7."""
+    """At probe 255 the stage-0 sw_tiny operator's ERF holds at most a
+    quarter of one (C, P, P) f64 array, since it sums only the kernel's
+    window (about 0.08); the (C, P, P) cube route held about 2, and the
+    adjoint's Toeplitz operands about 5.7."""
     cfg = sl.SwConfig(m=51, n=3, channels=80, ghost=0.23, edges=4, rep_branches=2,
                       pad_mode="exact", order_policy="per_edge_shuffled", seed=11)
     layer = an.SwLayer(cfg, sl.random_weights(cfg), sl.build_shift_plan(cfg))
@@ -241,7 +244,7 @@ def test_single_operator_erf_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 80 * 255 * 255 * 8, peak
+    assert peak <= 0.25 * 80 * 255 * 255 * 8, peak
 
 
 def test_erf_symmetric_kernel_symmetric_map(rng):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ def _densify_loop(w, plan, cfg):
     s_v = s if "H" in cfg.branch_types else 0
     s_h = s if "W" in cfg.branch_types else 0
     bank = w.merged_bank()
-    out = np.zeros((bank.shape[0], 2 * s_v + n, 2 * s_h + n))
+    out = np.zeros((bank.shape[0], 2 * s_v + n, 2 * s_h + n), dtype=bank.dtype)
     for branch in cfg.branch_types:
         for e in range(cfg.edges):
             for c in range(bank.shape[0]):
@@ -161,9 +163,24 @@ def _densify_loop(w, plan, cfg):
     return out
 
 
+def _repeat_one_displacement(plan, cfg):
+    """The plan with edge 0 of channel 0 reading its first displacement in
+    every block: `ShiftPlan.validate` accepts it, and the other channels
+    keep the extreme displacements that size the kernel."""
+    disp_h, disp_w = plan.disp_h.copy(), plan.disp_w.copy()
+    disp_h[0, 0] = disp_h[0, 0, 0]
+    disp_w[0, 0] = disp_w[0, 0, 0]
+    repeated = sl.ShiftPlan(disp_h, disp_w)
+    repeated.validate(cfg)
+    return repeated
+
+
 def test_densify_equals_block_placement_loop():
+    """Byte for byte, in f64 and f32, and on a plan whose edge repeats one
+    displacement, whose reads a per-read fancy `+=` would drop but one."""
     subsets = [("H",), ("W",), ("center",), ("H", "W"), ("H", "center"),
                ("W", "center"), ("H", "W", "center")]
+    cases = 0
     for policy in ("ordered", "disordered", "per_edge_shuffled"):
         for branches in subsets:
             for center_indep in {False, "center" in branches}:
@@ -172,11 +189,17 @@ def test_densify_equals_block_placement_loop():
                                       rep_branches=2, pad_mode="exact",
                                       order_policy=policy, branch_types=branches,
                                       center_independent=center_indep, seed=m)
-                    wts = sl.random_weights(cfg)
-                    wts.masks[1][0, :] = False
                     plan = sl.build_shift_plan(cfg)
-                    assert np.array_equal(sl.densify(wts, plan, cfg),
-                                          _densify_loop(wts, plan, cfg))
+                    for dtype, p in itertools.product(
+                            (np.float64, np.float32),
+                            (plan, _repeat_one_displacement(plan, cfg))):
+                        wts = sl.random_weights(cfg, dtype)
+                        wts.masks[1][0, :] = False
+                        got, want = sl.densify(wts, p, cfg), _densify_loop(wts, p, cfg)
+                        assert got.dtype == want.dtype == dtype
+                        assert got.tobytes() == want.tobytes(), (policy, branches, m, dtype)
+                        cases += 1
+    assert cases == 3 * 11 * 3 * 4
 
 
 def test_densify_sums_h_then_w_then_center_in_any_tuple_order():
