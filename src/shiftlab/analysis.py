@@ -30,7 +30,7 @@ from .conv_ref import strip_conv_ref
 from .reparam import densify
 # unused here; bound because shiftbench/run.py wraps analysis.sw_forward
 from .sw_op import SwConfig, SwWeights, ShiftPlan, build_shift_plan, sw_forward  # noqa: F401
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ class SwLayer:
 
 def _adjoint_conv(z: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Adjoint of the depthwise "same" correlation: the flipped kernel."""
-    return strip_conv_ref(Tensor(z), kernel[:, ::-1, ::-1]).data
+    return strip_conv_ref(z, kernel[:, ::-1, ::-1])
 
 
 def _strip_corr(z: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ import functools
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +109,7 @@ from numpy.lib.stride_tricks import as_strided
 from .rng import CounterRng
 from .sw_op import (BRANCH_CENTER, SwConfig, SwWeights, build_shift_plan,
                     random_weights, sw_forward, _grid_geometry)
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 VARIANTS = ("naive", "fused")
 
@@ -636,9 +636,9 @@ def verify_variants(cfg: SwConfig, trials: int, h: int = 24, w: int = 24,
         raise ShapeError("need at least one trial")
     worst = {v: 0.0 for v in VARIANTS}
     for t in range(trials):
-        tcfg = SwConfig(**{**cfg.__dict__, "seed": cfg.seed + t})
+        tcfg = replace(cfg, seed=cfg.seed + t)
         runner = _Runner(tcfg, h, w, dtype)
-        oracle = sw_forward(Tensor(runner.x), runner.weights, tcfg, runner.plan).data
+        oracle = sw_forward(runner.x, runner.weights, tcfg, runner.plan)
         for v in VARIANTS:
             got = runner.run(v, _Instr())
             d = float(np.max(np.abs(got.astype(np.float64) - oracle.astype(np.float64))))

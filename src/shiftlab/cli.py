@@ -13,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .sw_op import (DEFAULT_SEED, SwConfig, build_shift_plan, from_strip,
                     interior_band, load_sw_weights, random_weights,
                     read_operator_spec, sw_forward)
 from .conv_ref import conv2d_ref, strip_conv_ref
-from .tensor import Tensor, ensure_fresh, from_array, write_container
+from .tensor import ensure_fresh, from_array, write_container
 
 _COVERAGE_HEADER = ("E", "policy", "seed", "mean_util", "min_util", "max_util")
 _PARAMS_HEADER = ("layer", "kind", "params", "macs", "closed_form", "delta")
@@ -49,6 +50,15 @@ def _require_positive(args, *flags) -> None:
         value = getattr(args, flag.removeprefix("--").replace("-", "_"))
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
+def _require_nonnegative(args, *flags) -> None:
+    """Reject a tolerance or jitter flag that is negative, inf or nan before
+    any work is done; an unset flag (None) passes."""
+    for flag in flags:
+        value = getattr(args, flag.removeprefix("--").replace("-", "_"))
+        if value is not None and not 0 <= value < float("inf"):
+            raise ValueError(f"{flag} must be >= 0 and finite, got {value}")
 
 
 def _outdir(args) -> str:
@@ -102,16 +112,16 @@ def _check_rows_verify(args):
         if bad:
             return
         rng = CounterRng(cfg.seed, "verify-input")
-        x = Tensor(rng.uniform_array((cfg.channels, args.h, args.w), -0.5, 0.5, dt))
+        x = rng.uniform_array((cfg.channels, args.h, args.w), -0.5, 0.5, dt)
         if w.identity_norms(cfg):
-            ecfg = SwConfig(**{**cfg.__dict__, "pad_mode": "exact"})
-            y = sw_forward(x, w, ecfg, plan).data
+            ecfg = replace(cfg, pad_mode="exact")
+            y = sw_forward(x, w, ecfg, plan)
             keq = densify(w, plan, ecfg)
-            y_eq = strip_conv_ref(Tensor(x.data[cfg.ghost_channels:]), keq).data
+            y_eq = strip_conv_ref(x[cfg.ghost_channels:], keq)
             d = float(np.max(np.abs(y[cfg.ghost_channels:] - y_eq)))
             yield ("densify-consistency", f"{cfg.m}x{cfg.n}", d, tol_eq, d <= tol_eq)
-        ghost = x.data[:cfg.ghost_channels]
-        y = sw_forward(x, w, cfg, plan).data
+        ghost = x[:cfg.ghost_channels]
+        y = sw_forward(x, w, cfg, plan)
         ok = np.array_equal(y[:cfg.ghost_channels], ghost)
         yield ("ghost-passthrough", f"{cfg.ghost_channels} channels",
                0.0 if ok else 1.0, 0.0, ok)
@@ -123,10 +133,10 @@ def _check_rows_verify(args):
     for i, m, n, c, h, w in sweep:
         rng = CounterRng(args.seed, "verify-data", i)
         k = rng.uniform_array((c, m, n), -0.5, 0.5, dt)
-        x = Tensor(rng.uniform_array((c, h, w), -0.5, 0.5, dt))
+        x = rng.uniform_array((c, h, w), -0.5, 0.5, dt)
         cfg, wts, plan = from_strip(k)
-        y_sw = sw_forward(x, wts, cfg, plan).data
-        y_ref = strip_conv_ref(x, k).data
+        y_sw = sw_forward(x, wts, cfg, plan)
+        y_ref = strip_conv_ref(x, k)
         d = float(np.max(np.abs(y_sw.astype(np.float64) - y_ref.astype(np.float64))))
         worst = max(worst, d)
         if d > tol_eq:
@@ -135,7 +145,7 @@ def _check_rows_verify(args):
         cfg_h = SwConfig(m=m, n=n, channels=c, pad_mode="half", branch_types=("H",))
         band = interior_band(cfg_h, h, w)
         if band is not None:
-            y_half = sw_forward(x, wts, cfg_h, build_shift_plan(cfg_h)).data
+            y_half = sw_forward(x, wts, cfg_h, build_shift_plan(cfg_h))
             r0, r1, c0, c1 = band
             bd = float(np.max(np.abs(
                 y_half[:, r0:r1 + 1, c0:c1 + 1].astype(np.float64)
@@ -155,9 +165,9 @@ def _check_rows_verify(args):
                        seed=args.seed)
         plan = build_shift_plan(cfg)
         wts = random_weights(cfg)
-        x = Tensor(rng.uniform_array((3, 20, 20), -0.5, 0.5, np.float64))
-        y = sw_forward(x, wts, cfg, plan).data
-        y_eq = strip_conv_ref(x, densify(wts, plan, cfg)).data
+        x = rng.uniform_array((3, 20, 20), -0.5, 0.5, np.float64)
+        y = sw_forward(x, wts, cfg, plan)
+        y_eq = strip_conv_ref(x, densify(wts, plan, cfg))
         worst_d = max(worst_d, float(np.max(np.abs(y - y_eq))))
     yield ("densify-consistency", "fan-outs 1/5/17", worst_d, tol_rep, worst_d <= tol_rep)
 
@@ -169,10 +179,10 @@ def _check_rows_verify(args):
                           r.uniform_array((c,), -1, 1), r.uniform_array((c,), 0.05, 2.0),
                           eps=1e-5)
         wb = r.uniform_array((c, 1, 3, 3), -1, 1)
-        x = Tensor(r.uniform_array((c, 9, 9), -1, 1))
-        y1 = norm.apply(conv2d_ref(x, wb).data)
+        x = r.uniform_array((c, 9, 9), -1, 1)
+        y1 = norm.apply(conv2d_ref(x, wb))
         wf, bf = fold_norm(wb, None, norm)
-        y2 = conv2d_ref(x, wf).data + bf[:, None, None]
+        y2 = conv2d_ref(x, wf) + bf[:, None, None]
         worst_f = max(worst_f, float(np.max(np.abs(y1 - y2))))
     yield ("fold-norm", f"{args.fold_trials} instances", worst_f, tol_rep,
            worst_f <= tol_rep)
@@ -182,11 +192,11 @@ def _check_rows_verify(args):
         r = CounterRng(args.seed, "verify-merge", i)
         c = 1 + r.randint(4)
         banks = [r.uniform_array((c, 1, 3, 3), -1, 1) for _ in range(4)]
-        x = Tensor(r.uniform_array((c, 8, 8), -1, 1))
+        x = r.uniform_array((c, 8, 8), -1, 1)
         y_sum = np.zeros((c, 8, 8))
         for b in banks:
-            y_sum += conv2d_ref(x, b).data
-        y_merged = conv2d_ref(x, merge_rep(banks)).data
+            y_sum += conv2d_ref(x, b)
+        y_merged = conv2d_ref(x, merge_rep(banks))
         worst_m = max(worst_m, float(np.max(np.abs(y_sum - y_merged))))
     yield ("merge-rep", f"{args.fold_trials} instances", worst_m, tol_rep,
            worst_m <= tol_rep)
@@ -194,6 +204,7 @@ def _check_rows_verify(args):
 
 def cmd_verify(args) -> int:
     _require_positive(args, "--trials", "--fold-trials", "--h", "--w")
+    _require_nonnegative(args, "--tol")
     rows = list(_check_rows_verify(args))
     out = _outdir(args)
     _write_csv(os.path.join(out, "verify.csv"),
@@ -251,7 +262,7 @@ def cmd_erf(args) -> int:
         cfg = read_operator_spec(args.spec)
         notes.append(f"the spec's pad_mode is {cfg.pad_mode}; this is the ERF of the"
                      " exact-mode operator (pad_mode=exact) with the same weights")
-        cfg = SwConfig(**{**cfg.__dict__, "pad_mode": "exact"})
+        cfg = replace(cfg, pad_mode="exact")
         w = (load_sw_weights(args.weights, cfg) if args.weights
              else random_weights(cfg))
         stack = [analysis.SwLayer(cfg, w, build_shift_plan(cfg))]
@@ -298,7 +309,7 @@ def cmd_params(args) -> int:
     arch = (analysis.ArchSpec.sw_small() if args.arch == "small"
             else analysis.ArchSpec.sw_tiny())
     if args.ghost is not None:
-        arch = analysis.ArchSpec(**{**arch.__dict__, "ghost": args.ghost})
+        arch = replace(arch, ghost=args.ghost)
     rep = analysis.count_macs(arch, input_size=args.input_size)
     out = _outdir(args)
     _write_csv(os.path.join(out, "params.csv"), _PARAMS_HEADER, _count_rows(rep),
@@ -368,8 +379,7 @@ def run_prune_sim(steps, u, gap, s, policy, stream, n_layers=4, branches=2,
 def cmd_prune_sim(args) -> int:
     _require_positive(args, "--steps", "--layers", "--branches", "--channels", "--g",
                       "--u", "--gap")
-    if args.jitter < 0:
-        raise ValueError(f"--jitter must be >= 0, got {args.jitter}")
+    _require_nonnegative(args, "--jitter")
     if args.spec:
         cfg = read_operator_spec(args.spec)
         args.g, args.branches = cfg.g, cfg.rep_branches
@@ -416,6 +426,7 @@ def cmd_prune_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     _require_positive(args, "--h", "--w", "--reps")
+    _require_nonnegative(args, "--tol")
     if args.spec:
         cfg = read_operator_spec(args.spec)
     else:
@@ -467,15 +478,15 @@ def gen_golden(out: str, seed: int, force: bool = False) -> list[str]:
         paths.append(os.path.join(out, name))
         _write_csv(paths[-1], header, rows, force)
 
-    def tensor(name, t):
+    def tensor(name, a):
         paths.append(os.path.join(out, name))
-        write_container(t, paths[-1], force)
+        write_container(from_array(a), paths[-1], force)
 
     for i, (m, n, c, h, w) in enumerate([(21, 3, 2, 16, 18), (13, 5, 3, 14, 14),
                                          (51, 3, 1, 24, 24)]):
         rng = CounterRng(seed, "golden-equiv", i)
         k = rng.uniform_array((c, m, n), -0.5, 0.5)
-        x = Tensor(rng.uniform_array((c, h, w), -0.5, 0.5))
+        x = rng.uniform_array((c, h, w), -0.5, 0.5)
         cfg, wts, plan = from_strip(k)
         tensor(f"strip_equiv_{i}.swt", sw_forward(x, wts, cfg, plan))
 
@@ -487,8 +498,7 @@ def gen_golden(out: str, seed: int, force: bool = False) -> list[str]:
           _count_rows(analysis.count_macs(analysis.ArchSpec.sw_tiny(), 224)))
 
     k = CounterRng(seed, "golden-erf").uniform_array((1, 21, 3), -0.5, 0.5)
-    tensor("erf_strip_21x3.swt",
-           from_array(analysis.erf_map([analysis.ConvLayer(k)], probe_size=31)))
+    tensor("erf_strip_21x3.swt", analysis.erf_map([analysis.ConvLayer(k)], probe_size=31))
     table("experiments.csv", _EXPERIMENTS_HEADER, _experiment_rows(80, 0.23))
     _, rows = run_prune_sim(1000, 100, 3, 0.4, "shared", "uniform", seed=seed)
     table("prune_sim.csv", _TRAJECTORY_HEADER, rows)

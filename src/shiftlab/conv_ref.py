@@ -18,11 +18,12 @@ it would add is +-0, and adding +-0 to the accumulator, which starts at
 loop over every tap.  If either operand holds an inf or a nan
 (0 * inf is nan), no tap is skipped.
 
-Each convolution takes its shape from its inputs: kernel extents and
-groups from the bank, "same" pads kh//2, kw//2 (so kernels are odd)
-except in :func:`fanout_conv`, whose caller passes the working-grid pads.
-Stride is 1 and dilation is excluded.  All reads outside the input are
-zero, matching :func:`shiftlab.tensor.get_zero_extended`.
+Each convolution takes numpy arrays and returns one, in the input's
+dtype.  It takes its shape from its inputs: kernel extents and groups
+from the bank, "same" pads kh//2, kw//2 (so kernels are odd) except in
+:func:`fanout_conv`, whose caller passes the working-grid pads.  Stride
+is 1 and dilation is excluded.  Zero padding: a read outside the input's
+rows and columns is exactly 0; the channel index is never extended.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ import itertools
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
-
-
-def _as_nd(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+from .tensor import ShapeError
 
 
 def _correlate(x: np.ndarray, filt: np.ndarray, pads) -> np.ndarray:
@@ -99,7 +96,7 @@ def _live_taps(x, filt, pt, pl, out_h, out_w):
     return (np.argwhere(live) + (u0, v0, 0)).tolist()
 
 
-def conv2d_ref(x: Tensor, w) -> Tensor:
+def conv2d_ref(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Grouped 2-D "same" correlation with zero padding.
 
     x is (C, H, W) or a batch (B, C, H, W); w has shape (out_channels,
@@ -108,55 +105,49 @@ def conv2d_ref(x: Tensor, w) -> Tensor:
     keeps the spatial size; accumulation runs in the array dtype (f64
     stays f64 throughout).
     """
-    xa = _as_nd(x)
-    wa = _as_nd(w).astype(xa.dtype, copy=False)
-    if xa.ndim not in (3, 4):
-        raise ShapeError(f"expected (C, H, W) or (B, C, H, W) input, got {xa.shape}")
-    if wa.ndim != 4:
-        raise ShapeError(f"expected 4-D filter bank, got {wa.shape}")
-    c_in, h, wdt = xa.shape[-3:]
-    o_out, cpg, kh, kw = wa.shape
+    w = w.astype(x.dtype, copy=False)
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"expected (C, H, W) or (B, C, H, W) input, got {x.shape}")
+    if w.ndim != 4:
+        raise ShapeError(f"expected 4-D filter bank, got {w.shape}")
+    c_in, h, wdt = x.shape[-3:]
+    o_out, cpg, kh, kw = w.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel extents {kh}x{kw} must be odd")
     groups = c_in // cpg if cpg else 0
     if groups < 1 or c_in % cpg or o_out % groups:
         raise ShapeError(f"{c_in} input and {o_out} output channels do not divide "
                          f"into groups of {cpg}")
-    lead = xa.shape[:-3]
-    out = _correlate(xa.reshape(lead + (groups, 1, cpg, h, wdt)),
-                     wa.reshape(groups, o_out // groups, cpg, kh, kw),
+    lead = x.shape[:-3]
+    out = _correlate(x.reshape(lead + (groups, 1, cpg, h, wdt)),
+                     w.reshape(groups, o_out // groups, cpg, kh, kw),
                      ((kh // 2,) * 2, (kw // 2,) * 2))
-    return Tensor(out.reshape(lead + (o_out, h, wdt)))
+    return out.reshape(lead + (o_out, h, wdt))
 
 
-def strip_conv_ref(x: Tensor, k) -> Tensor:
+def strip_conv_ref(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Depthwise "same" convolution with a per-channel odd (kh, kw) kernel:
     :func:`conv2d_ref` of (C, H, W) input x on the (C, 1, kh, kw) bank."""
-    xa = _as_nd(x)
-    ka = _as_nd(k)
-    if xa.ndim != 3 or ka.ndim != 3:
+    if x.ndim != 3 or k.ndim != 3:
         raise ShapeError("strip_conv_ref wants (C,H,W) input and (C,kh,kw) kernel")
-    if ka.shape[0] != xa.shape[0]:
+    if k.shape[0] != x.shape[0]:
         raise ShapeError("kernel channel count disagrees with input")
-    return conv2d_ref(xa, ka[:, None])
+    return conv2d_ref(x, k[:, None])
 
 
-def fanout_conv(x: Tensor, w, pad) -> Tensor:
+def fanout_conv(x: np.ndarray, w: np.ndarray, pad) -> np.ndarray:
     """One-input-to-many-outputs depthwise convolution.
 
-    w has shape (C, g, N, N); output channel c*g + k is x[c] correlated
-    with w[c, k].  `pad` is ((top, bottom), (left, right)), the working-
-    grid pads that ``sw_op._grid_geometry`` returns for a pad mode.
+    w has shape (C, g, N, N); output [c, k] is x[c] correlated with
+    w[c, k], a (C, g, Hg, Wg) stack.  `pad` is ((top, bottom), (left,
+    right)), the working-grid pads that ``sw_op._grid_geometry`` returns
+    for a pad mode.
     """
-    xa = _as_nd(x)
-    wa = _as_nd(w).astype(xa.dtype, copy=False)
-    if xa.ndim != 3 or wa.ndim != 4:
+    w = w.astype(x.dtype, copy=False)
+    if x.ndim != 3 or w.ndim != 4:
         raise ShapeError("fanout_conv wants (C,H,W) input and (C,g,N,N) bank")
-    c = xa.shape[0]
-    if wa.shape[0] != c:
+    if w.shape[0] != x.shape[0]:
         raise ShapeError("bank channel count disagrees with input")
-    g = wa.shape[1]
-    if g < 1:
+    if w.shape[1] < 1:
         raise ShapeError("fan-out must be >= 1")
-    out = _correlate(xa[:, None, None], wa[:, :, None], pad)
-    return Tensor(out.reshape((c * g,) + out.shape[-2:]))
+    return _correlate(x[:, None, None], w[:, :, None], pad)

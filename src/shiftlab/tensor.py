@@ -1,10 +1,9 @@
-"""Minimal dense tensor and its bit-exact file container.
+"""The SWT1 file record of a dense array, and the package's shape errors.
 
-Layout is fixed: row-major with channel outermost, i.e. (C, H, W) or
-(B, C, H, W); element types are f32 (production) and f64 (oracle).  The
-public API treats tensors as immutable; every op returns a fresh tensor
-and slices copy.  Out-of-bounds reads are a contract violation except via
-:func:`get_zero_extended`, which realizes zero-padding semantics.
+The compute path passes plain numpy arrays; :class:`Tensor` is only what
+the container reads and writes: a read-only, C-contiguous array of f32
+(production) or f64 (oracle) reals, row-major with channel outermost,
+i.e. (C, H, W) or (B, C, H, W).
 
 Container format ("SWT1"):
 
@@ -49,12 +48,8 @@ def dtype_of(arr: np.ndarray) -> str:
 
 
 class Tensor:
-    """Dense (C, H, W) / (B, C, H, W) array of f32 or f64 reals.
-
-    Wraps a C-contiguous numpy array marked read-only.  `data` is the
-    escape hatch used internally by the kernels; public callers should
-    treat instances as values.
-    """
+    """One SWT1 record: a dense (C, H, W) / (B, C, H, W) array of f32 or
+    f64 reals, held in `data` as a C-contiguous array marked read-only."""
 
     __slots__ = ("data",)
 
@@ -81,35 +76,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
-def zeros(shape, dtype: str = "f64") -> Tensor:
-    if dtype not in _DTYPE_BY_NAME:
-        raise ShapeError(f"unknown dtype {dtype!r}")
-    shape = tuple(int(s) for s in shape)
-    if not shape or any(s < 1 for s in shape):
-        raise ShapeError(f"extents must be >= 1, got {shape}")
-    return Tensor(np.zeros(shape, dtype=_DTYPE_BY_NAME[dtype]))
-
-
 def from_array(arr) -> Tensor:
     a = np.asarray(arr)
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
     return Tensor(a)
-
-
-def get_zero_extended(t: Tensor, c: int, y: int, x: int) -> float:
-    """t[c, y, x] when (y, x) is in bounds, else exactly 0.
-
-    The channel index is not zero-extended: a bad `c` raises.
-    """
-    arr = t.data
-    if arr.ndim != 3:
-        raise ShapeError(f"expected rank-3 tensor, got rank {arr.ndim}")
-    if not 0 <= c < arr.shape[0]:
-        raise IndexError(f"channel {c} outside [0, {arr.shape[0]})")
-    if 0 <= y < arr.shape[1] and 0 <= x < arr.shape[2]:
-        return float(arr[c, y, x])
-    return 0.0
 
 
 def write_container(t: Tensor, path, force: bool = True) -> None:
@@ -167,13 +138,11 @@ def tensors_equal_bits(a: Tensor, b: Tensor) -> bool:
             and a.data.tobytes() == b.data.tobytes())
 
 
-def max_abs_diff(a, b) -> float:
-    """Worst-case elementwise |a - b| over two arrays/tensors."""
-    aa = a.data if isinstance(a, Tensor) else np.asarray(a)
-    bb = b.data if isinstance(b, Tensor) else np.asarray(b)
-    if aa.shape != bb.shape:
-        raise ShapeError(f"shape mismatch {aa.shape} vs {bb.shape}")
-    return float(np.max(np.abs(aa.astype(np.float64) - bb.astype(np.float64))))
+def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst-case elementwise |a - b| over two arrays."""
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
 
 
 def ensure_fresh(path, force: bool) -> None:

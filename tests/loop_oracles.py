@@ -21,7 +21,7 @@ that coverage's painted grid must reproduce.
 import numpy as np
 
 import shiftlab.analysis as an
-from shiftlab import SwConfig, Tensor, strip_conv_ref, sw_forward
+from shiftlab import SwConfig, strip_conv_ref, sw_forward
 
 
 def naive_conv2d(x, w, pad_h, pad_w, groups=1):
@@ -93,13 +93,12 @@ def windowed_conv2d(x, w):
 def windowed_fanout(x, w, pad):
     """fanout_conv on the windowed loop: x (C, H, W), w (C, g, kh, kw) and
     pad ((top, bottom), (left, right))."""
-    c, h, wd = x.shape
-    g, kh, kw = w.shape[1:]
+    h, wd = x.shape[1:]
+    kh, kw = w.shape[2:]
     (pt, pb), (pl, pr) = pad
     out_h, out_w = h + pt + pb - kh + 1, wd + pl + pr - kw + 1
     xpad = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
-    out = windowed_correlate(xpad[:, None, None], w.astype(x.dtype)[:, :, None], out_h, out_w)
-    return out.reshape(c * g, out_h, out_w)
+    return windowed_correlate(xpad[:, None, None], w.astype(x.dtype)[:, :, None], out_h, out_w)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +135,11 @@ def erf_map_impulse(stack, probe_size=15):
     out = np.zeros((probe_size, probe_size), dtype=np.float64)
     for i in range(probe_size):
         for j in range(probe_size):
-            x = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
-            x[:, i, j] = 1.0
-            y = Tensor(x)
+            y = np.zeros((channels, probe_size, probe_size), dtype=np.float64)
+            y[:, i, j] = 1.0
             for layer in stack:
                 y = strip_conv_ref(y, layer.kernel) if isinstance(layer, an.ConvLayer) \
                     else sw_forward(y, layer.weights, layer.cfg, layer.plan)
-            out[i, j] = np.abs(y.data[:, mid, mid]).mean()
+            out[i, j] = np.abs(y[:, mid, mid]).mean()
     peak = out.max()
     return out / peak if peak > 0 else out

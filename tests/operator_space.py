@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import shiftlab.analysis as an
 import shiftlab.bench as bn
 from shiftlab import (AffineNorm, FoldRequiredError, PlanError, ShapeError, SwConfig,
-                      SwWeights, Tensor, densify, random_weights, strip_conv_ref, sw_forward)
+                      SwWeights, densify, random_weights, strip_conv_ref, sw_forward)
 from shiftlab.rng import CounterRng
 from shiftlab.sw_op import ALL_BRANCHES, BRANCH_CENTER, ORDER_POLICIES, PAD_MODES
 
@@ -69,7 +69,7 @@ def _bench(variant):
 
 def _densify_strip(cfg, wts, plan, x):
     cg = cfg.ghost_channels
-    y = strip_conv_ref(Tensor(x[..., cg:, :, :]), densify(wts, plan, cfg)).data
+    y = strip_conv_ref(x[..., cg:, :, :], densify(wts, plan, cfg))
     return np.concatenate([x[..., :cg, :, :], y], axis=-3)
 
 
@@ -78,7 +78,7 @@ _bench_gate = _linear(lambda cfg, x: x.ndim == 4 or (
     cfg.center_independent and BRANCH_CENTER in cfg.branch_types))
 ORACLE = "sw_forward"
 ROUTES = {
-    ORACLE: Route(lambda cfg, wts, plan, x: sw_forward(Tensor(x), wts, cfg, plan).data,
+    ORACLE: Route(lambda cfg, wts, plan, x: sw_forward(x, wts, cfg, plan),
                   lambda cfg, wts, x: None, lambda cfg, x: True),
     "naive": Route(_bench("naive"), _bench_gate, lambda cfg, x: True),
     "fused": Route(_bench("fused"), _bench_gate, lambda cfg, x: True, twin="naive"),

@@ -33,10 +33,10 @@ def test_a1_a2_exact_equivalence_and_interior_band():
         rng = CounterRng(51, "acceptance-a1-data", i)
         for dtype, np_dtype in (("f64", np.float64), ("f32", np.float32)):
             k = rng.uniform_array((c, m, n), -0.5, 0.5, np_dtype)
-            x = sl.Tensor(rng.uniform_array((c, h, w), -0.5, 0.5, np_dtype))
+            x = rng.uniform_array((c, h, w), -0.5, 0.5, np_dtype)
             cfg, wts, plan = sl.from_strip(k)
-            y_sw = sl.sw_forward(x, wts, cfg, plan).data
-            y_ref = sl.strip_conv_ref(x, k).data
+            y_sw = sl.sw_forward(x, wts, cfg, plan)
+            y_ref = sl.strip_conv_ref(x, k)
             d = float(np.max(np.abs(y_sw.astype(np.float64)
                                     - y_ref.astype(np.float64))))
             worst[dtype] = max(worst[dtype], d)
@@ -46,7 +46,7 @@ def test_a1_a2_exact_equivalence_and_interior_band():
                 band = sl.interior_band(cfg_h, h, w)
                 if band is not None:
                     y_half = sl.sw_forward(x, wts, cfg_h,
-                                           sl.build_shift_plan(cfg_h)).data
+                                           sl.build_shift_plan(cfg_h))
                     r0, r1, c0, c1 = band
                     bd = float(np.max(np.abs(
                         y_half[:, r0:r1 + 1, c0:c1 + 1]
@@ -115,15 +115,15 @@ def test_a4_reparam_suites():
                              r.uniform_array((c,), 0.05, 2.0), eps=1e-5)
         w = r.uniform_array((c, 1, 3, 3), -1, 1)
         bias = r.uniform_array((c,), -1, 1)
-        x = sl.Tensor(r.uniform_array((c, 8, 8), -1, 1))
-        composed = norm.apply(sl.conv2d_ref(x, w).data + bias[:, None, None])
+        x = r.uniform_array((c, 8, 8), -1, 1)
+        composed = norm.apply(sl.conv2d_ref(x, w) + bias[:, None, None])
         wf, bf = sl.fold_norm(w, bias, norm)
-        folded = sl.conv2d_ref(x, wf).data + bf[:, None, None]
+        folded = sl.conv2d_ref(x, wf) + bf[:, None, None]
         worst_fold = max(worst_fold, float(np.max(np.abs(composed - folded))))
 
         banks = [r.uniform_array((c, 1, 3, 3), -1, 1) for _ in range(4)]
-        y_sum = sum(sl.conv2d_ref(x, b).data for b in banks)
-        y_m = sl.conv2d_ref(x, sl.merge_rep(banks)).data
+        y_sum = sum(sl.conv2d_ref(x, b) for b in banks)
+        y_m = sl.conv2d_ref(x, sl.merge_rep(banks))
         worst_merge = max(worst_merge, float(np.max(np.abs(y_sum - y_m))))
     assert worst_fold <= 1e-10, worst_fold
     assert worst_merge <= 1e-10, worst_merge

@@ -89,7 +89,7 @@ def test_verify_interior_band_reports_its_worst_diff(tmp_path, monkeypatch):
 
     def nudged(x, w, cfg, plan):
         y = real(x, w, cfg, plan)
-        return sl.Tensor(y.data + 1e-13) if cfg.pad_mode == "half" else y
+        return y + 1e-13 if cfg.pad_mode == "half" else y
 
     monkeypatch.setattr(cli, "sw_forward", nudged)
     rc = main(["verify", "--out", str(tmp_path), "--trials", "5",
@@ -447,7 +447,22 @@ def test_erf_spec_bytes_pinned(tmp_path, s, probe):
     assert got == _ERF_SPEC_PINS[s, probe]
 
 
-@pytest.mark.parametrize("probe", ("0", "2", "-3"))
+def test_erf_spec_without_weights_is_the_exact_operator_with_random_weights(tmp_path):
+    """`erf --spec` alone maps the spec's operator in exact pad mode with
+    `random_weights`, byte for byte."""
+    cfg = sl.SwConfig(m=11, n=3, channels=5, ghost=0.2, edges=2,
+                      order_policy="per_edge_shuffled", seed=9)
+    sl.write_operator_spec(cfg, tmp_path / "op.spec")
+    assert main(["erf", "--out", str(tmp_path / "o"), "--spec", str(tmp_path / "op.spec"),
+                 "--probe", "15"]) == 0
+    got = sl.read_container(tmp_path / "o" / "erf_sw_11x3.swt").data
+    ecfg = dataclasses.replace(cfg, pad_mode="exact")
+    want = an.erf_map([an.SwLayer(ecfg, sl.random_weights(ecfg), sl.build_shift_plan(ecfg))],
+                      probe_size=15)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("probe", ("0", "2", "-3", "abc"))
 def test_erf_probe_must_be_odd_and_positive(tmp_path, capsys, probe):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
@@ -477,6 +492,24 @@ def test_prune_sim_rejects_negative_jitter(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --jitter must be >= 0") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def _prune_sim_masks(out, jitter):
+    """The mask files of a short one-layer `prune-sim --save-masks` run."""
+    assert main(["prune-sim", "--out", str(out), "--steps", "300", "--layers", "1",
+                 "--jitter", jitter, "--save-masks"]) == 0
+    return {name: (out / "masks" / name).read_bytes()
+            for name in sorted(os.listdir(out / "masks"))}
+
+
+def test_prune_sim_jitter_perturbs_banks_deterministically(tmp_path):
+    """Jitter moves the banks each update, so the magnitude prune keeps other
+    filters: the masks (not the trajectory, which stays at the target
+    sparsity) differ from a run without jitter, and repeat bit for bit."""
+    jittered = _prune_sim_masks(tmp_path / "a", "0.3")
+    assert jittered and _prune_sim_masks(tmp_path / "b", "0.3") == jittered
+    plain = _prune_sim_masks(tmp_path / "c", "0")
+    assert plain.keys() == jittered.keys() and plain != jittered
 
 
 def test_prune_sim_save_masks_refuses_to_clobber(tmp_path, capsys):
@@ -671,6 +704,15 @@ def test_gen_golden_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_gen_golden_command_writes_the_committed_manifest(tmp_path):
+    out = str(tmp_path / "g")
+    assert main(["gen-golden", "--out", out]) == 0
+    committed = os.path.join(os.path.dirname(__file__), "golden_manifest.csv")
+    with open(committed, "rb") as fh:
+        assert (tmp_path / "g" / "manifest.csv").read_bytes() == fh.read()
+    assert main(["gen-golden", "--out", out]) == 2     # no --force: nothing overwritten
+
+
 def test_outputs_not_overwritten_without_force(tmp_path):
     assert main(["coverage", "--out", str(tmp_path), "--n-seeds", "1",
                  "--edges", "1"]) == 0
@@ -725,6 +767,12 @@ def test_count_and_extent_below_one_is_a_one_line_error(tmp_path, capsys, argv, 
     ["erf", "--strip", "4,3"],
     ["bench", "--spec", "/nonexistent"],
     ["params", "--input-size", "31"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["bench", "--check", "--tol", "-1"],
+    ["bench", "--tol", "inf"],
+    ["prune-sim", "--jitter", "nan"],
+    ["prune-sim", "--jitter", "inf"],
 ])
 def test_rejected_input_creates_no_out_dir(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shiftlab import (ShapeError, SwConfig, Tensor, build_shift_plan, conv2d_ref, densify,
-                      fanout_conv, from_array, max_abs_diff, random_weights, strip_conv_ref)
+from shiftlab import (ShapeError, SwConfig, build_shift_plan, conv2d_ref, densify,
+                      fanout_conv, max_abs_diff, random_weights, strip_conv_ref)
 from shiftlab.conv_ref import _live_taps
 from shiftlab.rng import CounterRng
 from shiftlab.sw_op import PAD_MODES, _grid_geometry
@@ -14,16 +14,16 @@ from loop_oracles import (naive_conv2d, naive_depthwise, windowed_conv2d,
 
 
 def test_identity_kernel(rng):
-    x = from_array(rng.uniform(-1, 1, (3, 6, 7)))
+    x = rng.uniform(-1, 1, (3, 6, 7))
     w = np.ones((3, 1, 1, 1))
     y = conv2d_ref(x, w)
     assert max_abs_diff(x, y) == 0.0
 
 
 def test_ones_kernel_tap_counting():
-    x = from_array(np.ones((1, 3, 3)))
+    x = np.ones((1, 3, 3))
     w = np.ones((1, 1, 3, 3))
-    y = conv2d_ref(x, w).data
+    y = conv2d_ref(x, w)
     assert y[0, 1, 1] == 9.0
     assert y[0, 0, 0] == 4.0
     assert y[0, 0, 1] == 6.0
@@ -36,7 +36,7 @@ def test_against_independent_triple_loop(rng):
         for kh, kw in ((3, 3), (5, 3)):
             x = rng.uniform(-1, 1, (4, 9, 8))
             w = rng.uniform(-1, 1, (8, 4 // groups, kh, kw))
-            got = conv2d_ref(Tensor(x), w).data
+            got = conv2d_ref(x, w)
             want = naive_conv2d(x, w, kh // 2, kw // 2, groups)
             assert got.shape == (8, 9, 8)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -44,7 +44,7 @@ def test_against_independent_triple_loop(rng):
 
 @pytest.mark.parametrize("shape", ((2, 1, 4, 3), (2, 1, 3, 2), (2, 1, 2, 2)))
 def test_even_kernel_extents_raise(rng, shape):
-    x = from_array(rng.uniform(-1, 1, (2, 8, 8)))
+    x = rng.uniform(-1, 1, (2, 8, 8))
     with pytest.raises(ShapeError, match="must be odd"):
         conv2d_ref(x, np.ones(shape))
     with pytest.raises(ShapeError, match="must be odd"):
@@ -58,13 +58,13 @@ def test_even_kernel_extents_raise(rng, shape):
     (4, (6, 1, 3, 3)),      # 4 groups, 6 outputs
 ))
 def test_channels_that_do_not_divide_into_groups_raise(rng, c_in, w_shape):
-    x = from_array(rng.uniform(-1, 1, (c_in, 6, 6)))
+    x = rng.uniform(-1, 1, (c_in, 6, 6))
     with pytest.raises(ShapeError, match="do not divide"):
         conv2d_ref(x, np.ones(w_shape))
 
 
 def test_strip_delta_kernel_is_identity(rng):
-    x = from_array(rng.uniform(-1, 1, (2, 10, 11)))
+    x = rng.uniform(-1, 1, (2, 10, 11))
     k = np.zeros((2, 7, 3))
     k[:, 3, 1] = 1.0
     y = strip_conv_ref(x, k)
@@ -73,17 +73,17 @@ def test_strip_delta_kernel_is_identity(rng):
 
 def test_strip_matches_grouped_conv():
     """strip_conv_ref(x, k) is byte for byte conv2d_ref(x, k[:, None])."""
-    x = Tensor(_f32("x", (3, 20, 11)))
+    x = _f32("x", (3, 20, 11))
     for kh, kw in ((51, 3), (3, 51), (1, 1), (5, 5)):
         k = _f32("k", (3, kh, kw))
-        assert strip_conv_ref(x, k).data.tobytes() == conv2d_ref(x, k[:, None]).data.tobytes()
+        assert strip_conv_ref(x, k).tobytes() == conv2d_ref(x, k[:, None]).tobytes()
 
 
 def test_horizontal_strip_is_transposed_vertical(rng):
     x = rng.uniform(-1, 1, (2, 12, 15))
     k = rng.uniform(-1, 1, (2, 9, 3))
-    vert = strip_conv_ref(Tensor(np.ascontiguousarray(x.transpose(0, 2, 1))), k).data
-    horiz = strip_conv_ref(Tensor(x), k.transpose(0, 2, 1)).data
+    vert = strip_conv_ref(x.transpose(0, 2, 1), k)
+    horiz = strip_conv_ref(x, k.transpose(0, 2, 1))
     assert np.max(np.abs(horiz - vert.transpose(0, 2, 1))) <= 1e-12
 
 
@@ -94,7 +94,7 @@ def test_fanout_degenerate_is_depthwise(rng):
     c = 3
     x = rng.uniform(-1, 1, (c, 9, 9))
     w = rng.uniform(-1, 1, (c, 1, 3, 3))
-    got = fanout_conv(Tensor(x), w, _SAME).data
+    got = fanout_conv(x, w, _SAME)[:, 0]
     want = naive_depthwise(x, w[:, 0])
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -102,22 +102,22 @@ def test_fanout_degenerate_is_depthwise(rng):
 def test_fanout_channel_bookkeeping(rng):
     x = rng.uniform(-1, 1, (2, 8, 8))
     w = rng.uniform(-1, 1, (2, 3, 3, 3))
-    out = fanout_conv(Tensor(x), w, _SAME).data
-    assert out.shape == (6, 8, 8)
-    # output channel c*g + k = conv(x[c], w[c][k]); channel 4 = (c=1, k=1)
+    out = fanout_conv(x, w, _SAME)
+    assert out.shape == (2, 3, 8, 8)
+    # out[c, k] = conv(x[c], w[c][k])
     want = naive_depthwise(x[1:2], w[1:2, 1])
-    assert np.max(np.abs(out[4] - want[0])) <= 1e-12
+    assert np.max(np.abs(out[1, 1] - want[0])) <= 1e-12
 
 
 def test_fanout_matches_per_channel_conv2d(rng):
     c, g = 3, 4
     x = rng.uniform(-1, 1, (c, 10, 7))
     w = rng.uniform(-1, 1, (c, g, 3, 3))
-    out = fanout_conv(Tensor(x), w, _SAME).data
+    out = fanout_conv(x, w, _SAME)
     for ci in range(c):
         for k in range(g):
-            single = conv2d_ref(Tensor(x[ci:ci + 1]), w[ci, k].reshape(1, 1, 3, 3)).data
-            assert np.max(np.abs(out[ci * g + k] - single[0])) <= 1e-12
+            single = conv2d_ref(x[ci:ci + 1], w[ci, k].reshape(1, 1, 3, 3))
+            assert np.max(np.abs(out[ci, k] - single[0])) <= 1e-12
 
 
 @settings(max_examples=15)
@@ -127,8 +127,8 @@ def test_linearity(seed, a, b):
     x1 = rng.uniform(-1, 1, (2, 7, 7))
     x2 = rng.uniform(-1, 1, (2, 7, 7))
     w = rng.uniform(-1, 1, (2, 2, 3, 3))
-    lhs = conv2d_ref(Tensor(a * x1 + b * x2), w).data
-    rhs = a * conv2d_ref(Tensor(x1), w).data + b * conv2d_ref(Tensor(x2), w).data
+    lhs = conv2d_ref(a * x1 + b * x2, w)
+    rhs = a * conv2d_ref(x1, w) + b * conv2d_ref(x2, w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -138,14 +138,14 @@ def test_translation_equivariance_interior(rng):
     dy, dx = 2, 1
     shifted[:, dy:, dx:] = x[:, :-dy, :-dx]
     k = rng.uniform(-1, 1, (1, 3, 3))
-    y = strip_conv_ref(Tensor(x), k).data
-    ys = strip_conv_ref(Tensor(shifted), k).data
+    y = strip_conv_ref(x, k)
+    ys = strip_conv_ref(shifted, k)
     # interior rows/cols unaffected by either padding boundary
     assert np.max(np.abs(ys[:, dy + 1:-1, dx + 1:-1] - y[:, 1:-1 - dy, 1:-1 - dx])) <= 1e-12
 
 
 def test_shape_errors(rng):
-    x = from_array(rng.uniform(-1, 1, (3, 6, 6)))
+    x = rng.uniform(-1, 1, (3, 6, 6))
     with pytest.raises(ShapeError):
         conv2d_ref(x, np.ones((2, 2, 3, 3)))
     with pytest.raises(ShapeError):
@@ -158,10 +158,10 @@ def test_batch_input(rng):
     for groups in (1, 3):
         x = rng.uniform(-1, 1, (2, 3, 6, 6))
         w = rng.uniform(-1, 1, (3, 3 // groups, 3, 3))
-        y = conv2d_ref(Tensor(x), w).data
+        y = conv2d_ref(x, w)
         assert y.shape == (2, 3, 6, 6)
         for i in range(2):
-            assert np.array_equal(y[i], conv2d_ref(Tensor(x[i]), w).data)
+            assert np.array_equal(y[i], conv2d_ref(x[i], w))
 
 
 def _signed_zeros(rng, shape, dtype):
@@ -232,10 +232,10 @@ def test_tap_loop_bytes_match_the_windowed_loop(seed, dtype, kh, kw, h, w, group
     lead = () if batch is None else (batch,)
     x, bank = _operands(rng, lead + (c_in, h, w), (groups * opg, cpg, kh, kw), dtype,
                         zero_taps, nonfinite)
-    assert _same_bytes(conv2d_ref(Tensor(x), bank).data, windowed_conv2d(x, bank))
+    assert _same_bytes(conv2d_ref(x, bank), windowed_conv2d(x, bank))
     if batch is None:
         x, k = _operands(rng, (c_in, h, w), (c_in, kh, kw), dtype, zero_taps, nonfinite)
-        assert _same_bytes(strip_conv_ref(Tensor(x), k).data,
+        assert _same_bytes(strip_conv_ref(x, k),
                            windowed_conv2d(x, k[:, None]))
 
 
@@ -256,7 +256,7 @@ def test_fanout_bytes_match_the_windowed_loop(seed, dtype, n, extra, h, w, pad_m
                    branch_types=branches)
     pads, _ = _grid_geometry(cfg, h, w)
     x, bank = _operands(rng, (c, h, w), (c, cfg.g, n, n), dtype, zero_taps, nonfinite)
-    assert _same_bytes(fanout_conv(Tensor(x), bank, pads).data,
+    assert _same_bytes(fanout_conv(x, bank, pads),
                        windowed_fanout(x, bank, pads))
 
 
@@ -302,19 +302,24 @@ def _f32(label, shape):
     return CounterRng(7, "conv-ref-pin", label).uniform_array(shape, -1, 1, np.float32)
 
 
+def _flat(maps):
+    """A (C, g, Hg, Wg) fan-out stack as the (C*g, Hg, Wg) stack its pin hashes."""
+    return maps.reshape((-1,) + maps.shape[2:])
+
+
 _PIN_CASES = {
     "conv2d_s1_g1": lambda: conv2d_ref(
-        Tensor(_f32("x", (4, 9, 8))), _f32("w", (6, 4, 3, 3))),
+        _f32("x", (4, 9, 8)), _f32("w", (6, 4, 3, 3))),
     "conv2d_s1_gC": lambda: conv2d_ref(
-        Tensor(_f32("x", (4, 9, 8))), _f32("w", (8, 1, 5, 3))),
+        _f32("x", (4, 9, 8)), _f32("w", (8, 1, 5, 3))),
     "strip_51x3": lambda: strip_conv_ref(
-        Tensor(_f32("x", (2, 20, 7))), _f32("k", (2, 51, 3))),
+        _f32("x", (2, 20, 7)), _f32("k", (2, 51, 3))),
     "strip_1x1": lambda: strip_conv_ref(
-        Tensor(_f32("x", (2, 20, 7))), _f32("k", (2, 1, 1))),
-    "fanout_g1": lambda: fanout_conv(
-        Tensor(_f32("x", (3, 10, 7))), _f32("w", (3, 1, 3, 3)), _SAME),
-    "fanout_g17": lambda: fanout_conv(
-        Tensor(_f32("x", (3, 10, 7))), _f32("w", (3, 17, 3, 3)), ((3, 0), (1, 2))),
+        _f32("x", (2, 20, 7)), _f32("k", (2, 1, 1))),
+    "fanout_g1": lambda: _flat(fanout_conv(
+        _f32("x", (3, 10, 7)), _f32("w", (3, 1, 3, 3)), _SAME)),
+    "fanout_g17": lambda: _flat(fanout_conv(
+        _f32("x", (3, 10, 7)), _f32("w", (3, 17, 3, 3)), ((3, 0), (1, 2)))),
 }
 
 
@@ -333,7 +338,7 @@ def test_f32_outputs_pinned():
     accumulation order changes the bits and fails."""
     got = {}
     for name, case in _PIN_CASES.items():
-        y = case().data
+        y = case()
         assert y.dtype == np.float32
         got[name] = hashlib.sha256(repr(y.shape).encode() + y.tobytes()).hexdigest()
     assert got == _PINS

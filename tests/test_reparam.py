@@ -31,10 +31,10 @@ def test_fold_compose_then_compare(rng):
                              eps=1e-5)
         w = rng.uniform(-1, 1, (c, 1, 3, 3))
         bias = rng.uniform(-1, 1, c)
-        x = sl.from_array(rng.uniform(-1, 1, (c, 8, 9)))
-        composed = norm.apply(sl.conv2d_ref(x, w).data + bias[:, None, None])
+        x = rng.uniform(-1, 1, (c, 8, 9))
+        composed = norm.apply(sl.conv2d_ref(x, w) + bias[:, None, None])
         wf, bf = sl.fold_norm(w, bias, norm)
-        folded = sl.conv2d_ref(x, wf).data + bf[:, None, None]
+        folded = sl.conv2d_ref(x, wf) + bf[:, None, None]
         assert np.max(np.abs(composed - folded)) <= 1e-10
 
 
@@ -53,9 +53,9 @@ def test_merge_doubles_identical_banks(rng):
 def test_merge_forward_equals_sum_of_forwards(rng):
     c = 3
     banks = [rng.uniform(-1, 1, (c, 1, 3, 3)) for _ in range(4)]
-    x = sl.from_array(rng.uniform(-1, 1, (c, 9, 9)))
-    y_sum = sum(sl.conv2d_ref(x, b).data for b in banks)
-    y_merged = sl.conv2d_ref(x, sl.merge_rep(banks)).data
+    x = rng.uniform(-1, 1, (c, 9, 9))
+    y_sum = sum(sl.conv2d_ref(x, b) for b in banks)
+    y_merged = sl.conv2d_ref(x, sl.merge_rep(banks))
     assert np.max(np.abs(y_sum - y_merged)) <= 1e-10
 
 

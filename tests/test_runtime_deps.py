@@ -4,7 +4,9 @@ the package itself, so a new third-party dependency fails here.  The
 rule that turns a plan's displacement tables into shift reads has one
 owner, ShiftPlan.shifts, and the rule that makes the tables has one,
 build_shift_plan.  The reference convolutions import nothing of the
-package but .tensor."""
+package but .tensor.  The compute path passes plain numpy arrays: only
+tensor.py, where the SWT1 record lives, and the package's exports name
+Tensor."""
 
 import ast
 import pathlib
@@ -63,3 +65,18 @@ def test_conv_ref_imports_only_numpy_and_tensor():
     package = sorted({"." * node.level + (node.module or "") for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.level > 0})
     assert (outside, package) == (["numpy"], [".tensor"])
+
+
+# Tensor is the SWT1 file record: the modules that compute take and return
+# arrays, and reach the container only through from_array / read_container
+TENSOR_NAMERS = {"tensor.py", "__init__.py"}
+
+
+def test_only_tensor_and_the_exports_name_tensor():
+    bad = sorted((f.name, node.lineno) for f in sorted(SRC.glob("*.py"))
+                 if f.name not in TENSOR_NAMERS
+                 for node in ast.walk(ast.parse(f.read_text(), str(f)))
+                 if "Tensor" in (getattr(node, "id", None), getattr(node, "attr", None))
+                 or isinstance(node, ast.ImportFrom)
+                 and "Tensor" in (a.name for a in node.names))
+    assert not bad, bad

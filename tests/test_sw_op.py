@@ -116,23 +116,23 @@ def test_from_strip_block_structure_padded_tail(rng):
 
 
 def test_fanout_blocks_match_partitioned_strip_rows(rng):
-    """Fan-out output c*g+k is the conv with the k-th strip partition."""
+    """Fan-out output [c, k] is the conv with the k-th strip partition."""
     k = rng.uniform(-1, 1, (2, 15, 3))
     x = rng.uniform(-1, 1, (2, 9, 9))
     cfg, wts, plan = sl.from_strip(k)
-    out = sl.fanout_conv(sl.Tensor(x), wts.rep[0], ((1, 1), (1, 1))).data
+    out = sl.fanout_conv(x, wts.rep[0], ((1, 1), (1, 1)))
     for c in range(2):
         for blk in range(cfg.g):
             rows = k[c, 3 * blk:3 * blk + 3, :]
             filt = np.zeros((3, 3))
             filt[:rows.shape[0]] = rows
-            want = sl.conv2d_ref(sl.Tensor(x[c:c + 1]), filt.reshape(1, 1, 3, 3)).data
-            assert np.max(np.abs(out[c * cfg.g + blk] - want[0])) <= 1e-12
+            want = sl.conv2d_ref(x[c:c + 1], filt.reshape(1, 1, 3, 3))
+            assert np.max(np.abs(out[c, blk] - want[0])) <= 1e-12
 
 
 def test_from_strip_equivalence(rng):
     k = rng.uniform(-0.5, 0.5, (2, 49, 5))
-    x = sl.from_array(rng.uniform(-0.5, 0.5, (2, 17, 21)))
+    x = rng.uniform(-0.5, 0.5, (2, 17, 21))
     cfg, wts, plan = sl.from_strip(k)
     y = sl.sw_forward(x, wts, cfg, plan)
     want = sl.strip_conv_ref(x, k)
@@ -151,7 +151,7 @@ def test_equivalence_sweep_f64(rng):
         c = int(rng.integers(1, 5))
         h, w = int(rng.integers(8, 28)), int(rng.integers(8, 28))
         k = rng.uniform(-0.5, 0.5, (c, m, n))
-        x = sl.from_array(rng.uniform(-0.5, 0.5, (c, h, w)))
+        x = rng.uniform(-0.5, 0.5, (c, h, w))
         cfg, wts, plan = sl.from_strip(k)
         worst = max(worst, sl.max_abs_diff(sl.sw_forward(x, wts, cfg, plan),
                                            sl.strip_conv_ref(x, k)))
@@ -168,14 +168,14 @@ def test_ghost_passthrough_bitwise(rng):
 
 def test_edges_multiply_output_under_ordered_policy(rng):
     k = rng.uniform(-1, 1, (2, 15, 3))
-    x = sl.from_array(rng.uniform(-1, 1, (2, 14, 14)))
+    x = rng.uniform(-1, 1, (2, 14, 14))
     outs = {}
     for e in (1, 3):
         cfg = sl.SwConfig(m=15, n=3, channels=2, edges=e, pad_mode="exact",
                           branch_types=("H", "W", "center"))
         plan = sl.build_shift_plan(cfg)
         _, wts, _ = sl.from_strip(k)
-        outs[e] = sl.sw_forward(x, wts, cfg, plan).data
+        outs[e] = sl.sw_forward(x, wts, cfg, plan)
     assert np.max(np.abs(outs[3] - 3.0 * outs[1])) <= 1e-10
 
 
@@ -189,7 +189,7 @@ def test_degenerate_three_branch_sum(rng):
     plan = sl.build_shift_plan(cfg)
     wts = sl.SwWeights(rep=[k.reshape(c, 1, 3, 3).copy()],
                        masks=[np.ones((c, 1), dtype=bool)])
-    y = sl.sw_forward(sl.Tensor(x), wts, cfg, plan).data
+    y = sl.sw_forward(x, wts, cfg, plan)
     single = naive_depthwise(x, k)
     assert np.max(np.abs(y - 3.0 * single)) <= 1e-10
 
@@ -202,9 +202,9 @@ def test_linearity_identity_norm(rng):
     x1 = rng.uniform(-1, 1, (3, 11, 11))
     x2 = rng.uniform(-1, 1, (3, 11, 11))
     a, b = 1.7, -2.3
-    lhs = sl.sw_forward(sl.Tensor(a * x1 + b * x2), wts, cfg, plan).data
-    rhs = (a * sl.sw_forward(sl.Tensor(x1), wts, cfg, plan).data
-           + b * sl.sw_forward(sl.Tensor(x2), wts, cfg, plan).data)
+    lhs = sl.sw_forward(a * x1 + b * x2, wts, cfg, plan)
+    rhs = (a * sl.sw_forward(x1, wts, cfg, plan)
+           + b * sl.sw_forward(x2, wts, cfg, plan))
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -215,12 +215,12 @@ def test_train_shape_matches_inference_merge(rng):
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
     wts.masks[1][:, ::2] = False
-    x = sl.Tensor(rng.uniform(-1, 1, (4, 10, 10)))
+    x = rng.uniform(-1, 1, (4, 10, 10))
     one = sl.SwConfig(**{**cfg.__dict__, "rep_branches": 1})
     y_tr = sum(sl.sw_forward(x, sl.SwWeights(rep=[bank], masks=[mask], norms=wts.norms),
-                             one, plan).data
+                             one, plan)
                for bank, mask in zip(wts.rep, wts.masks))
-    y_inf = sl.sw_forward(x, wts, cfg, plan).data
+    y_inf = sl.sw_forward(x, wts, cfg, plan)
     assert np.max(np.abs(y_tr - y_inf)) <= 1e-10
 
 
@@ -228,16 +228,16 @@ def test_norm_applied_per_branch_type(rng):
     cfg = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact", seed=4)
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
-    x = sl.Tensor(rng.uniform(-1, 1, (2, 9, 9)))
-    base = sl.sw_forward(x, wts, cfg, plan).data
+    x = rng.uniform(-1, 1, (2, 9, 9))
+    base = sl.sw_forward(x, wts, cfg, plan)
     wts.norms["H"] = sl.AffineNorm(2 * np.ones(2), np.zeros(2),
                                    np.zeros(2), np.ones(2), eps=0.0)
-    scaled = sl.sw_forward(x, wts, cfg, plan).data
+    scaled = sl.sw_forward(x, wts, cfg, plan)
     # doubling the vertical branch's scale adds one extra vertical term
     cfg_h = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact", branch_types=("H",))
     wts_h = sl.SwWeights(rep=[w.copy() for w in wts.rep],
                          masks=[m.copy() for m in wts.masks])
-    h_only = sl.sw_forward(x, wts_h, cfg_h, sl.build_shift_plan(cfg_h)).data
+    h_only = sl.sw_forward(x, wts_h, cfg_h, sl.build_shift_plan(cfg_h))
     assert np.max(np.abs(scaled - (base + h_only))) <= 1e-10
 
 
@@ -246,8 +246,8 @@ def test_batch_rank4(rng):
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
     xb = rng.uniform(-1, 1, (2, 2, 8, 8))
-    y = sl.sw_forward(sl.Tensor(xb), wts, cfg, plan).data
-    y1 = sl.sw_forward(sl.Tensor(xb[1]), wts, cfg, plan).data
+    y = sl.sw_forward(xb, wts, cfg, plan)
+    y1 = sl.sw_forward(xb[1], wts, cfg, plan)
     assert y.shape == xb.shape and np.array_equal(y[1], y1)
 
 
@@ -256,7 +256,7 @@ def test_channel_mismatch_raises(rng):
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
     with pytest.raises(sl.ShapeError):
-        sl.sw_forward(sl.Tensor(rng.uniform(-1, 1, (3, 8, 8))), wts, cfg, plan)
+        sl.sw_forward(rng.uniform(-1, 1, (3, 8, 8)), wts, cfg, plan)
 
 
 def test_plan_shifts_list_the_h_edges_then_the_w_edges():
@@ -330,13 +330,13 @@ def test_independent_center_bank(rng):
     plan = sl.build_shift_plan(cfg)
     wts = sl.random_weights(cfg)
     x = rng.uniform(-1, 1, (2, 9, 9))
-    y = sl.sw_forward(sl.Tensor(x), wts, cfg, plan).data
+    y = sl.sw_forward(x, wts, cfg, plan)
     cfg_no_c = sl.SwConfig(m=9, n=3, channels=2, pad_mode="exact",
                            branch_types=("H", "W"), seed=13)
     wts_hw = sl.SwWeights(rep=[w.copy() for w in wts.rep],
                           masks=[m.copy() for m in wts.masks])
-    partial = sl.sw_forward(sl.Tensor(x), wts_hw, cfg_no_c,
-                            sl.build_shift_plan(cfg_no_c)).data
+    partial = sl.sw_forward(x, wts_hw, cfg_no_c,
+                            sl.build_shift_plan(cfg_no_c))
     center = naive_depthwise(x, wts.center)
     assert np.max(np.abs(y - (partial + center))) <= 1e-10
 
@@ -358,9 +358,9 @@ def test_interior_band_half_equals_exact(rng):
         cfg_h = sl.SwConfig(m=m, n=n, channels=c, pad_mode="half")
         cfg_e = sl.SwConfig(m=m, n=n, channels=c, pad_mode="exact")
         wts = sl.random_weights(cfg_h)
-        x = sl.Tensor(rng.uniform(-1, 1, (c, 30, 30)))
-        y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h)).data
-        y_e = sl.sw_forward(x, wts, cfg_e, sl.build_shift_plan(cfg_e)).data
+        x = rng.uniform(-1, 1, (c, 30, 30))
+        y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h))
+        y_e = sl.sw_forward(x, wts, cfg_e, sl.build_shift_plan(cfg_e))
         band = sl.interior_band(cfg_h, 30, 30)
         assert band is not None
         r0, r1, c0, c1 = band
@@ -374,9 +374,9 @@ def test_full_mode_n3_equals_half_mode(rng):
     cfg_f = sl.SwConfig(m=15, n=3, channels=2, pad_mode="full", seed=9)
     cfg_h = sl.SwConfig(m=15, n=3, channels=2, pad_mode="half", seed=9)
     wts = sl.random_weights(cfg_f)
-    x = sl.Tensor(rng.uniform(-1, 1, (2, 12, 12)))
-    y_f = sl.sw_forward(x, wts, cfg_f, sl.build_shift_plan(cfg_f)).data
-    y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h)).data
+    x = rng.uniform(-1, 1, (2, 12, 12))
+    y_f = sl.sw_forward(x, wts, cfg_f, sl.build_shift_plan(cfg_f))
+    y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h))
     assert np.array_equal(y_f, y_h)
 
 
@@ -384,9 +384,9 @@ def test_full_mode_n5_grid_silently_widens(rng):
     cfg_f = sl.SwConfig(m=15, n=5, channels=1, pad_mode="full", seed=9)
     cfg_h = sl.SwConfig(m=15, n=5, channels=1, pad_mode="half", seed=9)
     wts = sl.random_weights(cfg_f)
-    x = sl.Tensor(rng.uniform(-1, 1, (1, 16, 16)))
-    y_f = sl.sw_forward(x, wts, cfg_f, sl.build_shift_plan(cfg_f)).data
-    y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h)).data
+    x = rng.uniform(-1, 1, (1, 16, 16))
+    y_f = sl.sw_forward(x, wts, cfg_f, sl.build_shift_plan(cfg_f))
+    y_h = sl.sw_forward(x, wts, cfg_h, sl.build_shift_plan(cfg_h))
     assert y_f.shape == y_h.shape == (1, 16, 16)
     assert not np.array_equal(y_f, y_h)  # extra boundary contributions
 
@@ -456,7 +456,7 @@ def test_exact_mode_outputs_pinned():
     got = {}
     for name, case in _EXACT_CASES.items():
         cfg, wts, x = _exact_case(**case)
-        y = sl.sw_forward(sl.Tensor(x), wts, cfg, sl.build_shift_plan(cfg)).data
+        y = sl.sw_forward(x, wts, cfg, sl.build_shift_plan(cfg))
         assert y.dtype == x.dtype
         got[name] = hashlib.sha256(repr(y.shape).encode() + y.tobytes()).hexdigest()
     assert got == _EXACT_PINS
@@ -590,10 +590,10 @@ def test_tiny_ghost_ratio_ghosts_nobody(rng):
     assert cfg.ghost_channels == 0 and cfg.sw_channels == 3
     wts = sl.random_weights(cfg)
     plan = sl.build_shift_plan(cfg)
-    x = sl.Tensor(rng.uniform(-1, 1, (3, 8, 8)))
+    x = rng.uniform(-1, 1, (3, 8, 8))
     cfg0 = sl.SwConfig(m=9, n=3, channels=3, ghost=0.0)
-    y = sl.sw_forward(x, wts, cfg, plan).data
-    y0 = sl.sw_forward(x, wts, cfg0, sl.build_shift_plan(cfg0)).data
+    y = sl.sw_forward(x, wts, cfg, plan)
+    y0 = sl.sw_forward(x, wts, cfg0, sl.build_shift_plan(cfg0))
     assert np.array_equal(y, y0)
 
 

@@ -8,39 +8,6 @@ from hypothesis import given, strategies as st
 from shiftlab import tensor as tc
 
 
-def test_zeros_examples():
-    t = tc.zeros((1, 2, 2), "f64")
-    assert t.shape == (1, 2, 2) and t.dtype == "f64"
-    assert list(t.data.reshape(-1)) == [0, 0, 0, 0]
-    t = tc.zeros((3, 4, 5), "f32")
-    assert t.data.size == 60 and not t.data.any()
-    with pytest.raises(tc.ShapeError):
-        tc.zeros((0, 3), "f64")
-    with pytest.raises(tc.ShapeError):
-        tc.zeros((2, -1), "f64")
-
-
-def test_zero_extended_examples():
-    arr = np.zeros((1, 3, 3))
-    arr[0, 0, 0] = 7.0
-    t = tc.Tensor(arr)
-    assert tc.get_zero_extended(t, 0, -1, 0) == 0.0
-    assert tc.get_zero_extended(t, 0, 0, 0) == 7.0
-    assert tc.get_zero_extended(t, 0, 3, 0) == 0.0
-    with pytest.raises(IndexError):
-        tc.get_zero_extended(t, 1, 0, 0)
-
-
-@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
-def test_zero_extended_agrees_in_bounds(c, h, w):
-    data = np.arange(c * h * w, dtype=np.float64).reshape(c, h, w)
-    t = tc.Tensor(data)
-    for ci in range(c):
-        for y in range(h):
-            for x in range(w):
-                assert tc.get_zero_extended(t, ci, y, x) == data[ci, y, x]
-
-
 @given(
     st.lists(st.integers(1, 5), min_size=1, max_size=4),
     st.sampled_from([np.float32, np.float64]),
@@ -118,7 +85,7 @@ def test_container_trailing_garbage(tmp_path):
 
 
 def test_tensors_are_read_only():
-    t = tc.zeros((2, 2), "f64")
+    t = tc.from_array(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         t.data[0, 0] = 1.0
 
